@@ -3,9 +3,11 @@
 Steps: derive the review corpus from the bundle's origin pool, score the
 shipped reviewer responses, compute each student's retention score and
 explanation gap, assemble the per-student record file, and produce the
-composite score report.  Every randomized step takes its seed from the
-bundle's study.json, so two runs into two directories write identical
-bytes.
+composite score report.  Each step runs in this process through
+``vibecheck.cli.run`` with its output captured; a step that exits non-zero
+stops the study with its argv and error output.  Every randomized step
+takes its seed from the bundle's study.json, so two runs into two
+directories write identical bytes.
 
 Usage: python3 scripts/run_study.py --fixtures fixtures/study --out OUT_DIR
 """
@@ -13,18 +15,21 @@ Usage: python3 scripts/run_study.py --fixtures fixtures/study --out OUT_DIR
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
-import subprocess
-import sys
 from pathlib import Path
+
+from vibecheck import cli
 
 
 def _vcp(*args: str) -> None:
-    cmd = [sys.executable, "-m", "vibecheck", *args]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(list(args))
+    if code != 0:
         raise RuntimeError(
-            f"step failed (exit {proc.returncode}): {' '.join(cmd)}\n{proc.stderr}"
+            f"step failed (exit {code}): vcp {' '.join(args)}\n{stderr.getvalue()}"
         )
 
 

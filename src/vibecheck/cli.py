@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,7 +27,13 @@ from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse
 from vibecheck.config import RunConfig, resolve_config
 from vibecheck.errors import ComputationError, ValidationError, VcpError
 from vibecheck.explainability import e_gap, load_ontology
-from vibecheck.reporting import human_table, write_columns, write_json, write_jsonl
+from vibecheck.reporting import (
+    dumps_record,
+    human_table,
+    write_columns,
+    write_json,
+    write_jsonl,
+)
 from vibecheck.stats import (
     GeneratingParams,
     PowerSpec,
@@ -46,6 +53,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _finite_float(text: str) -> float:
+    """Argument type for numeric options: a float that is neither nan nor inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vcp", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vcp {__version__}")
@@ -60,62 +78,64 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sdt", parents=[common], help="signal-detection scores per reviewer")
     p.add_argument("--responses", required=True, help="JSONL trap-response records")
-    p.add_argument("--k", type=float, default=None, help="logistic slope")
-    p.add_argument("--delta", type=float, default=None, help="logistic midpoint")
+    p.add_argument("--k", type=_finite_float, default=None, help="logistic slope")
+    p.add_argument("--delta", type=_finite_float, default=None, help="logistic midpoint")
     p.add_argument("--correction", choices=["half-count", "none"], default=None)
 
     traps = sub.add_parser("traps", help="trap-corpus operations")
     traps_sub = traps.add_subparsers(dest="traps_command", required=True)
     p = traps_sub.add_parser("generate", parents=[common], help="derive a review corpus")
     p.add_argument("--origins", required=True, help="directory of clean .vcp origins")
-    p.add_argument("--fraction", type=float, default=None, help="fraction of items mutated")
+    p.add_argument("--fraction", type=_finite_float, default=None,
+                   help="fraction of items mutated")
 
     p = sub.add_parser("retention", parents=[common], help="retention scoring / decay fits")
     p.add_argument("--build", help="ai_build session log")
     p.add_argument("--refactor", help="cold_refactor session log")
     p.add_argument("--calibration", help="calibration JSON from 'vcp calibrate'")
     p.add_argument("--allow-uncalibrated", action="store_true", default=None)
-    p.add_argument("--idle-gap", type=float, default=None, help="idle gap seconds")
+    p.add_argument("--idle-gap", type=_finite_float, default=None, help="idle gap seconds")
     p.add_argument("--velocity-unit", choices=["volume", "loc"], default=None)
     p.add_argument("--decay", help="CSV of t,s observations to fit instead")
 
     p = sub.add_parser("calibrate", parents=[common], help="fit complexity weights on expert pairs")
     p.add_argument("--pairs", required=True, help="JSONL manifest of build/refactor log paths")
     p.add_argument("--baseline-id", default="expert-baseline", help="calibration label")
-    p.add_argument("--idle-gap", type=float, default=None)
+    p.add_argument("--idle-gap", type=_finite_float, default=None)
 
     p = sub.add_parser("egap", parents=[common], help="explanation-gap scoring")
     p.add_argument("--transcript", help="explanation transcript text file")
     p.add_argument("--ontology", help="concept ontology JSON")
     p.add_argument("--code", help=".vcp source or .json control-flow graph")
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_finite_float, default=None)
     p.add_argument("--check-ontology", help="validate an ontology file and exit")
 
     p = sub.add_parser("score", parents=[common], help="composite utility and zones")
     p.add_argument("--records", required=True, help="JSONL student metric records")
     p.add_argument("--weights", default=None,
                    help='"default" (equal thirds) or three comma-separated weights')
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=_finite_float, default=None)
     p.add_argument("--no-gamma", action="store_true", help="drop the time-cost term")
 
     p = sub.add_parser("power", parents=[common], help="Monte-Carlo sample-size search")
-    p.add_argument("--d", type=float, required=True, help="effect size (Cohen's d)")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--power", type=float, default=0.8, dest="target_power")
+    p.add_argument("--d", type=_finite_float, required=True, help="effect size (Cohen's d)")
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
+    p.add_argument("--power", type=_finite_float, default=0.8, dest="target_power")
     p.add_argument("--design", choices=["two_sample", "paired"], default="two_sample")
     p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--attrition", type=float, default=None, help="expected attrition rate")
+    p.add_argument("--attrition", type=_finite_float, default=None,
+                   help="expected attrition rate")
     p.add_argument("--stated-target", type=int, default=None,
                    help="flag a stated recruitment figure against the formula")
     p.add_argument("--cohort-rounding", action="store_true", default=None,
                    help="round recruitment targets up to the next multiple of 10")
 
     p = sub.add_parser("simulate", parents=[common], help="simulate a two-condition cohort")
-    p.add_argument("--beta0", type=float, required=True)
-    p.add_argument("--beta1", type=float, required=True)
-    p.add_argument("--beta2", type=float, required=True)
-    p.add_argument("--sigma-u", type=float, required=True)
-    p.add_argument("--sigma-e", type=float, required=True)
+    p.add_argument("--beta0", type=_finite_float, required=True)
+    p.add_argument("--beta1", type=_finite_float, required=True)
+    p.add_argument("--beta2", type=_finite_float, required=True)
+    p.add_argument("--sigma-u", type=_finite_float, required=True)
+    p.add_argument("--sigma-e", type=_finite_float, required=True)
     p.add_argument("--n-per-condition", type=int, required=True)
     p.add_argument("--occasions", type=int, required=True)
 
@@ -146,9 +166,7 @@ class _Sink:
             (self.out_dir / f"{name}.txt").write_text(summary)
             sys.stdout.write(summary)
         else:
-            sys.stdout.write(
-                json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-            )
+            sys.stdout.write(dumps_record(report, indent=2) + "\n")
             sys.stderr.write(summary)
 
     def emit_records(self, name: str, records: list[dict]) -> None:
@@ -327,13 +345,11 @@ def _cmd_retention(args) -> int:
         record = dataclasses.asdict(fit)
         report = {"command": "retention decay", "config": config.to_dict(), **record}
         summary = human_table([record], ["s0", "lam", "rms_residual", "n_used", "n_excluded"])
-        import math as _math
-
         sink.emit_columns(
             "decay_curve",
             ("t", "s", "fitted"),
             [
-                (t, s, fit.s0 * _math.exp(-fit.lam * t))
+                (t, s, fit.s0 * math.exp(-fit.lam * t))
                 for t, s in zip(data["t"], data["s"])
             ],
         )

@@ -3,30 +3,35 @@
 Machine reports are JSON (sorted keys, full float precision); human
 summaries are aligned text tables whose numbers are the machine values
 rounded to four decimals.  Identical inputs, configuration, and seeds
-produce byte-identical files.
+produce byte-identical files.  A report holding nan or inf is refused with
+a ``ComputationError`` before anything is written, since JSON has no
+literal for either.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
+
+from vibecheck.errors import ComputationError
 
 
-def dumps_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
+def dumps_record(record: dict, indent: Optional[int] = None) -> str:
+    try:
+        return json.dumps(
+            record, indent=indent, sort_keys=True, ensure_ascii=False, allow_nan=False
+        )
+    except ValueError as exc:
+        raise ComputationError(f"report holds a non-finite number: {exc}") from exc
 
 
 def write_json(path: Union[str, Path], record: dict) -> None:
-    Path(path).write_text(
-        json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    )
+    Path(path).write_text(dumps_record(record, indent=2) + "\n")
 
 
 def write_jsonl(path: Union[str, Path], records: Iterable[dict]) -> None:
-    with Path(path).open("w") as fh:
-        for record in records:
-            fh.write(dumps_record(record) + "\n")
+    Path(path).write_text("".join(dumps_record(record) + "\n" for record in records))
 
 
 def _format_cell(value) -> str:

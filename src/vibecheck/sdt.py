@@ -231,7 +231,9 @@ def score_responses(
 def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
     """Read a JSONL response file into per-reviewer response lists.
 
-    One record per line: ``{"reviewer", "item_id", "ground_truth", "flagged"}``.
+    One record per line: ``{"reviewer", "item_id", "ground_truth", "flagged"}``,
+    where ``flagged`` is a JSON boolean (``"false"`` or ``0`` is rejected, not
+    coerced by truthiness).
     """
     by_reviewer: dict[str, list[TrapResponse]] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -239,10 +241,13 @@ def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
             continue
         try:
             rec = json.loads(line)
+            flagged = rec["flagged"]
+            if not isinstance(flagged, bool):
+                raise TypeError(f"'flagged' must be true or false, got {flagged!r}")
             resp = TrapResponse(
                 item_id=str(rec["item_id"]),
                 ground_truth=str(rec["ground_truth"]),
-                flagged=bool(rec["flagged"]),
+                flagged=flagged,
             )
             reviewer = str(rec["reviewer"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from vibecheck.errors import SearchError, ValidationError
 from vibecheck.rng import make_rng
 from vibecheck.sdt import inverse_normal_cdf
+from vibecheck.stats import tdist
 
 DESIGNS = ("two_sample", "paired")
 
@@ -97,13 +97,13 @@ def mc_power(n: int, spec: PowerSpec) -> float:
         means = diffs.mean(axis=1)
         sds = diffs.std(axis=1, ddof=1)
         t = means / (sds / math.sqrt(n))
-        crit = float(_scipy_stats.t.ppf(1.0 - spec.alpha / 2.0, df=n - 1))
+        crit = tdist.ppf(1.0 - spec.alpha / 2.0, n - 1)
     else:
         x = rng.normal(0.0, 1.0, size=(reps, n))
         y = rng.normal(d, 1.0, size=(reps, n))
         pooled = (x.var(axis=1, ddof=1) + y.var(axis=1, ddof=1)) / 2.0
         t = (y.mean(axis=1) - x.mean(axis=1)) / np.sqrt(pooled * 2.0 / n)
-        crit = float(_scipy_stats.t.ppf(1.0 - spec.alpha / 2.0, df=2 * n - 2))
+        crit = tdist.ppf(1.0 - spec.alpha / 2.0, 2 * n - 2)
     return float(np.mean(np.abs(t) > crit))
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from vibecheck.errors import ConstantInputError, ValidationError
 from vibecheck.rng import make_rng
+from vibecheck.stats import tdist
 
 _PERMUTATION_CHUNK = 100_000
 
@@ -81,7 +81,7 @@ def spearman(
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = float(2.0 * _scipy_stats.t.sf(abs(t), df=n - 2))
+        p = 2.0 * tdist.sf(abs(t), n - 2)
     p_perm = None
     if permutations:
         p_perm = _permutation_p(cx, cy, sxx, syy, abs(rho), permutations, seed)

@@ -279,6 +279,35 @@ def test_retention_allow_uncalibrated(fixtures, capsys):
     assert code == 0
 
 
+def test_retention_rejects_non_finite_idle_gap(fixtures, tmp_path, capsys):
+    logs = fixtures / "study" / "logs"
+    out = tmp_path / "retention"
+    code = run([
+        "retention", "--build", str(logs / "s01_build.log"),
+        "--refactor", str(logs / "s01_refactor.log"), "--allow-uncalibrated",
+        "--idle-gap", "nan", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vcp: error: argument --idle-gap: expected a finite number")
+    assert not (out / "retention.json").exists()
+
+
+def test_non_finite_config_value_never_reaches_a_report(fixtures, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"idle_gap": NaN}')
+    logs = fixtures / "study" / "logs"
+    out = tmp_path / "retention"
+    code = run([
+        "retention", "--build", str(logs / "s01_build.log"),
+        "--refactor", str(logs / "s01_refactor.log"), "--allow-uncalibrated",
+        "--config", str(config), "--out", str(out),
+    ])
+    assert code == 2
+    assert "vcp: computation error:" in capsys.readouterr().err
+    assert not (out / "retention.json").exists()
+
+
 def test_calibrate_reproduces_stored_weights(fixtures, tmp_path):
     out = tmp_path / "cal"
     code = run([

@@ -3,6 +3,9 @@
 import json
 import math
 
+import pytest
+
+from vibecheck.errors import ComputationError
 from vibecheck.reporting import (
     dumps_record,
     human_table,
@@ -92,8 +95,11 @@ def test_write_columns_handles_non_floats(tmp_path):
     assert path.read_text() == "kind\tcount\ntrap\t6\n"
 
 
-def test_nan_and_inf_survive_json_layer(tmp_path):
-    # Python's json emits NaN/Infinity literals; loaders accept them back.
-    path = tmp_path / "odd.json"
-    write_json(path, {"x": math.inf})
-    assert json.loads(path.read_text())["x"] == math.inf
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_refused_before_writing(tmp_path, value):
+    # JSON has no literal for nan or inf; a report holding one is an error.
+    with pytest.raises(ComputationError, match="non-finite"):
+        write_json(tmp_path / "odd.json", {"nested": {"x": value}})
+    with pytest.raises(ComputationError, match="non-finite"):
+        write_jsonl(tmp_path / "odd.jsonl", [{"x": 1.0}, {"x": value}])
+    assert list(tmp_path.iterdir()) == []

@@ -291,6 +291,18 @@ def test_load_responses_reports_bad_line(tmp_path):
         load_responses(path)
 
 
+@pytest.mark.parametrize("flagged", ['"false"', '"true"', "0", "1", "null"])
+def test_load_responses_accepts_only_json_booleans(tmp_path, flagged):
+    path = tmp_path / "responses.jsonl"
+    path.write_text(
+        '{"reviewer": "a", "item_id": "i1", "ground_truth": "trap", "flagged": true}\n'
+        '{"reviewer": "a", "item_id": "i2", "ground_truth": "clean", '
+        f'"flagged": {flagged}}}\n'
+    )
+    with pytest.raises(ValidationError, match=r"responses\.jsonl:2: .*'flagged'"):
+        load_responses(path)
+
+
 def test_load_responses_rejects_empty_file(tmp_path):
     path = tmp_path / "responses.jsonl"
     path.write_text("\n")
