@@ -208,9 +208,14 @@ def _read_csv_columns(path: str, columns: tuple[str, ...]) -> dict[str, list[flo
             for lineno, row in enumerate(reader, start=2):
                 for c in columns:
                     try:
-                        data[c].append(float(row[c]))
+                        value = float(row[c])
                     except (TypeError, ValueError) as exc:
                         raise ValidationError(f"{path}:{lineno}: bad {c!r} value") from exc
+                    if not math.isfinite(value):
+                        raise ValidationError(
+                            f"{path}:{lineno}: {c!r} value {row[c]!r} is not finite"
+                        )
+                    data[c].append(value)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not data[columns[0]]:
@@ -634,7 +639,7 @@ def _cmd_power(args) -> int:
     }
     if args.attrition is not None:
         target = attrition_target(
-            result.n_required, args.attrition, rounding=bool(config.cohort_rounding)
+            result.n_required, args.attrition, rounding=config.cohort_rounding
         )
         record["attrition"] = dataclasses.asdict(target)
         if args.stated_target is not None:

@@ -54,13 +54,31 @@ class RunConfig:
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
+
+def _as_bool(value: Any) -> bool:
+    """A JSON boolean only: ``"false"``, 0 and null are not coerced."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _as_int(value: Any) -> int:
+    """An integral JSON number (``3`` or ``3.0``); booleans, strings and
+    fractions are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 _CASTS = {
     "k": float, "delta": float, "idle_gap": float, "epsilon": float,
     "w1": float, "w2": float, "w3": float, "gamma": float,
     "m_csr_threshold": float, "e_gap_threshold": float, "m_ht_cutoff": float,
-    "trap_fraction": float, "replicates": int, "seed": int,
+    "trap_fraction": float, "replicates": _as_int, "seed": _as_int,
     "correction": str, "velocity_unit": str,
-    "allow_uncalibrated": bool, "cohort_rounding": bool,
+    "allow_uncalibrated": _as_bool, "cohort_rounding": _as_bool,
 }
 
 

@@ -1,11 +1,21 @@
 """Monte-Carlo power analysis for two-sided t-tests.
 
+``mc_power`` simulates the t statistic from its sufficient statistics: for
+normal data it depends only on the mean difference and the pooled variance,
+so each replicate draws one standard normal and one chi-square on the
+test's degrees of freedom instead of 2n (or n) raw observations.  The cost
+per candidate is independent of n, and the draws follow the noncentral-t
+distribution exactly.
+
 ``required_n`` finds the smallest per-group (or per-subject) n whose
-simulated power reaches the target, by bracketing plus integer bisection
-over seeded Monte-Carlo estimates; each candidate n is simulated once with
-a stream derived from ``(seed, n)`` so re-evaluations are identical.  The
-closed-form normal-approximation n is always computed alongside as a
-cross-check and reported next to the Monte-Carlo answer.
+simulated power reaches the target.  It starts at the closed-form
+normal-approximation n, steps outward by 1, 2, 4, ... (up while the
+candidate fails, down while it passes) until a failing and a passing n
+bracket the answer, then bisects the gap.  Each candidate n is simulated
+once with a stream derived from ``(seed, n)``, so re-evaluations are
+identical.  The analytic n is reported next to the Monte-Carlo answer as a
+cross-check, and a search whose analytic n exceeds ``_MAX_N`` is refused
+before anything is simulated.
 
 Designs: ``two_sample`` (equal-variance pooled t over two groups of n) and
 ``paired`` (one-sample t over n differences, effect size in units of the
@@ -16,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -85,72 +94,77 @@ def analytic_n(spec: PowerSpec) -> int:
 
 
 def mc_power(n: int, spec: PowerSpec) -> float:
-    """Simulated rejection rate at per-group size ``n`` (seeded by (seed, n))."""
+    """Simulated rejection rate at per-group size ``n`` (seeded by (seed, n)).
+
+    ``t = (z + shift) / sqrt(v / df)`` with ``z`` standard normal and ``v``
+    chi-square on ``df``: exactly the noncentral t of the test.
+    """
     spec.validate()
     if n < 2:
         raise ValidationError(f"per-group n must be >= 2, got {n}")
-    rng = make_rng(spec.seed, n)
     d = spec.effect_size_d
-    reps = spec.replicates
     if spec.design == "paired":
-        diffs = rng.normal(d, 1.0, size=(reps, n))
-        means = diffs.mean(axis=1)
-        sds = diffs.std(axis=1, ddof=1)
-        t = means / (sds / math.sqrt(n))
-        crit = tdist.ppf(1.0 - spec.alpha / 2.0, n - 1)
+        df, shift = n - 1, d * math.sqrt(n)
     else:
-        x = rng.normal(0.0, 1.0, size=(reps, n))
-        y = rng.normal(d, 1.0, size=(reps, n))
-        pooled = (x.var(axis=1, ddof=1) + y.var(axis=1, ddof=1)) / 2.0
-        t = (y.mean(axis=1) - x.mean(axis=1)) / np.sqrt(pooled * 2.0 / n)
-        crit = tdist.ppf(1.0 - spec.alpha / 2.0, 2 * n - 2)
+        df, shift = 2 * n - 2, d * math.sqrt(n / 2.0)
+    rng = make_rng(spec.seed, n)
+    z = rng.standard_normal(spec.replicates)
+    v = rng.chisquare(df, spec.replicates)
+    t = (z + shift) / np.sqrt(v / df)
+    crit = tdist.ppf(1.0 - spec.alpha / 2.0, df)
     return float(np.mean(np.abs(t) > crit))
 
 
 def required_n(spec: PowerSpec) -> PowerResult:
     """Smallest n whose Monte-Carlo power reaches the target."""
-    spec.validate()
+    start = analytic_n(spec)
+    if start > _MAX_N:
+        raise SearchError(
+            f"the analytic n for d = {spec.effect_size_d} is {start}, past the "
+            f"search limit of {_MAX_N}"
+        )
     cache: dict[int, float] = {}
 
-    def power(n: int) -> float:
+    def passes(n: int) -> bool:
         if n not in cache:
             cache[n] = mc_power(n, spec)
-        return cache[n]
+        return cache[n] >= spec.target_power
 
-    # Bracket outward from the analytic start: find a passing upper bound,
-    # then halve down to the last passing candidate.
-    hi = max(2, analytic_n(spec))
-    while power(hi) < spec.target_power:
-        if hi >= _MAX_N:
-            raise SearchError(
-                f"no n <= {_MAX_N} reaches power {spec.target_power} for d = "
-                f"{spec.effect_size_d}"
-            )
-        hi = min(_MAX_N, hi * 2)
-    while hi > 2:
-        candidate = max(2, hi // 2)
-        if power(candidate) >= spec.target_power:
-            hi = candidate
-        else:
-            break
-    if hi == 2:
-        answer = 2
+    # Step outward from the analytic n by 1, 2, 4, ... until ``lo`` fails and
+    # ``hi`` passes; n = 1 lies below the domain and counts as failing.
+    step = 1
+    if passes(start):
+        lo, hi = 1, start
+        while hi > 2:
+            n = max(2, hi - step)
+            if not passes(n):
+                lo = n
+                break
+            hi, step = n, step * 2
     else:
-        # Invariant: power(hi // 2) < target <= power(hi); bisect the gap.
-        low, high = max(2, hi // 2), hi
-        while high - low > 1:
-            mid = (low + high) // 2
-            if power(mid) >= spec.target_power:
-                high = mid
-            else:
-                low = mid
-        answer = high
-    evaluations = tuple(sorted(cache.items()))
+        lo = start
+        while True:
+            if lo >= _MAX_N:
+                raise SearchError(
+                    f"no n <= {_MAX_N} reaches power {spec.target_power} for d = "
+                    f"{spec.effect_size_d}"
+                )
+            n = min(_MAX_N, lo + step)
+            if passes(n):
+                hi = n
+                break
+            lo, step = n, step * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
     return PowerResult(
-        n_required=answer,
-        n_analytic=analytic_n(spec),
-        power_at_n=cache[answer],
-        evaluations=evaluations,
+        n_required=hi,
+        n_analytic=start,
+        power_at_n=cache[hi],
+        evaluations=tuple(sorted(cache.items())),
         spec=spec,
     )
 

@@ -308,6 +308,24 @@ def test_non_finite_config_value_never_reaches_a_report(fixtures, tmp_path, caps
     assert not (out / "retention.json").exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize(
+    "command, header, flag",
+    [(["spearman"], "x,y", "--data"), (["retention"], "t,s", "--decay")],
+    ids=["spearman", "retention"],
+)
+def test_non_finite_csv_cell_is_exit_1(tmp_path, capsys, command, header, flag, cell):
+    path = tmp_path / "data.csv"
+    rows = [header, "1,0.9", "2,0.7", f"3,{cell}", "4,0.4", "5,0.3"]
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run([*command, flag, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"vcp: error: {path}:4: ")
+    assert "not finite" in err and len(err.splitlines()) == 1
+    assert not any(out.iterdir())
+
+
 def test_calibrate_reproduces_stored_weights(fixtures, tmp_path):
     out = tmp_path / "cal"
     code = run([
@@ -446,6 +464,28 @@ def test_power_paired_design(capsys):
 
 def test_power_bad_effect_size_is_exit_1(capsys):
     assert run(["power", "--d", "-1.0"]) == 1
+
+
+def test_power_past_the_search_limit_is_exit_2(tmp_path, capsys):
+    # The analytic n for d = 0.0001 is 1,569,775,947 per group.
+    out = tmp_path / "power"
+    assert run(["power", "--d", "0.0001", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("vcp: computation error: ") and "1569775947" in line
+    assert captured.out == ""
+    assert not any(out.iterdir())
+
+
+def test_power_string_cohort_rounding_is_exit_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"cohort_rounding": "false"}')
+    code = run([
+        "power", "--d", "2.0", "--replicates", "2000", "--attrition", "0.1",
+        "--config", str(config),
+    ])
+    assert code == 1
+    assert "bad value for 'cohort_rounding'" in capsys.readouterr().err
 
 
 def test_simulate_then_fit_round_trip(tmp_path, capsys):

@@ -95,6 +95,40 @@ def test_uncastable_value_rejected(tmp_path):
         resolve_config(str(path), {})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("allow_uncalibrated", "false"),
+        ("allow_uncalibrated", 0),
+        ("cohort_rounding", "false"),
+        ("cohort_rounding", None),
+        ("seed", 0.9),
+        ("seed", True),
+        ("seed", "7"),
+        ("replicates", 2000.9),
+        ("replicates", "20000"),
+    ],
+)
+def test_scalars_are_not_coerced(tmp_path, key, value):
+    # bool("false") is True and int(0.9) is 0: neither may pass silently.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ValidationError, match=f"bad value for {key!r}"):
+        resolve_config(str(path), {})
+
+
+def test_json_booleans_and_integral_numbers_are_accepted(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "allow_uncalibrated": False, "cohort_rounding": True,
+        "seed": 7, "replicates": 2e4,
+    }))
+    config = resolve_config(str(path), {})
+    assert config.allow_uncalibrated is False and config.cohort_rounding is True
+    assert config.seed == 7 and isinstance(config.seed, int)
+    assert config.replicates == 20_000 and isinstance(config.replicates, int)
+
+
 def test_non_object_config_rejected(tmp_path):
     path = tmp_path / "run.json"
     path.write_text("[1, 2, 3]")

@@ -5,7 +5,8 @@ import math
 import pytest
 import scipy.stats
 
-from vibecheck.errors import ValidationError
+from vibecheck.errors import SearchError, ValidationError
+from vibecheck.stats import power
 from vibecheck.stats.power import (
     AttritionTarget,
     PowerSpec,
@@ -57,6 +58,15 @@ def test_mc_power_tracks_noncentral_t_paired(n):
     assert mc_power(n, PAIRED) == pytest.approx(_exact_power(n, PAIRED), abs=0.012)
 
 
+@pytest.mark.parametrize("design", ["two_sample", "paired"])
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 33, 64, 100, 150])
+def test_mc_power_within_five_standard_errors_of_noncentral_t(design, n):
+    spec = PowerSpec(effect_size_d=0.5, design=design, replicates=100_000)
+    exact = _exact_power(n, spec)
+    se = math.sqrt(exact * (1.0 - exact) / spec.replicates)
+    assert abs(mc_power(n, spec) - exact) <= 5.0 * se
+
+
 def test_mc_power_deterministic():
     assert mc_power(40, TWO_SAMPLE) == mc_power(40, TWO_SAMPLE)
 
@@ -86,6 +96,75 @@ def test_required_n_paired_near_exact_answer():
     assert result.n_required in (33, 34, 35)
     assert result.n_analytic == 32
     assert result.power_at_n >= 0.8
+
+
+def test_required_n_two_sample_needs_at_most_three_candidates():
+    result = required_n(PowerSpec(effect_size_d=0.5, replicates=100_000))
+    assert len(result.evaluations) <= 3
+
+
+def test_required_n_steps_down_when_the_analytic_n_passes():
+    # At this seed the simulated power at the analytic n (193) is just above
+    # the 0.5 target, so the search must look below it.
+    spec = PowerSpec(effect_size_d=0.2, target_power=0.5, seed=6)
+    result = required_n(spec)
+    evaluated = dict(result.evaluations)
+    assert result.n_analytic == 193
+    assert evaluated[193] >= 0.5
+    assert min(evaluated) < 193
+    assert evaluated[result.n_required - 1] < 0.5
+
+
+@pytest.mark.parametrize("design", ["two_sample", "paired"])
+@pytest.mark.parametrize("d", [0.3, 0.5, 0.8, 1.0, 2.0])
+def test_one_below_the_answer_is_evaluated_and_fails(design, d):
+    result = required_n(PowerSpec(effect_size_d=d, design=design))
+    evaluated = dict(result.evaluations)
+    assert result.power_at_n >= 0.8
+    if result.n_required > 2:
+        assert evaluated[result.n_required - 1] < 0.8
+
+
+def _threshold_power(monkeypatch, passing_from):
+    """Replace the simulation with a step at ``passing_from``; log the calls."""
+    calls = []
+
+    def fake(n, spec):
+        calls.append(n)
+        return 1.0 if n >= passing_from else 0.0
+
+    monkeypatch.setattr(power, "mc_power", fake)
+    return calls
+
+
+@pytest.mark.parametrize("offset", [-61, -40, -5, -1, 0, 1, 2, 9, 300, 5000])
+def test_search_brackets_and_bisects_to_the_threshold(monkeypatch, offset):
+    spec = PowerSpec(effect_size_d=0.5)
+    start = analytic_n(spec)
+    threshold = start + offset
+    calls = _threshold_power(monkeypatch, threshold)
+    result = required_n(spec)
+    assert result.n_required == max(2, threshold)
+    assert calls[0] == start
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 2 * math.log2(abs(offset) + 1) + 3
+
+
+def test_search_stops_at_the_n_limit(monkeypatch):
+    calls = _threshold_power(monkeypatch, power._MAX_N + 1)
+    with pytest.raises(SearchError, match="no n <= 1000000"):
+        required_n(PowerSpec(effect_size_d=0.5))
+    assert max(calls) == power._MAX_N
+    assert len(calls) <= 25
+
+
+def test_analytic_n_past_the_limit_is_refused_before_simulating(monkeypatch):
+    calls = _threshold_power(monkeypatch, 2)
+    spec = PowerSpec(effect_size_d=0.0001)
+    assert analytic_n(spec) == 1_569_775_947
+    with pytest.raises(SearchError, match="1569775947"):
+        required_n(spec)
+    assert calls == []
 
 
 def test_required_n_deterministic():
