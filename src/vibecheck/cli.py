@@ -14,9 +14,7 @@ without it the machine JSON goes to stdout and the summary to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -27,6 +25,7 @@ from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse
 from vibecheck.config import RunConfig, resolve_config
 from vibecheck.errors import ComputationError, ValidationError, VcpError
 from vibecheck.explainability import e_gap, load_ontology
+from vibecheck.io import as_finite, read_csv, read_json, read_jsonl, read_text
 from vibecheck.reporting import (
     dumps_record,
     human_table,
@@ -53,15 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _finite(text: str) -> float:
+    """A numeric option or CSV cell: a float that is neither nan nor inf."""
+    return as_finite(float(text))
+
+
 def _finite_float(text: str) -> float:
-    """Argument type for numeric options: a float that is neither nan nor inf."""
+    """Argument type for numeric options."""
     try:
-        value = float(text)
+        return _finite(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -86,7 +87,7 @@ def _build_parser() -> _Parser:
     traps_sub = traps.add_subparsers(dest="traps_command", required=True)
     p = traps_sub.add_parser("generate", parents=[common], help="derive a review corpus")
     p.add_argument("--origins", required=True, help="directory of clean .vcp origins")
-    p.add_argument("--fraction", type=_finite_float, default=None,
+    p.add_argument("--fraction", type=_finite_float, default=None, dest="trap_fraction",
                    help="fraction of items mutated")
 
     p = sub.add_parser("retention", parents=[common], help="retention scoring / decay fits")
@@ -163,7 +164,7 @@ class _Sink:
     def emit(self, name: str, report: dict, summary: str) -> None:
         if self.out_dir:
             write_json(self.out_dir / f"{name}.json", report)
-            (self.out_dir / f"{name}.txt").write_text(summary)
+            (self.out_dir / f"{name}.txt").write_text(summary, encoding="utf-8")
             sys.stdout.write(summary)
         else:
             sys.stdout.write(dumps_record(report, indent=2) + "\n")
@@ -178,80 +179,17 @@ class _Sink:
             write_columns(self.out_dir / f"{name}.tsv", columns, rows)
 
 
-def _overrides(args: argparse.Namespace, mapping: dict[str, str]) -> dict:
-    out = {}
-    for flag, key in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[key] = value
-    return out
-
-
-def _config(args: argparse.Namespace, mapping: Optional[dict[str, str]] = None) -> RunConfig:
-    overrides = _overrides(args, mapping or {})
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return resolve_config(getattr(args, "config", None), overrides)
-
-
-def _read_csv_columns(path: str, columns: tuple[str, ...]) -> dict[str, list[float]]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = tuple(reader.fieldnames or ())
-            if set(columns) - set(fields):
-                raise ValidationError(
-                    f"{path}: expected CSV columns {', '.join(columns)}; got "
-                    f"{', '.join(fields) or 'none'}"
-                )
-            data: dict[str, list[float]] = {c: [] for c in columns}
-            for lineno, row in enumerate(reader, start=2):
-                for c in columns:
-                    try:
-                        value = float(row[c])
-                    except (TypeError, ValueError) as exc:
-                        raise ValidationError(f"{path}:{lineno}: bad {c!r} value") from exc
-                    if not math.isfinite(value):
-                        raise ValidationError(
-                            f"{path}:{lineno}: {c!r} value {row[c]!r} is not finite"
-                        )
-                    data[c].append(value)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if not data[columns[0]]:
-        raise ValidationError(f"{path}: no data rows")
-    return data
-
-
-def _read_csv_strings(path: str, columns: tuple[str, ...]) -> dict[str, list[str]]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = tuple(reader.fieldnames or ())
-            if set(columns) - set(fields):
-                raise ValidationError(
-                    f"{path}: expected CSV columns {', '.join(columns)}; got "
-                    f"{', '.join(fields) or 'none'}"
-                )
-            data: dict[str, list[str]] = {c: [] for c in columns}
-            for row in reader:
-                for c in columns:
-                    data[c].append(row[c])
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if not data[columns[0]]:
-        raise ValidationError(f"{path}: no data rows")
-    return data
+def _config(args: argparse.Namespace, *keys: str) -> RunConfig:
+    """The resolved config; the flags named by ``keys`` and ``--seed`` override it."""
+    overrides = {key: getattr(args, key) for key in (*keys, "seed")}
+    return resolve_config(args.config, overrides)
 
 
 def _load_unit_or_cfg(path: str):
     """A .vcp file parses to a source unit; anything else loads as a graph."""
     p = Path(path)
     if p.suffix == ".vcp":
-        try:
-            return parse(p.read_text(), name=p.name)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
+        return parse(read_text(p), name=p.name)
     return load_cfg(p)
 
 
@@ -276,7 +214,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_sdt(args) -> int:
-    config = _config(args, {"k": "k", "delta": "delta", "correction": "correction"})
+    config = _config(args, "k", "delta", "correction")
     sink = _Sink(args.out)
     by_reviewer = sdt.load_responses(args.responses)
     records = []
@@ -301,14 +239,14 @@ def _cmd_sdt(args) -> int:
 
 
 def _cmd_traps_generate(args) -> int:
-    config = _config(args, {"fraction": "trap_fraction"})
+    config = _config(args, "trap_fraction")
     if not args.out:
         raise ValidationError("traps generate requires --out CORPUS_DIR")
     origins_dir = Path(args.origins)
     paths = sorted(origins_dir.glob("*.vcp"))
     if not paths:
         raise ValidationError(f"no .vcp origins found in {origins_dir}")
-    origins = [parse(p.read_text(), name=p.stem) for p in paths]
+    origins = [parse(read_text(p), name=p.stem) for p in paths]
     corpus = trapforge.generate_corpus(origins, config.trap_fraction, config.seed)
     out = Path(args.out)
     trapforge.write_corpus(corpus, out)
@@ -337,27 +275,16 @@ def _cmd_traps_generate(args) -> int:
 
 
 def _cmd_retention(args) -> int:
-    mapping = {
-        "idle_gap": "idle_gap",
-        "velocity_unit": "velocity_unit",
-        "allow_uncalibrated": "allow_uncalibrated",
-    }
-    config = _config(args, mapping)
+    config = _config(args, "idle_gap", "velocity_unit", "allow_uncalibrated")
     sink = _Sink(args.out)
     if args.decay:
-        data = _read_csv_columns(args.decay, ("t", "s"))
+        data = read_csv(args.decay, ("t", "s"), _finite)
         fit = retention.fit_decay(list(zip(data["t"], data["s"])))
         record = dataclasses.asdict(fit)
         report = {"command": "retention decay", "config": config.to_dict(), **record}
         summary = human_table([record], ["s0", "lam", "rms_residual", "n_used", "n_excluded"])
-        sink.emit_columns(
-            "decay_curve",
-            ("t", "s", "fitted"),
-            [
-                (t, s, fit.s0 * math.exp(-fit.lam * t))
-                for t, s in zip(data["t"], data["s"])
-            ],
-        )
+        rows = [(t, s, fit.s0 * math.exp(-fit.lam * t)) for t, s in zip(data["t"], data["s"])]
+        sink.emit_columns("decay_curve", ("t", "s", "fitted"), rows)
         sink.emit("decay_fit", report, summary)
         return 0
     if not args.build or not args.refactor:
@@ -365,8 +292,8 @@ def _cmd_retention(args) -> int:
     build = retention.read_session_log(args.build)
     refactor = retention.read_session_log(args.refactor)
     if args.calibration:
-        calibration = retention.OmegaCalibration.from_dict(
-            json.loads(Path(args.calibration).read_text())
+        calibration = read_json(
+            args.calibration, retention.OmegaCalibration.from_dict, "calibration"
         )
     elif config.allow_uncalibrated:
         calibration = retention.UNCALIBRATED
@@ -376,43 +303,31 @@ def _cmd_retention(args) -> int:
             "to score with the raw ln(cc) weight"
         )
     result = retention.m_csr(
-        build,
-        refactor,
-        calibration,
-        idle_gap=config.idle_gap,
-        velocity_unit=config.velocity_unit,
+        build, refactor, calibration, idle_gap=config.idle_gap, velocity_unit=config.velocity_unit
     )
     record = dataclasses.asdict(result)
     report = {"command": "retention", "config": config.to_dict(), **record}
     summary = human_table(
-        [record],
-        ["student", "v_build", "v_rec", "omega", "m_csr", "delta_t_hours"],
+        [record], ["student", "v_build", "v_rec", "omega", "m_csr", "delta_t_hours"]
     )
     sink.emit("retention", report, summary)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    config = _config(args, {"idle_gap": "idle_gap"})
+    config = _config(args, "idle_gap")
     sink = _Sink(args.out)
     manifest = Path(args.pairs)
-    pairs = []
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            build = retention.read_session_log(manifest.parent / rec["build"])
-            refactor = retention.read_session_log(manifest.parent / rec["refactor"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{manifest}:{lineno}: bad pair record: {exc}") from exc
-        pairs.append((build, refactor))
+
+    def pair(rec: dict) -> tuple:
+        build, refactor = (manifest.parent / rec[k] for k in ("build", "refactor"))
+        return retention.read_session_log(build), retention.read_session_log(refactor)
+
+    pairs = read_jsonl(manifest, pair, "pair record")
     calibration = retention.calibrate_omega(
         pairs, idle_gap=config.idle_gap, baseline_source=args.baseline_id
     )
-    mean_score = retention.calibration_mean_score(
-        calibration, pairs, idle_gap=config.idle_gap
-    )
+    mean_score = retention.calibration_mean_score(calibration, pairs, idle_gap=config.idle_gap)
     if abs(mean_score - 1.0) > 0.05:
         raise ComputationError(
             f"calibration failed its own baseline: mean retention score "
@@ -430,7 +345,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_egap(args) -> int:
-    config = _config(args, {"epsilon": "epsilon"})
+    config = _config(args, "epsilon")
     if args.check_ontology:
         ontology = load_ontology(args.check_ontology)
         sys.stdout.write(
@@ -441,16 +356,14 @@ def _cmd_egap(args) -> int:
     if not (args.transcript and args.ontology and args.code):
         raise ValidationError("egap needs --transcript, --ontology, and --code")
     sink = _Sink(args.out)
-    transcript = Path(args.transcript).read_text()
+    transcript = read_text(args.transcript)
     ontology = load_ontology(args.ontology)
     unit = _load_unit_or_cfg(args.code)
     score = e_gap(transcript, ontology, metrics(unit), epsilon=config.epsilon)
     record = dataclasses.asdict(score)
     record["definition"] = "coverage-weighted decision entropy vs structural entropy"
     report = {"command": "egap", "config": config.to_dict(), **record}
-    summary = human_table(
-        [record], ["unit", "coverage", "h_e", "h_c", "e_gap", "degenerate"]
-    )
+    summary = human_table([record], ["unit", "coverage", "h_e", "h_c", "e_gap", "degenerate"])
     sink.emit("egap", report, summary)
     return 0
 
@@ -471,7 +384,7 @@ def _parse_weights(text: str) -> dict:
 
 
 def _cmd_score(args) -> int:
-    config = _config(args, {"gamma": "gamma"})
+    config = _config(args, "gamma")
     if args.weights is not None:
         config = dataclasses.replace(config, **_parse_weights(args.weights))
     if args.no_gamma:
@@ -486,44 +399,17 @@ def _cmd_score(args) -> int:
         e_gap=config.e_gap_threshold,
         m_ht=config.m_ht_cutoff,
     )
-    students = []
-    path = Path(args.records)
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            students.append(
-                composite.StudentRecord(
-                    student=str(rec["student"]),
-                    m_csr=float(rec["m_csr"]),
-                    m_ht=float(rec["m_ht"]),
-                    e_gap=float(rec["e_gap"]),
-                    t_dev=float(rec["t_dev"]),
-                    condition=str(rec["condition"]) if "condition" in rec else None,
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad student record: {exc}") from exc
-    if not students:
-        raise ValidationError(f"{path}: no student records")
+    students = composite.read_student_records(args.records)
     records = []
     for student in students:
         zone = composite.classify_zone(student, thresholds)
-        records.append(
-            {
-                "student": student.student,
-                "condition": student.condition,
-                "m_csr": student.m_csr,
-                "m_ht": student.m_ht,
-                "e_gap": student.e_gap,
-                "t_dev": student.t_dev,
-                "utility": composite.utility(student, weights),
-                "zone": zone.zone,
-                "control_metric": zone.control_metric,
-                "flags": list(zone.flags),
-            }
-        )
+        records.append({
+            **dataclasses.asdict(student),
+            "utility": composite.utility(student, weights),
+            "zone": zone.zone,
+            "control_metric": zone.control_metric,
+            "flags": list(zone.flags),
+        })
     summary_rows = _condition_summary(records)
     break_even_hours = _break_even_between_conditions(students, weights)
     report = {
@@ -544,27 +430,17 @@ def _cmd_score(args) -> int:
     sink.emit_records("score", records)
     sink.emit_columns(
         "cohort_summary",
-        (
-            "condition", "n",
-            "mean_m_csr", "sd_m_csr", "mean_m_ht", "sd_m_ht",
-            "mean_e_gap", "sd_e_gap", "mean_t_dev", "sd_t_dev",
-            "mean_utility", "sd_utility",
-        ),
-        [
-            tuple(
-                row[c]
-                for c in (
-                    "condition", "n",
-                    "mean_m_csr", "sd_m_csr", "mean_m_ht", "sd_m_ht",
-                    "mean_e_gap", "sd_e_gap", "mean_t_dev", "sd_t_dev",
-                    "mean_utility", "sd_utility",
-                )
-            )
-            for row in summary_rows
-        ],
+        _COHORT_SUMMARY_COLUMNS,
+        [tuple(row[c] for c in _COHORT_SUMMARY_COLUMNS) for row in summary_rows],
     )
     sink.emit("score_report", report, text)
     return 0
+
+
+_SUMMARY_FIELDS = ("m_csr", "m_ht", "e_gap", "t_dev", "utility")
+_COHORT_SUMMARY_COLUMNS = (
+    "condition", "n", *(f"{stat}_{f}" for f in _SUMMARY_FIELDS for stat in ("mean", "sd"))
+)
 
 
 def _condition_summary(records: list[dict]) -> list[dict]:
@@ -577,7 +453,7 @@ def _condition_summary(records: list[dict]) -> list[dict]:
     for condition in sorted(by_condition):
         group = by_condition[condition]
         row: dict = {"condition": condition, "n": len(group)}
-        for field in ("m_csr", "m_ht", "e_gap", "t_dev", "utility"):
+        for field in _SUMMARY_FIELDS:
             values = [g[field] for g in group]
             row[f"mean_{field}"] = statistics.fmean(values)
             row[f"sd_{field}"] = statistics.stdev(values) if len(values) > 1 else 0.0
@@ -598,29 +474,18 @@ def _break_even_between_conditions(students, weights) -> Optional[float]:
 
     def mean_record(condition: str) -> composite.StudentRecord:
         group = by_condition[condition]
-        return composite.StudentRecord(
-            student=f"mean[{condition}]",
-            m_csr=statistics.fmean(s.m_csr for s in group),
-            m_ht=statistics.fmean(s.m_ht for s in group),
-            e_gap=statistics.fmean(s.e_gap for s in group),
-            t_dev=statistics.fmean(s.t_dev for s in group),
-            condition=condition,
-        )
+        means = (statistics.fmean(getattr(s, f) for s in group)
+                 for f in ("m_csr", "m_ht", "e_gap", "t_dev"))
+        return composite.StudentRecord(f"mean[{condition}]", *means, condition=condition)
 
     return composite.break_even(mean_record("vibe"), mean_record("trad"), weights)
 
 
 def _cmd_power(args) -> int:
-    config = _config(args, {"replicates": "replicates", "cohort_rounding": "cohort_rounding"})
+    config = _config(args, "replicates", "cohort_rounding")
     sink = _Sink(args.out)
-    spec = PowerSpec(
-        effect_size_d=args.d,
-        alpha=args.alpha,
-        target_power=args.target_power,
-        design=args.design,
-        replicates=config.replicates,
-        seed=config.seed,
-    )
+    spec = PowerSpec(effect_size_d=args.d, alpha=args.alpha, target_power=args.target_power,
+                     design=args.design, replicates=config.replicates, seed=config.seed)
     result = required_n(spec)
     record = {
         "command": "power",
@@ -648,8 +513,7 @@ def _cmd_power(args) -> int:
                 target, args.stated_target
             )
     summary = human_table(
-        [record],
-        ["design", "effect_size_d", "n_required", "n_analytic", "power_at_n"],
+        [record], ["design", "effect_size_d", "n_required", "n_analytic", "power_at_n"]
     )
     if record["attrition"] is not None:
         summary += (
@@ -718,7 +582,7 @@ def _cmd_fit(args) -> int:
 def _cmd_spearman(args) -> int:
     config = _config(args)
     sink = _Sink(args.out)
-    data = _read_csv_columns(args.data, ("x", "y"))
+    data = read_csv(args.data, ("x", "y"), _finite)
     result = spearman(
         data["x"],
         data["y"],
@@ -735,7 +599,7 @@ def _cmd_spearman(args) -> int:
 def _cmd_kappa(args) -> int:
     config = _config(args)
     sink = _Sink(args.out)
-    data = _read_csv_strings(args.data, ("a", "b"))
+    data = read_csv(args.data, ("a", "b"))
     kappa = cohens_kappa(data["a"], data["b"])
     record = {"kappa": kappa, "n": len(data["a"])}
     report = {"command": "kappa", "config": config.to_dict(), **record}
@@ -774,6 +638,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except VcpError as exc:  # future-proof: any other toolkit error
         sys.stderr.write(f"vcp: error: {exc}\n")
+        return 2
+    except OverflowError as exc:  # a result past the range of a float
+        sys.stderr.write(f"vcp: computation error: numeric overflow: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"vcp: error: {exc}\n")

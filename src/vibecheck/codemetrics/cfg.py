@@ -21,7 +21,6 @@ read back from that form is accepted wherever a freshly built one is.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,8 @@ from typing import Iterable, Union
 
 from vibecheck.codemetrics import nodes as N
 from vibecheck.errors import ValidationError
+from vibecheck.io import as_int, read_json
+from vibecheck.reporting import write_json
 
 EDGE_LABELS = frozenset({"seq", "true", "false", "loop-back", "loop-exit"})
 
@@ -99,17 +100,15 @@ class ControlFlowGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlFlowGraph":
-        try:
-            blocks = tuple(
-                BasicBlock(int(node["id"]), tuple(node.get("stmts", ())))
-                for node in data["nodes"]
-            )
-            edges = tuple(
-                Edge(int(e["from"]), int(e["to"]), str(e["label"])) for e in data["edges"]
-            )
-            cfg = cls(blocks, edges, int(data["entry"]), int(data["exit"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed control-flow graph file: {exc}") from exc
+        """Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed dict."""
+        blocks = tuple(
+            BasicBlock(as_int(node["id"]), tuple(node["stmts"]) if "stmts" in node else ())
+            for node in data["nodes"]
+        )
+        edges = tuple(
+            Edge(as_int(e["from"]), as_int(e["to"]), str(e["label"])) for e in data["edges"]
+        )
+        cfg = cls(blocks, edges, as_int(data["entry"]), as_int(data["exit"]))
         cfg.validate()
         return cfg
 
@@ -128,15 +127,11 @@ def _reachable(start: int, adjacency: dict[int, list[int]]) -> set[int]:
 
 def load_cfg(path: Union[str, Path]) -> ControlFlowGraph:
     """Read a control-flow graph from its JSON interchange file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return ControlFlowGraph.from_dict(data)
+    return read_json(path, ControlFlowGraph.from_dict, "control-flow graph")
 
 
 def dump_cfg(cfg: ControlFlowGraph, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, cfg.to_dict())
 
 
 # --- construction ----------------------------------------------------------

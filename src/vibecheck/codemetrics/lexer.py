@@ -59,8 +59,8 @@ def lex(text: str) -> list[Token]:
             tokens.append(Token(kind, word, start, i, start_line, start_col))
             col += i - start
             continue
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
+        if ch.isdecimal():  # not isdigit: int() refuses superscripts such as "²"
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(Token("int", text[start:i], start, i, start_line, start_col))
             col += i - start

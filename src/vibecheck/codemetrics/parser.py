@@ -52,7 +52,7 @@ from vibecheck.codemetrics.nodes import (
     Unary,
     While,
 )
-from vibecheck.errors import VcpSyntaxError
+from vibecheck.errors import ValidationError, VcpSyntaxError
 
 _STMT_EXPECTED = ("identifier", "'if'", "'while'", "'for'", "'return'", "'{'")
 _EXPR_EXPECTED = ("identifier", "integer", "string", "'('", "'!'", "'-'")
@@ -296,5 +296,8 @@ def parse(text: str, name: str = "<unit>") -> SourceUnit:
     Raises :class:`~vibecheck.errors.VcpSyntaxError` with line, column, and
     the expected-token set on malformed input.
     """
-    program = _Parser(text).parse_program()
+    try:
+        program = _Parser(text).parse_program()
+    except RecursionError:
+        raise ValidationError(f"{name}: nesting too deep to parse") from None
     return SourceUnit(name=name, text=text, ast=program)

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from pathlib import Path
+from typing import Optional, Union
 
 from vibecheck.errors import ComputationError, ValidationError
+from vibecheck.io import as_finite, read_jsonl
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -151,3 +153,22 @@ def classify_zone(
     if record.m_ht >= thresholds.m_ht:
         return ZoneResult(ZONE_PROFESSIONAL, _CONTROL_METRICS[ZONE_PROFESSIONAL], ())
     return ZoneResult(ZONE_ARCHITECTURAL, _CONTROL_METRICS[ZONE_ARCHITECTURAL], ())
+
+
+def _student_record(rec: dict) -> StudentRecord:
+    return StudentRecord(
+        student=str(rec["student"]),
+        m_csr=as_finite(rec["m_csr"]),
+        m_ht=as_finite(rec["m_ht"]),
+        e_gap=as_finite(rec["e_gap"]),
+        t_dev=as_finite(rec["t_dev"]),
+        condition=str(rec["condition"]) if "condition" in rec else None,
+    )
+
+
+def read_student_records(path: Union[str, Path]) -> list[StudentRecord]:
+    """JSONL of ``{"student", "m_csr", "m_ht", "e_gap", "t_dev", "condition"?}``."""
+    students = read_jsonl(path, _student_record, "student record")
+    if not students:
+        raise ValidationError(f"{path}: no student records")
+    return students

@@ -9,13 +9,12 @@ typos fail loudly.  Every report embeds the fully resolved configuration.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Optional
 
 from vibecheck.errors import ValidationError
+from vibecheck.io import as_bool, as_finite, as_int, read_json
 
 ENV_CONFIG = "VCP_CONFIG"
 
@@ -52,57 +51,31 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def _as_bool(value: Any) -> bool:
-    """A JSON boolean only: ``"false"``, 0 and null are not coerced."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
+def _as_str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
     return value
 
 
-def _as_int(value: Any) -> int:
-    """An integral JSON number (``3`` or ``3.0``); booleans, strings and
-    fractions are refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+# Each field's value from a config file goes through the helper for its
+# annotation (a string under ``from __future__ import annotations``).
+_CAST_BY_TYPE = {"float": as_finite, "int": as_int, "bool": as_bool, "str": _as_str}
+_FIELDS = {f.name: _CAST_BY_TYPE[f.type] for f in dataclasses.fields(RunConfig)}
 
 
-_CASTS = {
-    "k": float, "delta": float, "idle_gap": float, "epsilon": float,
-    "w1": float, "w2": float, "w3": float, "gamma": float,
-    "m_csr_threshold": float, "e_gap_threshold": float, "m_ht_cutoff": float,
-    "trap_fraction": float, "replicates": _as_int, "seed": _as_int,
-    "correction": str, "velocity_unit": str,
-    "allow_uncalibrated": _as_bool, "cohort_rounding": _as_bool,
-}
-
-
-def _load_file(path: Path) -> dict[str, Any]:
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: config file must hold a JSON object")
+def _cast_fields(data: dict) -> dict[str, Any]:
     unknown = sorted(set(data) - set(_FIELDS))
     if unknown:
-        raise ValidationError(
-            f"{path}: unknown config keys: {', '.join(unknown)}; known keys: "
+        raise ValueError(
+            f"unknown config keys: {', '.join(unknown)}; known keys: "
             + ", ".join(sorted(_FIELDS))
         )
     out: dict[str, Any] = {}
     for key, value in data.items():
         try:
-            out[key] = _CASTS[key](value)
+            out[key] = _FIELDS[key](value)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad value for {key!r}: {exc}") from exc
+            raise ValueError(f"bad value for {key!r}: {exc}") from exc
     return out
 
 
@@ -113,7 +86,7 @@ def resolve_config(
     layered: dict[str, Any] = {}
     path = config_path or os.environ.get(ENV_CONFIG)
     if path:
-        layered.update(_load_file(Path(path)))
+        layered.update(read_json(path, _cast_fields, "config file"))
     for key, value in overrides.items():
         if value is not None:
             if key not in _FIELDS:

@@ -15,7 +15,6 @@ and flagged degenerate.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import warnings
@@ -25,6 +24,7 @@ from typing import Union
 
 from vibecheck.codemetrics import CodeMetrics
 from vibecheck.errors import DegenerateEntropyWarning, ValidationError
+from vibecheck.io import as_finite, read_json
 
 DEFAULT_EPSILON = 1e-9
 PROPORTION_TOLERANCE = 1e-9
@@ -154,26 +154,23 @@ def e_gap(
     )
 
 
+def _ontology_from_dict(data: dict) -> ConceptOntology:
+    return ConceptOntology(
+        unit=str(data["unit"]),
+        version=str(data["version"]),
+        concepts=tuple(
+            Concept(
+                concept_id=str(c["concept_id"]),
+                proportion=as_finite(c["proportion"]),
+                phrases=tuple(str(p) for p in c["phrases"]),
+            )
+            for c in data["concepts"]
+        ),
+    )
+
+
 def load_ontology(path: Union[str, Path]) -> ConceptOntology:
     """Read and validate an ontology JSON file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        ontology = ConceptOntology(
-            unit=str(data["unit"]),
-            version=str(data["version"]),
-            concepts=tuple(
-                Concept(
-                    concept_id=str(c["concept_id"]),
-                    proportion=float(c["proportion"]),
-                    phrases=tuple(str(p) for p in c["phrases"]),
-                )
-                for c in data["concepts"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed ontology: {exc}") from exc
+    ontology = read_json(path, _ontology_from_dict, "ontology")
     ontology.validate()
     return ontology

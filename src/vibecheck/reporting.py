@@ -27,11 +27,13 @@ def dumps_record(record: dict, indent: Optional[int] = None) -> str:
 
 
 def write_json(path: Union[str, Path], record: dict) -> None:
-    Path(path).write_text(dumps_record(record, indent=2) + "\n")
+    Path(path).write_text(dumps_record(record, indent=2) + "\n", encoding="utf-8")
 
 
 def write_jsonl(path: Union[str, Path], records: Iterable[dict]) -> None:
-    Path(path).write_text("".join(dumps_record(record) + "\n" for record in records))
+    Path(path).write_text(
+        "".join(dumps_record(record) + "\n" for record in records), encoding="utf-8"
+    )
 
 
 def _format_cell(value) -> str:
@@ -65,4 +67,4 @@ def write_columns(
     lines = ["\t".join(columns)]
     for row in rows:
         lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

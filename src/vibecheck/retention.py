@@ -19,7 +19,7 @@ unassisted at their assisted pace score 1.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +37,8 @@ from vibecheck.errors import (
     UndefinedVelocityError,
     ValidationError,
 )
+from vibecheck.io import as_bool, as_finite, read_jsonl, read_text
+from vibecheck.reporting import write_jsonl
 
 DEFAULT_IDLE_GAP = 120.0  # seconds
 
@@ -83,24 +85,17 @@ class OmegaCalibration:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "baseline_source": self.baseline_source,
-            "degenerate": self.degenerate,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "OmegaCalibration":
-        try:
-            return cls(
-                alpha=float(data["alpha"]),
-                beta=float(data["beta"]),
-                baseline_source=str(data["baseline_source"]),
-                degenerate=bool(data.get("degenerate", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed calibration record: {exc}") from exc
+        """Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed dict."""
+        return cls(
+            alpha=as_finite(data["alpha"]),
+            beta=as_finite(data["beta"]),
+            baseline_source=str(data["baseline_source"]),
+            degenerate=as_bool(data.get("degenerate", False)),
+        )
 
 
 UNCALIBRATED = OmegaCalibration(alpha=1.0, beta=0.0, baseline_source="uncalibrated")
@@ -232,21 +227,17 @@ def calibrate_omega(
     solution, residual_list, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     fitted = design @ solution
     residual = float(np.linalg.norm(fitted - target))
-    if rank < 2:
-        if residual > 1e-9 * math.sqrt(len(rows)):
-            detail = ", ".join(f"({a:.6g}, {b:.6g})" for a, b in rows)
-            raise CalibrationError(
-                "calibration design is rank-deficient and inconsistent; "
-                f"collinear (ln cc, volume) rows: {detail}"
-            )
-        return OmegaCalibration(
-            alpha=float(solution[0]),
-            beta=float(solution[1]),
-            baseline_source=baseline_source,
-            degenerate=True,
+    if rank < 2 and residual > 1e-9 * math.sqrt(len(rows)):
+        detail = ", ".join(f"({a:.6g}, {b:.6g})" for a, b in rows)
+        raise CalibrationError(
+            "calibration design is rank-deficient and inconsistent; "
+            f"collinear (ln cc, volume) rows: {detail}"
         )
     return OmegaCalibration(
-        alpha=float(solution[0]), beta=float(solution[1]), baseline_source=baseline_source
+        alpha=float(solution[0]),
+        beta=float(solution[1]),
+        baseline_source=baseline_source,
+        degenerate=bool(rank < 2),
     )
 
 
@@ -350,6 +341,20 @@ def fit_decay(observations: Sequence[tuple[float, float]]) -> DecayFit:
 # --- session-log files -----------------------------------------------------
 
 
+def _session_record(rec: dict):
+    """A trailer, header or event record, told apart by their keys."""
+    if "final_unit" in rec:
+        return str(rec["final_unit"])
+    if "phase" in rec:
+        return str(rec["student"]), str(rec["phase"])
+    payload = rec.get("payload")
+    return SessionEvent(
+        t=as_finite(rec["t"]),
+        kind=str(rec["kind"]),
+        payload=None if payload is None else str(payload),
+    )
+
+
 def read_session_log(path: Union[str, Path]) -> SessionLog:
     """Read a session-log file.
 
@@ -358,41 +363,18 @@ def read_session_log(path: Union[str, Path]) -> SessionLog:
     ``{"final_unit": <path relative to the log file>}``.
     """
     path = Path(path)
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    if len(lines) < 2:
-        raise ValidationError(f"{path}: session log needs a header and a trailer")
-    try:
-        header = json.loads(lines[0])
-        trailer = json.loads(lines[-1])
-        student = str(header["student"])
-        phase = str(header["phase"])
-        unit_rel = str(trailer["final_unit"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: bad session-log header/trailer: {exc}") from exc
-    events = []
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        try:
-            rec = json.loads(line)
-            payload = rec.get("payload")
-            events.append(
-                SessionEvent(
-                    t=float(rec["t"]),
-                    kind=str(rec["kind"]),
-                    payload=None if payload is None else str(payload),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad event record: {exc}") from exc
+    records = read_jsonl(path, _session_record, "session-log record")
+    if [type(r) for r in records] != [tuple] + [SessionEvent] * (len(records) - 2) + [str]:
+        raise ValidationError(
+            f"{path}: a session log is a header, then events, then a final_unit trailer"
+        )
+    (student, phase), unit_rel = records[0], records[-1]
     unit_path = path.parent / unit_rel
-    try:
-        source = unit_path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read final unit {unit_rel!r}: {exc}") from exc
     log = SessionLog(
         student=student,
         phase=phase,
-        events=tuple(events),
-        final_unit=parse(source, name=unit_path.name),
+        events=tuple(records[1:-1]),
+        final_unit=parse(read_text(unit_path, "final unit"), name=unit_path.name),
     )
     log.validate()
     return log
@@ -401,12 +383,12 @@ def read_session_log(path: Union[str, Path]) -> SessionLog:
 def write_session_log(log: SessionLog, path: Union[str, Path], unit_rel: str) -> None:
     """Write a session log and its final unit next to each other."""
     path = Path(path)
-    lines = [json.dumps({"student": log.student, "phase": log.phase}, sort_keys=True)]
+    records: list[dict] = [{"student": log.student, "phase": log.phase}]
     for event in log.events:
         rec: dict = {"t": event.t, "kind": event.kind}
         if event.payload is not None:
             rec["payload"] = event.payload
-        lines.append(json.dumps(rec, sort_keys=True))
-    lines.append(json.dumps({"final_unit": unit_rel}, sort_keys=True))
-    path.write_text("\n".join(lines) + "\n")
-    (path.parent / unit_rel).write_text(log.final_unit.text)
+        records.append(rec)
+    records.append({"final_unit": unit_rel})
+    write_jsonl(path, records)
+    (path.parent / unit_rel).write_text(log.final_unit.text, encoding="utf-8")

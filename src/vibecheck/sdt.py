@@ -13,13 +13,13 @@ empirical constants, and every scoring record echoes the values used.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from vibecheck.errors import DomainError, ValidationError
+from vibecheck.io import read_jsonl
 from vibecheck.rng import make_rng
 
 DEFAULT_K = 1.5
@@ -236,26 +236,21 @@ def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
     coerced by truthiness).
     """
     by_reviewer: dict[str, list[TrapResponse]] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            flagged = rec["flagged"]
-            if not isinstance(flagged, bool):
-                raise TypeError(f"'flagged' must be true or false, got {flagged!r}")
-            resp = TrapResponse(
-                item_id=str(rec["item_id"]),
-                ground_truth=str(rec["ground_truth"]),
-                flagged=flagged,
-            )
-            reviewer = str(rec["reviewer"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad response record: {exc}") from exc
+    for reviewer, resp in read_jsonl(path, _response, "response record"):
         by_reviewer.setdefault(reviewer, []).append(resp)
     if not by_reviewer:
         raise ValidationError(f"{path}: no response records")
     return by_reviewer
+
+
+def _response(rec: dict) -> tuple[str, TrapResponse]:
+    flagged = rec["flagged"]
+    if not isinstance(flagged, bool):
+        raise TypeError(f"'flagged' must be true or false, got {flagged!r}")
+    resp = TrapResponse(
+        item_id=str(rec["item_id"]), ground_truth=str(rec["ground_truth"]), flagged=flagged
+    )
+    return str(rec["reviewer"]), resp
 
 
 def simulate_reviewer(

@@ -23,7 +23,6 @@ ordinary least squares.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from vibecheck.errors import FitError, ValidationError
+from vibecheck.io import as_finite, as_int, read_jsonl
+from vibecheck.reporting import write_jsonl
 from vibecheck.rng import make_rng
 from vibecheck.sdt import inverse_normal_cdf
 
@@ -330,31 +331,31 @@ def fit_mixed(data: CohortDataset) -> MixedModelFit:
 
 def write_cohort(data: CohortDataset, path: Union[str, Path]) -> None:
     """One observation record per line."""
-    with Path(path).open("w") as fh:
-        for record in data.records():
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, data.records())
+
+
+def _observation(rec: dict) -> tuple[int, int, str, float, float]:
+    return (
+        as_int(rec["student"]),
+        as_int(rec["occasion"]),
+        str(rec["condition"]),
+        as_finite(rec["time"]),
+        as_finite(rec["y"]),
+    )
 
 
 def read_cohort(path: Union[str, Path]) -> CohortDataset:
-    students, occasions, conditions, times, y = [], [], [], [], []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            students.append(int(rec["student"]))
-            occasions.append(int(rec["occasion"]))
-            conditions.append(str(rec["condition"]))
-            times.append(float(rec["time"]))
-            y.append(float(rec["y"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad observation: {exc}") from exc
-    dataset = CohortDataset(
-        students=np.array(students, dtype=int),
-        occasions=np.array(occasions, dtype=int),
-        conditions=np.array(conditions),
-        times=np.array(times, dtype=float),
-        y=np.array(y, dtype=float),
-    )
+    rows = read_jsonl(path, _observation, "observation")
+    students, occasions, conditions, times, y = zip(*rows) if rows else ((),) * 5
+    try:
+        dataset = CohortDataset(
+            students=np.array(students, dtype=int),
+            occasions=np.array(occasions, dtype=int),
+            conditions=np.array(conditions),
+            times=np.array(times, dtype=float),
+            y=np.array(y, dtype=float),
+        )
+    except OverflowError as exc:  # an id past the range of a machine integer
+        raise ValidationError(f"{path}: {exc}") from exc
     dataset.validate()
     return dataset

@@ -37,6 +37,7 @@ from vibecheck.stats import tdist
 DESIGNS = ("two_sample", "paired")
 
 _MAX_N = 1_000_000
+_MAX_REPLICATES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,11 @@ class PowerSpec:
             )
         if self.replicates < 1000:
             raise ValidationError("Monte-Carlo power needs at least 1000 replicates")
+        if self.replicates > _MAX_REPLICATES:
+            raise ValidationError(
+                f"Monte-Carlo power takes at most {_MAX_REPLICATES} replicates, "
+                f"got {self.replicates}"
+            )
 
 
 @dataclass(frozen=True)

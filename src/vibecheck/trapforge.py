@@ -21,7 +21,7 @@ Site coordinates in the answer key refer to the origin source.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +30,8 @@ from typing import Optional, Sequence, Union
 from vibecheck.codemetrics import nodes as N
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import NotApplicableError, ValidationError
+from vibecheck.io import read_jsonl
+from vibecheck.reporting import write_json, write_jsonl
 from vibecheck.rng import make_rng
 
 DEFECT_KINDS = (
@@ -315,25 +317,8 @@ def write_corpus(corpus: TrapCorpus, out_dir: Union[str, Path]) -> None:
     out = Path(out_dir)
     (out / "items").mkdir(parents=True, exist_ok=True)
     for item in corpus.items:
-        (out / "items" / f"{item.item_id}.vcp").write_text(item.source)
-    with (out / "answer_key.jsonl").open("w") as fh:
-        for item in corpus.items:
-            record = {
-                "item_id": item.item_id,
-                "ground_truth": item.ground_truth,
-                "defect_kind": item.defect_kind,
-                "mutation_site": None
-                if item.mutation_site is None
-                else {
-                    "start": item.mutation_site.start,
-                    "end": item.mutation_site.end,
-                    "line": item.mutation_site.line,
-                    "col": item.mutation_site.col,
-                    "description": item.mutation_site.description,
-                },
-                "origin": item.origin_name,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        (out / "items" / f"{item.item_id}.vcp").write_text(item.source, encoding="utf-8")
+    write_jsonl(out / "answer_key.jsonl", (_key_record(item) for item in corpus.items))
     manifest = {
         "seed": corpus.seed,
         "trap_fraction": corpus.trap_fraction,
@@ -342,18 +327,26 @@ def write_corpus(corpus: TrapCorpus, out_dir: Union[str, Path]) -> None:
         "actual_traps": sum(1 for i in corpus.items if i.ground_truth == "trap"),
         "shortfall": corpus.shortfall,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out / "manifest.json", manifest)
+
+
+def _key_record(item: TrapItem) -> dict:
+    site = item.mutation_site
+    return {
+        "item_id": item.item_id,
+        "ground_truth": item.ground_truth,
+        "defect_kind": item.defect_kind,
+        "mutation_site": None if site is None else dataclasses.asdict(site),
+        "origin": item.origin_name,
+    }
 
 
 def read_answer_key(path: Union[str, Path]) -> dict[str, str]:
     """Map item_id -> ground_truth from an answer-key file."""
-    key: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            key[str(rec["item_id"])] = str(rec["ground_truth"])
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad answer-key record: {exc}") from exc
-    return key
+    return dict(
+        read_jsonl(
+            path,
+            lambda rec: (str(rec["item_id"]), str(rec["ground_truth"])),
+            "answer-key record",
+        )
+    )

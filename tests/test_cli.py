@@ -303,8 +303,10 @@ def test_non_finite_config_value_never_reaches_a_report(fixtures, tmp_path, caps
         "--refactor", str(logs / "s01_refactor.log"), "--allow-uncalibrated",
         "--config", str(config), "--out", str(out),
     ])
-    assert code == 2
-    assert "vcp: computation error:" in capsys.readouterr().err
+    # NaN is refused when the config file is read, before any scoring.
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"vcp: error: {config}") and len(err.splitlines()) == 1
     assert not (out / "retention.json").exists()
 
 
@@ -324,6 +326,15 @@ def test_non_finite_csv_cell_is_exit_1(tmp_path, capsys, command, header, flag, 
     assert err.startswith(f"vcp: error: {path}:4: ")
     assert "not finite" in err and len(err.splitlines()) == 1
     assert not any(out.iterdir())
+
+
+def test_decay_fit_that_overflows_is_exit_2(tmp_path, capsys):
+    # The fitted curve s0 * exp(-lam * t) passes the float range at t = 1.
+    path = tmp_path / "decay.csv"
+    path.write_text("t,s\n0,1e-300\n1,1e300\n")
+    assert run(["retention", "--decay", str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("vcp: computation error: numeric overflow")
 
 
 def test_calibrate_reproduces_stored_weights(fixtures, tmp_path):
@@ -475,6 +486,13 @@ def test_power_past_the_search_limit_is_exit_2(tmp_path, capsys):
     assert line.startswith("vcp: computation error: ") and "1569775947" in line
     assert captured.out == ""
     assert not any(out.iterdir())
+
+
+def test_power_too_many_replicates_is_exit_1(capsys):
+    # 10^12 replicates used to ask numpy for 7.28 TiB and die with a traceback.
+    assert run(["power", "--d", "0.5", "--replicates", "1000000000000"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("vcp: error: ") and "at most 10000000 replicates" in line
 
 
 def test_power_string_cohort_rounding_is_exit_1(tmp_path, capsys):

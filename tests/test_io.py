@@ -1,0 +1,437 @@
+"""The input boundary: each reader and scalar helper, a regression case for
+each input hole it closed, and a fuzz of every file input through ``vcp``."""
+
+import contextlib
+import io
+import json
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vibecheck.cli import run
+from vibecheck.codemetrics import build_cfg, parse
+from vibecheck.codemetrics.cfg import dump_cfg
+from vibecheck.config import RunConfig
+from vibecheck.errors import FitError, ValidationError
+from vibecheck.io import (
+    as_bool,
+    as_finite,
+    as_int,
+    read_csv,
+    read_json,
+    read_jsonl,
+    read_text,
+)
+from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
+
+NOT_UTF8 = b"\xff\xfe"
+
+
+def _vcp(argv):
+    """Exit code and stderr of one in-process ``vcp`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def _error_lines(err: str) -> list[str]:
+    return [
+        line for line in err.splitlines()
+        if line.startswith(("vcp: error:", "vcp: computation error:"))
+    ]
+
+
+# --- read_text ---------------------------------------------------------------
+
+
+def test_read_text_is_utf8(tmp_path):
+    path = tmp_path / "unit.vcp"
+    path.write_bytes("x = 1 // café\n".encode("utf-8"))
+    assert read_text(path) == "x = 1 // café\n"
+
+
+def test_read_text_names_the_path_of_undecodable_bytes(tmp_path):
+    path = tmp_path / "unit.vcp"
+    path.write_bytes(NOT_UTF8)
+    with pytest.raises(ValidationError, match=f"{path}: file is not UTF-8 text"):
+        read_text(path)
+
+
+@pytest.mark.parametrize("name", ["absent.txt", "", "nul\x00byte"])
+def test_read_text_unreadable_path(tmp_path, name):
+    path = tmp_path / name  # a missing file, a directory, an invalid name
+    with pytest.raises(ValidationError, match="cannot read transcript"):
+        read_text(path, "transcript")
+
+
+# --- read_json ---------------------------------------------------------------
+
+
+def test_read_json_returns_fn_of_the_object(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": 1, "b": [2.5]}')
+    assert read_json(path, dict, "doc") == {"a": 1, "b": [2.5]}
+    assert read_json(path, lambda d: d["b"][0], "doc") == 2.5
+
+
+@pytest.mark.parametrize(
+    "text", ['{"a": NaN}', '{"a": Infinity}', '{"a": -Infinity}', '{"a": 1e999}',
+             '{"a": [-1e400]}', "{bad"]
+)
+def test_read_json_refuses_non_finite_and_malformed(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"{path}: calibration is not valid JSON"):
+        read_json(path, dict, "calibration")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', "null"])
+def test_read_json_wants_an_object(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="doc must hold a JSON object"):
+        read_json(path, dict, "doc")
+
+
+@pytest.mark.parametrize("error", [KeyError("k"), TypeError("t"), ValueError("v")])
+def test_read_json_fn_errors_name_the_path(tmp_path, error):
+    path = tmp_path / "doc.json"
+    path.write_text("{}")
+
+    def fn(data):
+        raise error
+
+    with pytest.raises(ValidationError, match=f"{path}: malformed ontology"):
+        read_json(path, fn, "ontology")
+
+
+def test_read_json_fn_toolkit_error_passes_through(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("{}")
+    error = FitError("singular")
+
+    def fn(data):
+        raise error
+
+    with pytest.raises(FitError) as caught:
+        read_json(path, fn, "doc")
+    assert caught.value is error
+
+
+# --- read_jsonl --------------------------------------------------------------
+
+
+def test_read_jsonl_skips_blank_lines_and_maps_rows(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"v": 1}\n\n   \n{"v": 2.5}\n')
+    assert read_jsonl(path, lambda rec: rec["v"], "row") == [1, 2.5]
+
+
+@pytest.mark.parametrize(
+    "line, detail",
+    [('{"w": 1}', "'v'"), ("[1]", "JSON object"), ('{"v": NaN}', "NaN"),
+     ('{"v": 1e999}', "out of range"), ("{not json}", "Expecting"), ('{"v": "x"}', "")],
+)
+def test_read_jsonl_bad_line_names_path_and_line(tmp_path, line, detail):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"v": 1}\n\n' + line + "\n")
+    with pytest.raises(ValidationError, match=f"{path}:3: bad row: ") as caught:
+        read_jsonl(path, lambda rec: rec["v"] + 0, "row")
+    assert detail in str(caught.value)
+
+
+def test_read_jsonl_toolkit_error_passes_through(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"v": 1}\n')
+    error = ValidationError("row-level check")
+
+    def row_fn(rec):
+        raise error
+
+    with pytest.raises(ValidationError) as caught:
+        read_jsonl(path, row_fn, "row")
+    assert caught.value is error
+
+
+# --- read_csv ----------------------------------------------------------------
+
+
+def test_read_csv_string_columns(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("id,a,b\n1,minor,major\n\n2,none,none\n")
+    assert read_csv(path, ("a", "b")) == {"a": ["minor", "none"], "b": ["major", "none"]}
+
+
+def test_read_csv_cast_columns(tmp_path):
+    path = tmp_path / "xy.csv"
+    path.write_text("x,y\n1,2.5\n3,-4\n")
+    assert read_csv(path, ("x", "y"), float) == {"x": [1.0, 3.0], "y": [2.5, -4.0]}
+
+
+def test_read_csv_repeated_header_takes_the_last_column(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("a,b,a\nfirst,x,last\n")
+    assert read_csv(path, ("a",)) == {"a": ["last"]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,z\n1,2\n", "expected CSV columns x, y; got x, z"),
+        ("", "expected CSV columns x, y; got none"),
+        ("x,y\n\n", "no data rows"),
+        ("x,y\n1,2\n\n3\n", ":4: expected 2 fields"),
+        ("x,y\n1,2\n3,oops\n", ":3: bad 'y' value"),
+        ("x,y\n1," + "9" * 200_000 + "\n", ":2: field larger than field limit"),
+    ],
+)
+def test_read_csv_refusals_name_the_path(tmp_path, text, message):
+    path = tmp_path / "xy.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=str(path)) as caught:
+        read_csv(path, ("x", "y"), float)
+    assert message in str(caught.value)
+
+
+# --- scalar helpers ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_as_bool_accepts_json_booleans(value):
+    assert as_bool(value) is value
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], 0.0])
+def test_as_bool_refuses_everything_else(value):
+    with pytest.raises(TypeError, match="expected true or false"):
+        as_bool(value)
+
+
+@pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2, -2), (10**30, 10**30)])
+def test_as_int_accepts_integral_numbers(value, expected):
+    result = as_int(value)
+    assert result == expected and type(result) is int
+
+
+@pytest.mark.parametrize("value", [2.9, float("nan"), float("inf"), True, "7", None, [1]])
+def test_as_int_refuses_fractions_and_non_numbers(value):
+    with pytest.raises((TypeError, ValueError)):
+        as_int(value)
+
+
+@pytest.mark.parametrize("value, expected", [(2, 2.0), (0.5, 0.5), (-1e300, -1e300)])
+def test_as_finite_accepts_finite_numbers(value, expected):
+    result = as_finite(value)
+    assert result == expected and type(result) is float
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), 10**400, True, "1.5", None]
+)
+def test_as_finite_refuses_non_finite_and_non_numbers(value):
+    with pytest.raises((TypeError, ValueError)):
+        as_finite(value)
+
+
+# --- regressions: each input that used to end in a traceback or a coercion ---
+
+
+def _nine_commands(fixtures, path):
+    """Each file-reading command, with ``path`` as the input under test."""
+    study = fixtures / "study"
+    return {
+        "metrics": ["metrics", path.with_suffix(".vcp")],
+        "egap": ["egap", "--transcript", path, "--ontology", study / "ontology.json",
+                 "--code", study / "target.vcp"],
+        "spearman": ["spearman", "--data", path],
+        "kappa": ["kappa", "--data", path],
+        "fit": ["fit", "--data", path],
+        "score": ["score", "--records", path],
+        "sdt": ["sdt", "--responses", path],
+        "calibrate": ["calibrate", "--pairs", path],
+        "egap --check-ontology": ["egap", "--check-ontology", path],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["metrics", "egap", "spearman", "kappa", "fit", "score", "sdt", "calibrate",
+     "egap --check-ontology"],
+)
+def test_undecodable_input_is_one_error_line(fixtures, tmp_path, command):
+    path = tmp_path / "input.dat"
+    path.write_bytes(NOT_UTF8)
+    path.with_suffix(".vcp").write_bytes(NOT_UTF8)
+    argv = _nine_commands(fixtures, path)[command]
+    code, err = _vcp(argv)
+    assert code == 1
+    assert err.startswith("vcp: error: ") and len(err.splitlines()) == 1
+    assert "input." in err and "not UTF-8" in err
+
+
+def _retention_with(fixtures, calibration):
+    session = fixtures / "session"
+    return _vcp(["retention", "--build", session / "build.log",
+                 "--refactor", session / "refactor.log", "--calibration", calibration])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{bad",
+        '{"alpha": 1.0, "beta": 0.0, "baseline_source": "x", "degenerate": "false"}',
+        '{"alpha": NaN, "beta": 0.0, "baseline_source": "x"}',
+        '{"alpha": 1.0, "beta": 1e999, "baseline_source": "x"}',
+        '{"alpha": "1.0", "beta": 0.0, "baseline_source": "x"}',
+    ],
+    ids=["malformed", "string-degenerate", "nan-alpha", "overflow-beta", "string-alpha"],
+)
+def test_bad_calibration_is_exit_1(fixtures, tmp_path, text):
+    path = tmp_path / "calibration.json"
+    path.write_text(text)
+    code, err = _retention_with(fixtures, path)
+    assert code == 1
+    assert err.startswith(f"vcp: error: {path}") and len(err.splitlines()) == 1
+
+
+def test_good_calibration_still_scores(fixtures):
+    code, _ = _retention_with(fixtures, fixtures / "study" / "calibration.json")
+    assert code == 0
+
+
+def test_cfg_with_infinite_exit_is_exit_1(tmp_path):
+    data = {"nodes": [{"id": 0, "stmts": []}, {"id": 1, "stmts": []}],
+            "edges": [{"from": 0, "to": 1, "label": "seq"}], "entry": 0, "exit": 1}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data).replace('"exit": 1', '"exit": Infinity'))
+    code, err = _vcp(["metrics", path])
+    assert code == 1
+    assert err.startswith(f"vcp: error: {path}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exit_id", ["1.5", '"1"', "true"])
+def test_cfg_ids_must_be_integers(tmp_path, exit_id):
+    text = ('{"nodes": [{"id": 0, "stmts": []}, {"id": 1, "stmts": []}], '
+            '"edges": [{"from": 0, "to": 1, "label": "seq"}], "entry": 0, '
+            f'"exit": {exit_id}}}')
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    code, err = _vcp(["metrics", path])
+    assert code == 1 and "malformed control-flow graph" in err
+
+
+@pytest.mark.parametrize("text", ["x = ²\n", "x = " + "(" * 5000 + "1" + ")" * 5000 + "\n"],
+                         ids=["superscript-digit", "deep-nesting"])
+def test_unparseable_source_is_exit_1(tmp_path, text):
+    path = tmp_path / "unit.vcp"
+    path.write_text(text, encoding="utf-8")
+    code, err = _vcp(["metrics", path])
+    assert code == 1 and len(_error_lines(err)) == 1
+
+
+def test_short_kappa_row_is_exit_1(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("a,b\nminor,minor\nmajor\n")
+    code, err = _vcp(["kappa", "--data", path])
+    assert code == 1 and f"{path}:3:" in err
+
+
+# --- fuzz: arbitrary bytes as every file input --------------------------------
+
+
+def _cohort_bytes(tmp_path) -> bytes:
+    path = tmp_path / "sample_cohort.jsonl"
+    write_cohort(simulate_cohort(GeneratingParams(10.0, 1.0, 0.5, 1.0, 1.0), 4, 3, 0), path)
+    return path.read_bytes()
+
+
+def _cfg_bytes(fixtures, tmp_path) -> bytes:
+    path = tmp_path / "sample_cfg.json"
+    dump_cfg(build_cfg(parse((fixtures / "study" / "target.vcp").read_text())), path)
+    return path.read_bytes()
+
+
+def _pairs_bytes(fixtures) -> bytes:
+    root = fixtures / "calibration"
+    lines = []
+    for line in (root / "pairs.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        lines.append(json.dumps({k: str(root / v) for k, v in rec.items()}))
+    return ("\n".join(lines) + "\n").encode()
+
+
+KINDS = ["vcp", "cfg", "responses", "session", "calibration", "pairs", "transcript",
+         "ontology", "records", "cohort", "spearman", "kappa", "decay", "config"]
+
+
+def _case(kind, fixtures, tmp_path):
+    """(input file name, argv using it, a valid sample of its contents)."""
+    study, session = fixtures / "study", fixtures / "session"
+    f = tmp_path / {"vcp": "input.vcp", "cfg": "input.json"}.get(kind, "input.dat")
+    build, refactor = session / "build.log", session / "refactor.log"
+    cases = {
+        "vcp": (["metrics", f], (study / "target.vcp").read_bytes()),
+        "cfg": (["metrics", f], None),
+        "responses": (["sdt", "--responses", f], (study / "responses.jsonl").read_bytes()),
+        "session": (["retention", "--build", f, "--refactor", refactor,
+                     "--allow-uncalibrated"], build.read_bytes()),
+        "calibration": (["retention", "--build", build, "--refactor", refactor,
+                         "--calibration", f], (study / "calibration.json").read_bytes()),
+        "pairs": (["calibrate", "--pairs", f], None),
+        "transcript": (["egap", "--transcript", f, "--ontology", study / "ontology.json",
+                        "--code", study / "target.vcp"],
+                       (study / "transcripts" / "s01.txt").read_bytes()),
+        "ontology": (["egap", "--check-ontology", f], (study / "ontology.json").read_bytes()),
+        "records": (["score", "--records", f],
+                    (study / "golden" / "records.jsonl").read_bytes()),
+        "cohort": (["fit", "--data", f], None),
+        "spearman": (["spearman", "--data", f],
+                     (fixtures / "spearman" / "quiz_scores.csv").read_bytes()),
+        "kappa": (["kappa", "--data", f], b"a,b\nminor,minor\nmajor,minor\nnone,none\n"),
+        "decay": (["retention", "--decay", f],
+                  (fixtures / "decay" / "noisy_decay.csv").read_bytes()),
+        "config": (["metrics", study / "target.vcp", "--config", f],
+                   json.dumps(RunConfig().to_dict()).encode()),
+    }
+    argv, sample = cases[kind]
+    if sample is None:
+        sample = {"cfg": lambda: _cfg_bytes(fixtures, tmp_path),
+                  "pairs": lambda: _pairs_bytes(fixtures),
+                  "cohort": lambda: _cohort_bytes(tmp_path)}[kind]()
+    return f, argv, sample
+
+
+@st.composite
+def _inputs(draw, sample: bytes):
+    """Arbitrary bytes, arbitrary UTF-8 text, or the valid sample with one
+    span replaced by arbitrary bytes."""
+    kind = draw(st.sampled_from(["bytes", "text", "splice"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    if kind == "text":
+        return draw(st.text(max_size=200)).encode("utf-8")
+    i = draw(st.integers(0, len(sample)))
+    j = draw(st.integers(i, min(len(sample), i + 16)))
+    return sample[:i] + draw(st.binary(max_size=8)) + sample[j:]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_any_bytes_end_in_an_exit_code_never_a_traceback(fixtures, tmp_path, kind):
+    path, argv, sample = _case(kind, fixtures, tmp_path)
+    if kind == "session":
+        shutil.copy(fixtures / "session" / "final_unit.vcp", tmp_path / "final_unit.vcp")
+
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_inputs(sample))
+    def check(data):
+        path.write_bytes(data)
+        code, err = _vcp(argv)
+        assert code in (0, 1, 2)
+        assert len(_error_lines(err)) == (0 if code == 0 else 1)
+        assert "Traceback" not in err
+
+    check()
