@@ -443,6 +443,18 @@ _COHORT_SUMMARY_COLUMNS = (
 )
 
 
+def _sample_sd(values: list[float]) -> float:
+    """Sample standard deviation from the exact rational sum of squares, so
+    the last digit does not depend on the Python version (0.0 below n = 2)."""
+    from fractions import Fraction
+
+    if len(values) < 2:
+        return 0.0
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return math.sqrt(float(sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)))
+
+
 def _condition_summary(records: list[dict]) -> list[dict]:
     import statistics
 
@@ -456,7 +468,7 @@ def _condition_summary(records: list[dict]) -> list[dict]:
         for field in _SUMMARY_FIELDS:
             values = [g[field] for g in group]
             row[f"mean_{field}"] = statistics.fmean(values)
-            row[f"sd_{field}"] = statistics.stdev(values) if len(values) > 1 else 0.0
+            row[f"sd_{field}"] = _sample_sd(values)
         rows.append(row)
     return rows
 

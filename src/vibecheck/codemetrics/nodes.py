@@ -151,8 +151,9 @@ class SourceUnit:
 
 # --- canonical rendering ---------------------------------------------------
 
-# Binding strength per operator; unary binds tighter than any binary.
-_PRECEDENCE = {
+# Binding strength per binary operator, shared with the parser; unary binds
+# tighter than any binary.
+BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
     "==": 3, "!=": 3,
@@ -171,7 +172,7 @@ def _escape(value: str) -> str:
 
 def _expr_prec(expr: Expr) -> int:
     if isinstance(expr, Binary):
-        return _PRECEDENCE[expr.op]
+        return BINARY_PRECEDENCE[expr.op]
     if isinstance(expr, Unary):
         return _UNARY_PRECEDENCE
     return 8
@@ -196,7 +197,7 @@ def render_expr(expr: Expr) -> str:
             inner = "(" + inner + ")"
         return expr.op + inner
     if isinstance(expr, Binary):
-        prec = _PRECEDENCE[expr.op]
+        prec = BINARY_PRECEDENCE[expr.op]
         left = render_expr(expr.left)
         right = render_expr(expr.right)
         if _expr_prec(expr.left) < prec:
@@ -284,30 +285,37 @@ def pretty_print(program: Program) -> str:
 
 def walk(node: Node):
     """Yield ``node`` and every descendant in a deterministic pre-order."""
-    yield node
-    if isinstance(node, Program) or isinstance(node, Block):
-        children: tuple = node.body
-    elif isinstance(node, Assign):
-        children = (node.value,)
-    elif isinstance(node, If):
-        children = (node.cond, node.then) + ((node.orelse,) if node.orelse else ())
-    elif isinstance(node, While):
-        children = (node.cond, node.body)
-    elif isinstance(node, For):
-        children = (node.init, node.cond, node.update, node.body)
-    elif isinstance(node, Return):
-        children = (node.value,) if node.value is not None else ()
-    elif isinstance(node, CallStmt):
-        children = (node.call,)
-    elif isinstance(node, Unary):
-        children = (node.operand,)
-    elif isinstance(node, Binary):
-        children = (node.left, node.right)
-    elif isinstance(node, Call):
-        children = node.args
-    elif isinstance(node, Index):
-        children = (node.index,)
-    else:
-        children = ()
-    for child in children:
-        yield from walk(child)
+    stack = [node]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        yield node
+        # Children go on the stack last-first, so the first one comes out next.
+        if isinstance(node, Binary):
+            push(node.right)
+            push(node.left)
+        elif isinstance(node, (Program, Block)):
+            stack.extend(reversed(node.body))
+        elif isinstance(node, Assign):
+            push(node.value)
+        elif isinstance(node, If):
+            if node.orelse is not None:
+                push(node.orelse)
+            push(node.then)
+            push(node.cond)
+        elif isinstance(node, While):
+            push(node.body)
+            push(node.cond)
+        elif isinstance(node, For):
+            stack.extend((node.body, node.update, node.cond, node.init))
+        elif isinstance(node, Return):
+            if node.value is not None:
+                push(node.value)
+        elif isinstance(node, CallStmt):
+            push(node.call)
+        elif isinstance(node, Unary):
+            push(node.operand)
+        elif isinstance(node, Call):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, Index):
+            push(node.index)

@@ -11,18 +11,14 @@ Grammar::
     return   := "return" [ expr ]
     call-stmt:= IDENT "(" args ")"
     block    := "{" stmt* "}"
-    expr     := or-expr                     (C-style precedence, left assoc)
-    or-expr  := and-expr ( "||" and-expr )*
-    and-expr := eq-expr ( "&&" eq-expr )*
-    eq-expr  := rel-expr ( ("==" | "!=") rel-expr )*
-    rel-expr := add-expr ( ("<" | "<=" | ">" | ">=") add-expr )*
-    add-expr := mul-expr ( ("+" | "-") mul-expr )*
-    mul-expr := unary ( ("*" | "/" | "%") unary )*
+    expr     := unary ( BINOP unary )*      (C-style precedence, left assoc)
     unary    := ("!" | "-") unary | primary
     primary  := INT | STRING | IDENT | IDENT "(" args ")" | IDENT "[" expr "]"
               | "(" expr ")"
     args     := [ expr ( "," expr )* ]
 
+Binary operators bind, loosest first: ``||``; ``&&``; ``==`` ``!=``; ``<``
+``<=`` ``>`` ``>=``; ``+`` ``-``; ``*`` ``/`` ``%`` (``nodes.BINARY_PRECEDENCE``).
 Line comments start with ``//``; whitespace is insignificant.  A bare
 ``return`` takes the following tokens as its value whenever they can start an
 expression, except that ``IDENT "="`` is left alone so a following assignment
@@ -31,8 +27,9 @@ is not swallowed.
 
 from __future__ import annotations
 
-from vibecheck.codemetrics.lexer import Token, lex
+from vibecheck.codemetrics.lexer import lex, line_col
 from vibecheck.codemetrics.nodes import (
+    BINARY_PRECEDENCE,
     Assign,
     Binary,
     Block,
@@ -56,231 +53,199 @@ from vibecheck.errors import ValidationError, VcpSyntaxError
 
 _STMT_EXPECTED = ("identifier", "'if'", "'while'", "'for'", "'return'", "'{'")
 _EXPR_EXPECTED = ("identifier", "integer", "string", "'('", "'!'", "'-'")
+_VALUE_STARTS = frozenset({"<int>", "<string>", "(", "!", "-"})
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = lex(text)
-        self.i = 0
+        self.keys, self.texts, self.starts, self.ends = map(list, zip(*lex(text)))
+        self.i = 0  # index of the next token; the parser never moves past <eof>
 
-    # --- token plumbing ----------------------------------------------------
-
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def at_op(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in texts
-
-    def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.text in words
-
-    def expect_op(self, text: str) -> Token:
-        if not self.at_op(text):
-            raise self._error(expected=(f"'{text}'",))
-        return self.advance()
-
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self._error(expected=("identifier",))
-        return self.advance()
+    def expect(self, key: str) -> int:
+        """Consume a ``key`` token and return its index."""
+        i = self.i
+        if self.keys[i] != key:
+            expected = "identifier" if key == "<ident>" else f"'{key}'"
+            raise self._error((expected,))
+        self.i = i + 1
+        return i
 
     def _error(self, expected: tuple[str, ...]) -> VcpSyntaxError:
-        tok = self.peek()
-        what = "end of input" if tok.kind == "eof" else repr(tok.text)
-        return VcpSyntaxError(f"unexpected {what}", tok.line, tok.col, expected)
+        i = self.i
+        what = "end of input" if self.keys[i] == "<eof>" else repr(self.texts[i])
+        return VcpSyntaxError(f"unexpected {what}", *line_col(self.text, self.starts[i]), expected)
 
     # --- statements --------------------------------------------------------
 
     def parse_program(self) -> Program:
         body: list[Stmt] = []
-        while self.peek().kind != "eof":
+        while self.keys[self.i] != "<eof>":
             body.append(self.parse_stmt())
-        span = (0, len(self.text))
-        return Program(tuple(body), span=span)
+        return Program(tuple(body), span=(0, len(self.text)))
 
     def parse_stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "{":
+        key = self.keys[self.i]
+        if key == "{":
             return self.parse_block()
-        if tok.kind == "kw":
-            if tok.text == "if":
-                return self.parse_if()
-            if tok.text == "while":
-                return self.parse_while()
-            if tok.text == "for":
-                return self.parse_for()
-            if tok.text == "return":
-                return self.parse_return()
-            raise self._error(expected=_STMT_EXPECTED)
-        if tok.kind == "ident":
-            nxt = self.peek(1)
-            if nxt.kind == "op" and nxt.text == "=":
+        if key == "if":
+            return self.parse_if()
+        if key == "while":
+            return self.parse_while()
+        if key == "for":
+            return self.parse_for()
+        if key == "return":
+            return self.parse_return()
+        if key == "<ident>":
+            after = self.keys[self.i + 1]
+            if after == "=":
                 return self.parse_assign()
-            if nxt.kind == "op" and nxt.text == "(":
-                call = self.parse_primary()
-                assert isinstance(call, Call)
+            if after == "(":
+                call = self.parse_call()
                 return CallStmt(call, span=call.span)
-            self.advance()
+            self.i += 1
             raise self._error(expected=("'='", "'('"))
         raise self._error(expected=_STMT_EXPECTED)
 
     def parse_block(self) -> Block:
-        open_tok = self.expect_op("{")
+        keys = self.keys
+        open_at = self.expect("{")
         body: list[Stmt] = []
-        while not self.at_op("}"):
-            if self.peek().kind == "eof":
+        while keys[self.i] != "}":
+            if keys[self.i] == "<eof>":
                 raise self._error(expected=("'}'",) + _STMT_EXPECTED)
             body.append(self.parse_stmt())
-        close_tok = self.advance()
-        return Block(tuple(body), span=(open_tok.pos, close_tok.end))
+        close_at = self.i
+        self.i = close_at + 1
+        return Block(tuple(body), span=(self.starts[open_at], self.ends[close_at]))
 
     def parse_assign(self) -> Assign:
-        name_tok = self.expect_ident()
-        self.expect_op("=")
+        name_at = self.expect("<ident>")
+        self.expect("=")
         value = self.parse_expr()
-        return Assign(name_tok.text, value, span=(name_tok.pos, value.span[1]))
+        return Assign(self.texts[name_at], value, span=(self.starts[name_at], value.span[1]))
 
     def parse_if(self) -> If:
-        if_tok = self.advance()
-        self.expect_op("(")
+        start = self.starts[self.i]
+        self.i += 1
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect_op(")")
+        self.expect(")")
         then = self.parse_block()
         orelse = None
         end = then.span[1]
-        if self.at_kw("else"):
-            self.advance()
-            if self.at_kw("if"):
-                orelse = self.parse_if()
-            else:
-                orelse = self.parse_block()
+        if self.keys[self.i] == "else":
+            self.i += 1
+            orelse = self.parse_if() if self.keys[self.i] == "if" else self.parse_block()
             end = orelse.span[1]
-        return If(cond, then, orelse, span=(if_tok.pos, end))
+        return If(cond, then, orelse, span=(start, end))
 
     def parse_while(self) -> While:
-        while_tok = self.advance()
-        self.expect_op("(")
+        start = self.starts[self.i]
+        self.i += 1
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect_op(")")
+        self.expect(")")
         body = self.parse_block()
-        return While(cond, body, span=(while_tok.pos, body.span[1]))
+        return While(cond, body, span=(start, body.span[1]))
 
     def parse_for(self) -> For:
-        for_tok = self.advance()
-        self.expect_op("(")
+        start = self.starts[self.i]
+        self.i += 1
+        self.expect("(")
         init = self.parse_assign()
-        self.expect_op(";")
+        self.expect(";")
         cond = self.parse_expr()
-        self.expect_op(";")
+        self.expect(";")
         update = self.parse_assign()
-        self.expect_op(")")
+        self.expect(")")
         body = self.parse_block()
-        return For(init, cond, update, body, span=(for_tok.pos, body.span[1]))
+        return For(init, cond, update, body, span=(start, body.span[1]))
 
     def parse_return(self) -> Return:
-        ret_tok = self.advance()
-        value = None
-        end = ret_tok.end
-        if self._starts_return_value():
+        i = self.i
+        self.i = i + 1
+        key = self.keys[i + 1]
+        # "return" directly before an assignment keeps an empty value.
+        if key in _VALUE_STARTS or (key == "<ident>" and self.keys[i + 2] != "="):
             value = self.parse_expr()
-            end = value.span[1]
-        return Return(value, span=(ret_tok.pos, end))
-
-    def _starts_return_value(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("int", "string"):
-            return True
-        if tok.kind == "op" and tok.text in ("(", "!", "-"):
-            return True
-        if tok.kind == "ident":
-            nxt = self.peek(1)
-            # "return" directly before an assignment keeps an empty value.
-            return not (nxt.kind == "op" and nxt.text == "=")
-        return False
+            return Return(value, span=(self.starts[i], value.span[1]))
+        return Return(None, span=(self.starts[i], self.ends[i]))
 
     # --- expressions -------------------------------------------------------
 
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def parse_expr(self) -> Expr:
-        return self._parse_binary(0)
-
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self.at_op(*ops):
-            op_tok = self.advance()
-            right = self._parse_binary(level + 1)
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing: fold every operator that binds at least
+        ``min_prec`` into ``left``; the right operand takes only tighter ones,
+        so equal precedence associates to the left."""
+        keys = self.keys
+        left = self.parse_unary()
+        while True:
+            op_at = self.i
+            prec = BINARY_PRECEDENCE.get(keys[op_at], 0)
+            if prec < min_prec:
+                return left
+            self.i = op_at + 1
+            right = self.parse_expr(prec + 1)
             left = Binary(
-                op_tok.text,
+                keys[op_at],
                 left,
                 right,
                 span=(left.span[0], right.span[1]),
-                op_span=(op_tok.pos, op_tok.end),
+                op_span=(self.starts[op_at], self.ends[op_at]),
             )
-        return left
 
     def parse_unary(self) -> Expr:
-        if self.at_op("!", "-"):
-            op_tok = self.advance()
+        i = self.i
+        key = self.keys[i]
+        if key == "!" or key == "-":
+            self.i = i + 1
             operand = self.parse_unary()
-            return Unary(op_tok.text, operand, span=(op_tok.pos, operand.span[1]))
+            return Unary(key, operand, span=(self.starts[i], operand.span[1]))
         return self.parse_primary()
 
+    def parse_call(self) -> Call:
+        """``IDENT "(" args ")"``, with the parser at the identifier."""
+        keys = self.keys
+        name_at = self.i
+        self.i += 2
+        args: list[Expr] = []
+        if keys[self.i] != ")":
+            args.append(self.parse_expr())
+            while keys[self.i] == ",":
+                self.i += 1
+                args.append(self.parse_expr())
+        close_at = self.expect(")")
+        return Call(self.texts[name_at], tuple(args), span=(self.starts[name_at], self.ends[close_at]))
+
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return IntLit(int(tok.text), span=(tok.pos, tok.end))
-        if tok.kind == "string":
-            self.advance()
-            return StrLit(tok.text, span=(tok.pos, tok.end))
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        i = self.i
+        key = self.keys[i]
+        if key == "<ident>":
+            after = self.keys[i + 1]
+            if after == "(":
+                return self.parse_call()
+            if after == "[":
+                self.i = i + 2
+                index = self.parse_expr()
+                close_at = self.expect("]")
+                return Index(self.texts[i], index, span=(self.starts[i], self.ends[close_at]))
+            self.i = i + 1
+            return Name(self.texts[i], span=(self.starts[i], self.ends[i]))
+        if key == "<int>":
+            self.i = i + 1
+            return IntLit(int(self.texts[i]), span=(self.starts[i], self.ends[i]))
+        if key == "<string>":
+            self.i = i + 1
+            return StrLit(self.texts[i], span=(self.starts[i], self.ends[i]))
+        if key == "(":
+            self.i = i + 1
             inner = self.parse_expr()
-            close = self.expect_op(")")
+            close_at = self.expect(")")
             if isinstance(inner, (Binary, Unary)):
                 # Keep the parenthesized extent so splices stay balanced.
-                inner = _respan(inner, (tok.pos, close.end))
+                inner = _respan(inner, (self.starts[i], self.ends[close_at]))
             return inner
-        if tok.kind == "ident":
-            self.advance()
-            if self.at_op("("):
-                self.advance()
-                args: list[Expr] = []
-                if not self.at_op(")"):
-                    args.append(self.parse_expr())
-                    while self.at_op(","):
-                        self.advance()
-                        args.append(self.parse_expr())
-                close = self.expect_op(")")
-                return Call(tok.text, tuple(args), span=(tok.pos, close.end))
-            if self.at_op("["):
-                self.advance()
-                index = self.parse_expr()
-                close = self.expect_op("]")
-                return Index(tok.text, index, span=(tok.pos, close.end))
-            return Name(tok.text, span=(tok.pos, tok.end))
         raise self._error(expected=_EXPR_EXPECTED)
 
 

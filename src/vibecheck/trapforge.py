@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from vibecheck.codemetrics import nodes as N
+from vibecheck.codemetrics.lexer import line_col
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import NotApplicableError, ValidationError
 from vibecheck.io import read_jsonl
@@ -82,12 +83,6 @@ class _Site:
     span: tuple[int, int]
     replacement: str
     description: str
-
-
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return line, col
 
 
 def _comparison_sites(unit: N.SourceUnit, table: dict[str, str]) -> list[_Site]:
@@ -225,7 +220,7 @@ def _apply(unit: N.SourceUnit, kind: str, site: _Site) -> tuple[str, MutationSit
     mutated = unit.text[:start] + site.replacement + unit.text[end:]
     # A mutation that fails to reparse is a bug in the site tables.
     parse(mutated, name=f"{unit.name}#{kind}")
-    line, col = _line_col(unit.text, start)
+    line, col = line_col(unit.text, start)
     return mutated, MutationSite(start, end, line, col, site.description)
 
 
@@ -262,13 +257,14 @@ def generate_corpus(
             drafts.append((unit, unit.text, None, None))
             continue
         item_rng = make_rng(seed, index)
-        kinds = [k for k in DEFECT_KINDS if applicable_sites(unit, k)]
+        sites_by_kind = {k: applicable_sites(unit, k) for k in DEFECT_KINDS}
+        kinds = [k for k in DEFECT_KINDS if sites_by_kind[k]]
         if not kinds:
             shortfall += 1
             drafts.append((unit, unit.text, None, None))
             continue
         kind = kinds[int(item_rng.integers(len(kinds)))]
-        sites = applicable_sites(unit, kind)
+        sites = sites_by_kind[kind]
         site = sites[int(item_rng.integers(len(sites)))]
         drafts.append((unit, *_apply_for_corpus(unit, kind, site)))
 

@@ -332,6 +332,13 @@ def test_unparseable_source_is_exit_1(tmp_path, text):
     assert code == 1 and len(_error_lines(err)) == 1
 
 
+def test_a_hundred_nested_parentheses_parse(tmp_path):
+    path = tmp_path / "unit.vcp"
+    path.write_text("x = " + "(" * 100 + "1" + ")" * 100 + "\n", encoding="utf-8")
+    code, err = _vcp(["metrics", path])
+    assert code == 0 and not _error_lines(err)
+
+
 def test_short_kappa_row_is_exit_1(tmp_path):
     path = tmp_path / "ratings.csv"
     path.write_text("a,b\nminor,minor\nmajor\n")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vibecheck.codemetrics import nodes as N
+from vibecheck.codemetrics.lexer import lex, line_col
 from vibecheck.codemetrics.parser import parse
 from vibecheck.codemetrics.progen import random_program
 from vibecheck.errors import ValidationError, VcpSyntaxError
@@ -168,3 +169,51 @@ def test_random_programs_parse_and_render_idempotently(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_program_generator_is_deterministic(seed):
     assert random_program(seed) == random_program(seed)
+
+
+# --- lexer edge cases, each pinned with its position -------------------------
+
+
+def _syntax_error(text):
+    with pytest.raises(VcpSyntaxError) as excinfo:
+        parse(text)
+    return excinfo.value
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ('x = "ab\\q"\n', "bad escape '\\q' in string literal", 1, 8),
+        ('x = 1\ny = "a\\\nb"\n', "bad escape '\\\n' in string literal", 2, 7),
+        ('x = "abc', "unterminated string literal", 1, 5),
+        ('x = "abc\\', "unterminated string literal", 1, 5),
+        ('x = 1\ny = "ab\n"\n', "unterminated string literal", 2, 5),
+        ("y = ²x\n", "unexpected character '²'", 1, 5),
+        ("x = 1\f\n", "unexpected character '\\x0c'", 1, 6),
+        ("x = 1\r&\n", "unexpected character '&'", 1, 7),
+        ("x = 1\r\n\ty = &\n", "unexpected character '&'", 2, 6),
+        ("f(12abc)\n", "unexpected 'abc'", 1, 5),
+    ],
+)
+def test_lexer_edge_cases_keep_their_message_and_position(text, message, line, col):
+    err = _syntax_error(text)
+    assert (str(err).split(": ", 1)[1].split(" (expected")[0], err.line, err.col) == (
+        message, line, col,
+    )
+
+
+def test_superscript_digit_continues_an_identifier():
+    (stmt,) = parse("a² = 1\n").ast.body
+    assert stmt.target == "a²" and stmt.span == (0, 6)
+
+
+def test_digits_then_letters_split_into_int_and_identifier():
+    assert lex("12abc") == [("<int>", "12", 0, 2), ("<ident>", "abc", 2, 5), ("<eof>", "", 5, 5)]
+
+
+def test_crlf_source_parses_with_offsets_into_the_text():
+    unit = parse("x = 1\r\nif (x < 2) {\r\n  y = x\r\n}\r\n")
+    assign, guard = unit.ast.body
+    assert assign.span == (0, 5)
+    assert guard.span == (7, 31)
+    assert line_col(unit.text, guard.then.body[0].span[0]) == (3, 3)

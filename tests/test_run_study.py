@@ -45,3 +45,17 @@ def test_driver_prints_only_its_completion_line(
     captured = capsys.readouterr()
     assert captured.out == f"study complete: {out}\n"
     assert (out / "score" / "score_report.json").is_file()
+
+
+def test_study_output_is_byte_identical_to_the_golden_tree(
+    run_study_module, fixtures, tmp_path, monkeypatch
+):
+    golden = fixtures / "study" / "golden"
+    out = tmp_path / "out"
+    monkeypatch.delenv("VCP_CONFIG", raising=False)
+    run_study_module.run_study(fixtures / "study", out)
+    written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    expected = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
+    assert written == expected
+    for rel in written:
+        assert (out / rel).read_bytes() == (golden / rel).read_bytes(), rel
