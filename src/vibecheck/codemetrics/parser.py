@@ -54,6 +54,9 @@ from vibecheck.errors import ValidationError, VcpSyntaxError
 _STMT_EXPECTED = ("identifier", "'if'", "'while'", "'for'", "'return'", "'{'")
 _EXPR_EXPECTED = ("identifier", "integer", "string", "'('", "'!'", "'-'")
 _VALUE_STARTS = frozenset({"<int>", "<string>", "(", "!", "-"})
+# Longest integer literal accepted, well inside the 4,300 digits that int()
+# converts from a string.
+_MAX_INT_DIGITS = 1000
 
 
 class _Parser:
@@ -233,8 +236,14 @@ class _Parser:
             self.i = i + 1
             return Name(self.texts[i], span=(self.starts[i], self.ends[i]))
         if key == "<int>":
+            digits = self.texts[i]
+            if len(digits) > _MAX_INT_DIGITS:
+                raise VcpSyntaxError(
+                    f"integer literal longer than {_MAX_INT_DIGITS} digits",
+                    *line_col(self.text, self.starts[i]),
+                )
             self.i = i + 1
-            return IntLit(int(self.texts[i]), span=(self.starts[i], self.ends[i]))
+            return IntLit(int(digits), span=(self.starts[i], self.ends[i]))
         if key == "<string>":
             self.i = i + 1
             return StrLit(self.texts[i], span=(self.starts[i], self.ends[i]))

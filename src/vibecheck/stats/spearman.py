@@ -5,12 +5,15 @@ receiving the average of the ranks they span.  The analytic two-sided p
 uses ``t = rho * sqrt((n - 2) / (1 - rho^2))`` on n - 2 degrees of
 freedom.  An optional seeded Monte-Carlo permutation test (at least 1e5
 permutations recommended) gives a distribution-free cross-check:
-``p = (1 + #extreme) / (1 + B)``.
+``p = (1 + #extreme) / (1 + B)``.  It takes at most 10,000,000
+permutations, and samples of at most 200,000 pairs, the largest for which
+its integer statistic stays exact.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +23,13 @@ from vibecheck.errors import ConstantInputError, ValidationError
 from vibecheck.rng import make_rng
 from vibecheck.stats import tdist
 
-_PERMUTATION_CHUNK = 100_000
+_PERMUTATION_CHUNK = 100_000  # permutations per seeded stream
+_BLOCK_BYTES = 2 << 20  # size of one chunk's shuffle buffer, whatever n is
+_MAX_PERMUTATIONS = 10_000_000
+# Twice the centred ranks are integers of magnitude below n, so every
+# permutation statistic is an integer sum bounded by n**3, exact in float64
+# while n**3 < 2**53.
+_MAX_PERMUTATION_N = 200_000
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,18 @@ def spearman(
         raise ValidationError(f"need at least 4 paired observations, got {n}")
     if permutations < 0:
         raise ValidationError("permutation count must be >= 0")
+    if permutations > _MAX_PERMUTATIONS:
+        raise ValidationError(
+            f"the permutation test takes at most {_MAX_PERMUTATIONS} permutations, "
+            f"got {permutations}"
+        )
     if permutations and seed is None:
         raise ValidationError("a seed is required when permutations are requested")
+    if permutations and n > _MAX_PERMUTATION_N:
+        raise ValidationError(
+            f"the permutation test takes at most {_MAX_PERMUTATION_N} paired "
+            f"observations, got {n}"
+        )
     rx = rank_average(x)
     ry = rank_average(y)
     cx = rx - rx.mean()
@@ -84,7 +103,7 @@ def spearman(
         p = 2.0 * tdist.sf(abs(t), n - 2)
     p_perm = None
     if permutations:
-        p_perm = _permutation_p(cx, cy, sxx, syy, abs(rho), permutations, seed)
+        p_perm = _permutation_p(2.0 * cx, 2.0 * cy, permutations, seed)
     return SpearmanResult(
         rho=rho,
         p_two_sided=p,
@@ -95,27 +114,40 @@ def spearman(
     )
 
 
-def _permutation_p(
-    cx: np.ndarray,
-    cy: np.ndarray,
-    sxx: float,
-    syy: float,
-    abs_rho: float,
-    permutations: int,
-    seed: int,
-) -> float:
-    """Two-sided permutation p with the add-one estimator, chunked."""
-    denom = math.sqrt(sxx * syy)
-    threshold = abs_rho - 1e-12  # count float-equal statistics as extreme
-    extreme = 0
-    done = 0
-    chunk_index = 0
-    while done < permutations:
-        size = min(_PERMUTATION_CHUNK, permutations - done)
+def _permutation_p(ix: np.ndarray, iy: np.ndarray, permutations: int, seed: int) -> float:
+    """Two-sided permutation p with the add-one estimator.
+
+    ``ix`` and ``iy`` are twice the centred ranks, so they hold integers
+    and ``|perm(iy) @ ix| >= |iy @ ix|`` compares exact statistics.  Chunk k
+    of 100k permutations draws from ``make_rng(seed, k)`` and shuffles one
+    buffer of about 2 MB at a time; the generator consumes its draws row by
+    row, so the rows are those of the whole chunk shuffled at once.  Chunks
+    are counted on parallel threads and their integer counts summed, so p
+    does not depend on the number of CPUs.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = len(iy)
+    observed = abs(float(iy @ ix))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+
+    def count(chunk_index: int) -> int:
+        size = min(_PERMUTATION_CHUNK, permutations - chunk_index * _PERMUTATION_CHUNK)
         rng = make_rng(seed, chunk_index)
-        perms = rng.permuted(np.tile(cy, (size, 1)), axis=1)
-        rhos = np.abs(perms @ cx) / denom
-        extreme += int(np.count_nonzero(rhos >= threshold))
-        done += size
-        chunk_index += 1
+        buffer = np.empty((min(rows, size), n))
+        extreme = 0
+        for start in range(0, size, len(buffer)):
+            block = buffer[: size - start]
+            block[:] = iy
+            rng.permuted(block, axis=1, out=block)
+            extreme += int(np.count_nonzero(np.abs(block @ ix) >= observed))
+        return extreme
+
+    chunks = -(-permutations // _PERMUTATION_CHUNK)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity call
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(min(chunks, cpus)) as pool:
+        extreme = sum(pool.map(count, range(chunks)))
     return (1 + extreme) / (1 + permutations)

@@ -76,6 +76,25 @@ def test_syntax_error_is_exit_1(tmp_path, capsys):
     assert "vcp: error" in capsys.readouterr().err
 
 
+def test_long_integer_literal_is_exit_1(tmp_path, capsys):
+    # 5,000 digits used to end in int()'s ValueError traceback.
+    origins = tmp_path / "origins"
+    origins.mkdir()
+    (origins / "unit.vcp").write_text("x = " + "1" * 5000 + "\n")
+    assert run(["metrics", str(origins / "unit.vcp")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "vcp: error: line 1, column 5: integer literal longer than 1000 digits"
+    assert run(["traps", "generate", "--origins", str(origins), "--out", str(tmp_path / "c")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("vcp: error: ") and "integer literal longer than 1000 digits" in line
+
+
+def test_longest_integer_literal_parses(tmp_path, capsys):
+    unit = tmp_path / "unit.vcp"
+    unit.write_text("x = " + "9" * 1000 + "\n")
+    assert run(["metrics", str(unit)]) == 0
+
+
 # --- config plumbing ----------------------------------------------------------
 
 
@@ -556,6 +575,16 @@ def test_spearman_with_permutations(fixtures, capsys):
     assert code == 0
     report, _ = _json_out(capsys)
     assert report["p_permutation"] == pytest.approx(report["p_two_sided"], abs=0.005)
+
+
+def test_spearman_too_many_permutations_is_exit_1(fixtures, capsys):
+    # 10^12 permutations used to run until the process was killed.
+    assert run([
+        "spearman", "--data", str(fixtures / "spearman" / "quiz_scores.csv"),
+        "--permutations", "1000000000000", "--seed", "1",
+    ]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("vcp: error: ") and "at most 10000000 permutations" in line
 
 
 def test_spearman_constant_input_is_exit_2(tmp_path, capsys):
