@@ -188,24 +188,34 @@ def build_cfg(unit: Union[N.SourceUnit, N.Program]) -> ControlFlowGraph:
         if isinstance(stmt, N.Block):
             return flow(stmt.body, current)
         if isinstance(stmt, N.If):
+            # An ``else if`` chain is walked in a loop, not by recursion, so
+            # its length costs no stack.  Each link gets its own join block,
+            # and the joins are linked innermost first once the chain ends.
             guard = current
-            b.emit(guard, N.render_stmt_line(stmt))
-            join = b.new_block()
-            then_block = b.new_block()
-            b.link(guard, then_block, "true")
-            then_end = flow(stmt.then.body, then_block)
-            if then_end is not None:
-                b.link(then_end, join, "seq")
-            if stmt.orelse is None:
-                b.link(guard, join, "false")
-            else:
+            joins: list[int] = []
+            while True:
+                b.emit(guard, N.render_stmt_line(stmt))
+                join = b.new_block()
+                joins.append(join)
+                then_block = b.new_block()
+                b.link(guard, then_block, "true")
+                then_end = flow(stmt.then.body, then_block)
+                if then_end is not None:
+                    b.link(then_end, join, "seq")
+                if stmt.orelse is None:
+                    b.link(guard, join, "false")
+                    break
                 else_block = b.new_block()
                 b.link(guard, else_block, "false")
-                else_end = flow([stmt.orelse], else_block) if isinstance(stmt.orelse, N.If) \
-                    else flow(stmt.orelse.body, else_block)
-                if else_end is not None:
-                    b.link(else_end, join, "seq")
-            return join
+                if not isinstance(stmt.orelse, N.If):
+                    else_end = flow(stmt.orelse.body, else_block)
+                    if else_end is not None:
+                        b.link(else_end, join, "seq")
+                    break
+                stmt, guard = stmt.orelse, else_block
+            for inner in range(len(joins) - 1, 0, -1):
+                b.link(joins[inner], joins[inner - 1], "seq")
+            return joins[0]
         if isinstance(stmt, N.While):
             guard = fresh_after(current)
             b.emit(guard, N.render_stmt_line(stmt))

@@ -25,9 +25,10 @@ def cohens_kappa(rater_a: Sequence, rater_b: Sequence) -> float:
     observed = sum(1 for a, b in zip(rater_a, rater_b) if a == b) / n
     freq_a = Counter(rater_a)
     freq_b = Counter(rater_b)
-    expected = sum(
-        (freq_a[cat] / n) * (freq_b[cat] / n) for cat in set(freq_a) | set(freq_b)
-    )
+    # Summed in sorted order: a set's order follows string hashing, which
+    # changes from process to process and would move the last bits.
+    categories = sorted(freq_a.keys() | freq_b.keys())
+    expected = sum((freq_a[cat] / n) * (freq_b[cat] / n) for cat in categories)
     if expected >= 1.0:
         raise DegenerateAgreementError(
             "both raters used one identical category; chance agreement is 1 "

@@ -15,10 +15,14 @@ REML criterion
 
     (n - p) log(sigma_e^2(theta)) + log|W(theta)| + log|X' W(theta)^-1 X|
 
-reduces to per-student sufficient statistics and is minimized over theta by
-bracketed golden-section search to 1e-8.  Fixed effects and their standard
-errors come from GLS at the optimum; at theta = 0 the fit coincides with
-ordinary least squares.
+reduces to sums of per-student sufficient statistics over the students of
+each group size, kept as Python floats.  The criterion is evaluated in plain
+float arithmetic: each theta forms the 3x3 system and factors it with an
+unrolled L D L', since a numpy call would cost more in dispatch than the
+few dozen flops of the work.  It is minimized over theta by bracketed
+golden-section search to 1e-8.  The fixed effects and the standard error of
+beta1 come from the same factorisation at the optimum; at theta = 0 the fit
+coincides with ordinary least squares.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ CONDITION_CODES = {"trad": 0.0, "vibe": 1.0}
 
 _GOLDEN_TOL = 1e-8
 _THETA_MAX = 1e6
+_SINGULAR = "singular fixed-effect design: X' W^-1 X is not positive definite"
 
 
 @dataclass(frozen=True)
@@ -168,23 +173,24 @@ def simulate_cohort(
 
 @dataclass(frozen=True)
 class _Sufficient:
-    """Per-group-size aggregates of per-student sufficient statistics."""
+    """The fit's sufficient statistics, as Python floats.
 
-    sizes: np.ndarray  # distinct group sizes T
-    counts: np.ndarray  # number of students with each size
-    sum_outer: np.ndarray  # per size: sum_j (X_j' 1)(X_j' 1)'   (shape k, p, p)
-    sum_cross: np.ndarray  # per size: sum_j (X_j' 1)(1' y_j)    (shape k, p)
-    sum_square: np.ndarray  # per size: sum_j (1' y_j)^2          (shape k,)
-    xtx: np.ndarray
-    xty: np.ndarray
-    yty: float
+    A statistic tuple holds the six distinct entries (00, 01, 02, 11, 12, 22)
+    of a symmetric 3x3 matrix built from X, the three entries of a matching
+    vector built from X and y, and one scalar built from y.
+    """
+
+    total: tuple[float, ...]  # X'X, X'y, y'y
+    # Per distinct group size T: (T, number of students with that size,
+    # sum_j (X_j' 1)(X_j' 1)', sum_j (X_j' 1)(1' y_j), sum_j (1' y_j)^2).
+    groups: tuple[tuple[float, float, tuple[float, ...]], ...]
     n: int
-    p: int
+    dof: int  # n minus the three fixed effects
 
 
 def _prepare(data: CohortDataset) -> _Sufficient:
     data.validate()
-    cond = np.array([CONDITION_CODES[c] for c in data.conditions.tolist()])
+    cond = (data.conditions == "vibe").astype(float)  # as in CONDITION_CODES
     X = np.column_stack([np.ones(len(data)), cond, data.times])
     y = np.asarray(data.y, dtype=float)
     students = np.asarray(data.students)
@@ -193,66 +199,87 @@ def _prepare(data: CohortDataset) -> _Sufficient:
     _, starts, counts_per_student = np.unique(
         students, return_index=True, return_counts=True
     )
-    p = X.shape[1]
     sums_x = np.add.reduceat(X, starts, axis=0)  # X_j' 1 per student
     sums_y = np.add.reduceat(y, starts)  # 1' y_j per student
     by_size: dict[int, list[int]] = {}
     for idx, size in enumerate(counts_per_student.tolist()):
         by_size.setdefault(size, []).append(idx)
-    sizes = np.array(sorted(by_size), dtype=float)
-    counts = np.array([len(by_size[int(t)]) for t in sizes], dtype=float)
-    sum_outer = np.stack(
-        [
-            np.einsum("jp,jq->pq", sums_x[by_size[int(t)]], sums_x[by_size[int(t)]])
-            for t in sizes
-        ]
-    )
-    sum_cross = np.stack(
-        [sums_x[by_size[int(t)]].T @ sums_y[by_size[int(t)]] for t in sizes]
-    )
-    sum_square = np.array(
-        [float(np.sum(sums_y[by_size[int(t)]] ** 2)) for t in sizes]
-    )
+
+    def pack(outer: np.ndarray, cross: np.ndarray, square: float) -> tuple[float, ...]:
+        (o00, o01, o02), (_, o11, o12), (_, _, o22) = outer.tolist()
+        return (o00, o01, o02, o11, o12, o22, *cross.tolist(), float(square))
+
+    groups = []
+    for size in sorted(by_size):
+        gx, gy = sums_x[by_size[size]], sums_y[by_size[size]]
+        sums = pack(np.einsum("jp,jq->pq", gx, gx), gx.T @ gy, np.sum(gy**2))
+        groups.append((float(size), float(len(by_size[size])), sums))
     return _Sufficient(
-        sizes=sizes,
-        counts=counts,
-        sum_outer=sum_outer,
-        sum_cross=sum_cross,
-        sum_square=sum_square,
-        xtx=X.T @ X,
-        xty=X.T @ y,
-        yty=float(y @ y),
+        total=pack(X.T @ X, X.T @ y, y @ y),
+        groups=tuple(groups),
         n=len(y),
-        p=p,
+        dof=len(y) - X.shape[1],
     )
 
 
 def _gls(stats: _Sufficient, theta: float):
-    """GLS pieces at a variance ratio theta (error variance profiled out)."""
-    shrink = theta / (1.0 + stats.sizes * theta)  # per size: c_T
-    A = stats.xtx - np.einsum("k,kpq->pq", shrink, stats.sum_outer)
-    b = stats.xty - shrink @ stats.sum_cross
-    q = stats.yty - float(shrink @ stats.sum_square)
-    try:
-        beta = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(f"singular fixed-effect design: {exc}") from exc
-    rss = max(q - float(beta @ b), 0.0)
-    dof = stats.n - stats.p
-    sigma2 = rss / dof
-    logdet_w = float(stats.counts @ np.log1p(stats.sizes * theta))
-    sign, logdet_a = np.linalg.slogdet(A)
-    if sign <= 0:
-        raise FitError("fixed-effect information matrix is not positive definite")
-    return beta, sigma2, A, logdet_w, logdet_a
+    """GLS pieces at a variance ratio theta (error variance profiled out).
+
+    Forms A = X' W^-1 X, b = X' W^-1 y and q = y' W^-1 y (times sigma_e^2)
+    and factors A = L D L' with unit lower-triangular L.  Returns beta,
+    sigma_e^2, log|W|, log|A| and (A^-1)_11.
+    """
+    # Sum c_T times each size's statistics first, then subtract from the
+    # totals: at large theta the difference cancels most of the digits.
+    s00 = s01 = s02 = s11 = s12 = s22 = s0 = s1 = s2 = ss = logdet_w = 0.0
+    for size, count, (o00, o01, o02, o11, o12, o22, c0, c1, c2, cs) in stats.groups:
+        shrink = theta / (1.0 + size * theta)  # c_T
+        s00 += shrink * o00
+        s01 += shrink * o01
+        s02 += shrink * o02
+        s11 += shrink * o11
+        s12 += shrink * o12
+        s22 += shrink * o22
+        s0 += shrink * c0
+        s1 += shrink * c1
+        s2 += shrink * c2
+        ss += shrink * cs
+        logdet_w += count * math.log1p(size * theta)
+    t00, t01, t02, t11, t12, t22, t0, t1, t2, ts = stats.total
+    a00, a01, a02 = t00 - s00, t01 - s01, t02 - s02
+    a11, a12, a22 = t11 - s11, t12 - s12, t22 - s22
+    b0, b1, b2, q = t0 - s0, t1 - s1, t2 - s2, ts - ss
+    # An unrolled L D L' factorisation; `not d > 0` also refuses a NaN pivot.
+    if not a00 > 0.0:
+        raise FitError(_SINGULAR)
+    l10, l20 = a01 / a00, a02 / a00
+    d1 = a11 - l10 * a01
+    if not d1 > 0.0:
+        raise FitError(_SINGULAR)
+    l21 = (a12 - l20 * a01) / d1
+    d2 = a22 - l20 * a02 - l21 * l21 * d1
+    if not d2 > 0.0:
+        raise FitError(_SINGULAR)
+    z1 = b1 - l10 * b0
+    beta2 = (b2 - l20 * b0 - l21 * z1) / d2
+    beta1 = z1 / d1 - l21 * beta2
+    beta0 = b0 / a00 - l10 * beta1 - l20 * beta2
+    rss = max(q - (beta0 * b0 + beta1 * b1 + beta2 * b2), 0.0)
+    return (
+        (beta0, beta1, beta2),
+        rss / stats.dof,
+        logdet_w,
+        math.log(a00 * d1 * d2),
+        1.0 / d1 + l21 * l21 / d2,
+    )
 
 
 def _reml_criterion(stats: _Sufficient, theta: float) -> float:
-    _, sigma2, _, logdet_w, logdet_a = _gls(stats, theta)
+    _, sigma2, logdet_w, logdet_a, _ = _gls(stats, theta)
     if sigma2 <= 0.0:
         # A perfect fit makes the criterion unbounded below; treat as -inf.
         return -math.inf
-    return (stats.n - stats.p) * math.log(sigma2) + logdet_w + logdet_a
+    return stats.dof * math.log(sigma2) + logdet_w + logdet_a
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -277,14 +304,20 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 def fit_mixed(data: CohortDataset) -> MixedModelFit:
     """REML fit of the random-intercept model to a cohort dataset."""
     stats = _prepare(data)
-    students = set(np.asarray(data.students).tolist())
-    by_condition: dict[str, set[int]] = {"trad": set(), "vibe": set()}
-    for student, cond in zip(data.students.tolist(), data.conditions.tolist()):
-        by_condition[cond].add(student)
-    if min(len(v) for v in by_condition.values()) < 2:
+    vibe = data.conditions == "vibe"
+    arms = (~vibe, vibe)
+    students = [set(data.students[arm].tolist()) for arm in arms]
+    if min(len(group) for group in students) < 2:
         raise ValidationError("need at least two students per condition")
     if len(set(data.occasions.tolist())) < 2:
         raise ValidationError("need at least two occasions")
+    # X = [1, condition, time] loses rank exactly when time is constant within
+    # each condition.  Rounding can leave the last pivot of such a design a
+    # hair above zero, so the data are tested, not the pivot.
+    if all(np.ptp(data.times[arm]) == 0.0 for arm in arms):
+        raise FitError(
+            "singular fixed-effect design: time is constant within each condition"
+        )
 
     def criterion(theta: float) -> float:
         return _reml_criterion(stats, theta)
@@ -303,26 +336,28 @@ def fit_mixed(data: CohortDataset) -> MixedModelFit:
     # it when it beats the interior point found by the search.
     if criterion(0.0) <= criterion(theta):
         theta = 0.0
-    beta, sigma2, A, logdet_w, logdet_a = _gls(stats, theta)
-    dof = stats.n - stats.p
-    covariance = sigma2 * np.linalg.inv(A)
-    se1 = float(math.sqrt(covariance[1, 1]))
+    (beta0, beta1, beta2), sigma2, logdet_w, logdet_a, ainv11 = _gls(stats, theta)
+    if sigma2 <= 0.0:
+        raise FitError(
+            "residual variance is zero: the fixed effects fit every observation exactly"
+        )
+    se1 = math.sqrt(sigma2 * ainv11)
     z975 = inverse_normal_cdf(0.975)
     reml_loglik = -0.5 * (
-        dof * math.log(2.0 * math.pi * sigma2) + logdet_w + logdet_a + dof
+        stats.dof * math.log(2.0 * math.pi * sigma2) + logdet_w + logdet_a + stats.dof
     )
     return MixedModelFit(
-        beta0=float(beta[0]),
-        beta1=float(beta[1]),
-        beta2=float(beta[2]),
-        sigma_u=float(math.sqrt(theta * sigma2)),
-        sigma_e=float(math.sqrt(sigma2)),
+        beta0=beta0,
+        beta1=beta1,
+        beta2=beta2,
+        sigma_u=math.sqrt(theta * sigma2),
+        sigma_e=math.sqrt(sigma2),
         se_beta1=se1,
-        ci95_beta1=(float(beta[1] - z975 * se1), float(beta[1] + z975 * se1)),
+        ci95_beta1=(beta1 - z975 * se1, beta1 + z975 * se1),
         theta=float(theta),
-        reml_loglik=float(reml_loglik),
+        reml_loglik=reml_loglik,
         n_obs=stats.n,
-        n_students=len(students),
+        n_students=len(students[0]) + len(students[1]),
     )
 
 

@@ -85,6 +85,25 @@ def test_else_if_chain_counts_each_guard():
     assert cfg_entropy(cfg) == 3.0
 
 
+def test_else_if_chain_blocks_and_edges_keep_their_order():
+    # Each link gets its own join block; the joins chain innermost first.
+    text = (
+        "if (a < 1) { x = 1 } else if (a < 2) { return 2 } "
+        "else if (a < 3) { x = 3 } else { x = 4 }\ny = 5\n"
+    )
+    data = build_cfg(parse(text)).to_dict()
+    assert [node["stmts"] for node in data["nodes"]] == [
+        [], ["if (a < 1)"], ["y = 5"], ["x = 1"], ["if (a < 2)"], [], ["return 2"],
+        ["if (a < 3)"], [], ["x = 3"], ["x = 4"], [],
+    ]
+    assert [(e["from"], e["to"], e["label"]) for e in data["edges"]] == [
+        (0, 1, "seq"), (1, 3, "true"), (3, 2, "seq"), (1, 4, "false"),
+        (4, 6, "true"), (6, 11, "seq"), (4, 7, "false"), (7, 9, "true"),
+        (9, 8, "seq"), (7, 10, "false"), (10, 8, "seq"), (8, 5, "seq"),
+        (5, 2, "seq"), (2, 11, "seq"),
+    ]
+
+
 def test_return_jumps_to_exit():
     text = "if (a < 0) { return }\nx = 1\n"
     cfg = build_cfg(parse(text))

@@ -1,6 +1,9 @@
 """Command-line behavior: reports, file sets, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +96,22 @@ def test_longest_integer_literal_parses(tmp_path, capsys):
     unit = tmp_path / "unit.vcp"
     unit.write_text("x = " + "9" * 1000 + "\n")
     assert run(["metrics", str(unit)]) == 0
+
+
+def test_long_else_if_chain_has_metrics(fixtures, tmp_path, capsys):
+    # 600 links used to overflow the stack in cfg.build_cfg (two frames a link).
+    unit = tmp_path / "chain.vcp"
+    unit.write_text("if (a < b) { x = 1 }" + " else if (a < b) { x = 1 }" * 600 + "\n")
+    assert run(["metrics", str(unit)]) == 0
+    report, _ = _json_out(capsys)
+    assert report["records"][0]["cc"] == 602
+    study = fixtures / "study"
+    assert run([
+        "egap", "--transcript", str(study / "transcripts" / "s01.txt"),
+        "--ontology", str(study / "ontology.json"), "--code", str(unit),
+    ]) == 0
+    report, _ = _json_out(capsys)
+    assert report["h_c"] == 601.0
 
 
 # --- config plumbing ----------------------------------------------------------
@@ -544,6 +563,37 @@ def test_simulate_then_fit_round_trip(tmp_path, capsys):
     assert abs(report["beta1"] - 0.4) < 3.5 * report["se_beta1"]
 
 
+def test_fit_byte_identical_reports(tmp_path):
+    cohort = tmp_path / "cohort"
+    assert run([
+        "simulate", "--beta0", "1.0", "--beta1", "0.4", "--beta2", "0.2",
+        "--sigma-u", "0.5", "--sigma-e", "0.5",
+        "--n-per-condition", "20", "--occasions", "4", "--out", str(cohort),
+    ]) == 0
+    for name in ("a", "b"):
+        assert run([
+            "fit", "--data", str(cohort / "cohort.jsonl"), "--out", str(tmp_path / name)
+        ]) == 0
+    for report in (tmp_path / "a").iterdir():
+        assert report.read_bytes() == (tmp_path / "b" / report.name).read_bytes()
+
+
+def test_fit_of_an_exact_cohort_is_exit_2(tmp_path, capsys):
+    # Zero residual variance used to end in a math domain error traceback.
+    cohort = tmp_path / "cohort"
+    assert run([
+        "simulate", "--beta0", "1", "--beta1", "0", "--beta2", "0",
+        "--sigma-u", "0", "--sigma-e", "0",
+        "--n-per-condition", "3", "--occasions", "2", "--out", str(cohort),
+    ]) == 0
+    capsys.readouterr()
+    assert run(["fit", "--data", str(cohort / "cohort.jsonl")]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("vcp: computation error: residual variance is zero")
+    assert captured.out == ""
+
+
 def test_simulate_without_out_embeds_records(capsys):
     code = run([
         "simulate", "--beta0", "0.0", "--beta1", "0.1", "--beta2", "0.0",
@@ -611,3 +661,24 @@ def test_kappa_csv(tmp_path, capsys):
     report, _ = _json_out(capsys)
     assert report["kappa"] == pytest.approx(0.8, abs=1e-12)
     assert report["n"] == 100
+
+
+def test_kappa_does_not_depend_on_string_hashing(repo_root, tmp_path):
+    # Summing chance agreement over a set used to move the last digit with
+    # PYTHONHASHSEED: -0.4285714285714287 or -0.4285714285714285.
+    path = tmp_path / "ratings.csv"
+    path.write_text("a,b\nnone,minor\nminor,none\nminor,minor\nmajor,minor\nminor,major\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
+    )
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3", "5", "7"):
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "vibecheck", "kappa", "--data", str(path)],
+            capture_output=True, env=env, check=True,
+        )
+        outputs.add(proc.stdout)
+    [output] = outputs
+    assert json.loads(output)["kappa"] == -0.4285714285714287

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vibecheck.errors import ValidationError
+from vibecheck.errors import FitError, ValidationError
 from vibecheck.stats.mixed import (
     CohortDataset,
     GeneratingParams,
@@ -147,6 +147,13 @@ def test_zero_student_variance_hits_boundary():
     assert fit.theta == 0.0
     assert fit.sigma_u == 0.0
     assert 0.4 < fit.sigma_e < 0.6
+
+
+def test_fit_of_constant_outcome_is_a_fit_error():
+    # sigma_e = 0 exactly; log(2 pi sigma^2) used to raise a math domain error.
+    flat = [(s, o, c, t, 3.0) for s, o, c, t, _ in _TINY_ROWS]
+    with pytest.raises(FitError, match="residual variance is zero"):
+        fit_mixed(_dataset(flat))
 
 
 def test_fit_requires_replication():
