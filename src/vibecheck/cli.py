@@ -9,6 +9,9 @@ report embeds the resolved configuration and the seeds used.  Exit codes:
 With ``--out DIR`` the machine report(s), a human summary, and any
 plot-ready column files are written under DIR and the summary is printed;
 without it the machine JSON goes to stdout and the summary to stderr.
+
+The stats handlers (power, simulate, fit, spearman, kappa) import the stats
+layer when they run, so the other subcommands start without numpy.
 """
 
 from __future__ import annotations
@@ -33,18 +36,6 @@ from vibecheck.reporting import (
     write_json,
     write_jsonl,
 )
-from vibecheck.stats import (
-    GeneratingParams,
-    PowerSpec,
-    attrition_target,
-    cohens_kappa,
-    fit_mixed,
-    required_n,
-    simulate_cohort,
-    spearman,
-)
-from vibecheck.stats.mixed import read_cohort, write_cohort
-from vibecheck.stats.power import stated_target_exceeds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -494,6 +485,13 @@ def _break_even_between_conditions(students, weights) -> Optional[float]:
 
 
 def _cmd_power(args) -> int:
+    from vibecheck.stats.power import (
+        PowerSpec,
+        attrition_target,
+        required_n,
+        stated_target_exceeds,
+    )
+
     config = _config(args, "replicates", "cohort_rounding")
     sink = _Sink(args.out)
     spec = PowerSpec(effect_size_d=args.d, alpha=args.alpha, target_power=args.target_power,
@@ -544,6 +542,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
+
     config = _config(args)
     sink = _Sink(args.out)
     params = GeneratingParams(
@@ -575,6 +575,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from vibecheck.stats.mixed import fit_mixed, read_cohort
+
     config = _config(args)
     sink = _Sink(args.out)
     dataset = read_cohort(args.data)
@@ -592,6 +594,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_spearman(args) -> int:
+    from vibecheck.stats.spearman import spearman
+
     config = _config(args)
     sink = _Sink(args.out)
     data = read_csv(args.data, ("x", "y"), _finite)
@@ -609,6 +613,8 @@ def _cmd_spearman(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
+    from vibecheck.stats.kappa import cohens_kappa
+
     config = _config(args)
     sink = _Sink(args.out)
     data = read_csv(args.data, ("a", "b"))

@@ -108,3 +108,5 @@ def _validate(config: RunConfig) -> None:
         raise ValidationError("epsilon must be positive")
     if not (0.0 <= config.trap_fraction <= 1.0):
         raise ValidationError("trap_fraction must lie in [0, 1]")
+    if config.seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {config.seed}")

@@ -15,6 +15,9 @@ by its structural complexity (natural log; ``cc >= 1`` always, and cc = 1
 with beta = 0 makes omega exactly 0, which is reported as degenerate).  The
 weights come from an expert calibration chosen so that experts who rebuild
 unassisted at their assisted pace score 1.
+
+numpy is imported inside the calibration and decay fits, not with this
+module, so scoring a student pair runs without it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from vibecheck.codemetrics import CodeMetrics, metrics, parse
 from vibecheck.codemetrics.nodes import SourceUnit
@@ -214,6 +215,8 @@ def calibrate_omega(
     inconsistent rank-deficient system is a calibration error naming the
     collinear rows.
     """
+    import numpy as np
+
     if len(pairs) < 2:
         raise ValidationError("calibration needs at least two expert pairs")
     rows = []
@@ -247,6 +250,8 @@ def calibration_mean_score(
     idle_gap: float = DEFAULT_IDLE_GAP,
 ) -> float:
     """Mean retention score of the calibration's own baseline pairs."""
+    import numpy as np
+
     scores = [
         m_csr(build, refactor, calibration, idle_gap=idle_gap).m_csr
         for build, refactor in pairs
@@ -317,6 +322,8 @@ def fit_decay(observations: Sequence[tuple[float, float]]) -> DecayFit:
     Fitted in log space (``ln s = ln s0 - lam * t``); observations with
     ``s <= 0`` cannot enter the log fit and are excluded but counted.
     """
+    import numpy as np
+
     usable = [(t, s) for t, s in observations if s > 0.0]
     excluded = len(observations) - len(usable)
     if len(usable) < 2:

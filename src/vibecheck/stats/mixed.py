@@ -209,13 +209,22 @@ def _prepare(data: CohortDataset) -> _Sufficient:
         (o00, o01, o02), (_, o11, o12), (_, _, o22) = outer.tolist()
         return (o00, o01, o02, o11, o12, o22, *cross.tolist(), float(square))
 
-    groups = []
-    for size in sorted(by_size):
-        gx, gy = sums_x[by_size[size]], sums_y[by_size[size]]
-        sums = pack(np.einsum("jp,jq->pq", gx, gx), gx.T @ gy, np.sum(gy**2))
-        groups.append((float(size), float(len(by_size[size])), sums))
+    # Sums past the float range are refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        groups = []
+        for size in sorted(by_size):
+            gx, gy = sums_x[by_size[size]], sums_y[by_size[size]]
+            sums = pack(np.einsum("jp,jq->pq", gx, gx), gx.T @ gy, np.sum(gy**2))
+            groups.append((float(size), float(len(by_size[size])), sums))
+        total = pack(X.T @ X, X.T @ y, y @ y)
+    every_sum = [total, *(sums for _, _, sums in groups)]
+    if not all(math.isfinite(v) for sums in every_sum for v in sums):
+        raise FitError(
+            "the cohort's sums of squares overflow a float: y spans "
+            f"[{y.min():.6g}, {y.max():.6g}] and time [{X[:, 2].min():.6g}, {X[:, 2].max():.6g}]"
+        )
     return _Sufficient(
-        total=pack(X.T @ X, X.T @ y, y @ y),
+        total=total,
         groups=tuple(groups),
         n=len(y),
         dof=len(y) - X.shape[1],

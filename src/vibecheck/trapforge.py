@@ -33,7 +33,7 @@ from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import NotApplicableError, ValidationError
 from vibecheck.io import read_jsonl
 from vibecheck.reporting import write_json, write_jsonl
-from vibecheck.rng import make_rng
+from vibecheck.rng import PhiloxStream
 
 DEFECT_KINDS = (
     "inverted-condition",
@@ -211,7 +211,7 @@ def inject(unit: N.SourceUnit, kind: str, seed: int = 0) -> tuple[str, MutationS
     sites = applicable_sites(unit, kind)
     if not sites:
         raise NotApplicableError(kind, unit.name)
-    site = sites[int(make_rng(seed).integers(len(sites)))]
+    site = sites[PhiloxStream(seed).integers(len(sites))]
     return _apply(unit, kind, site)
 
 
@@ -247,8 +247,8 @@ def generate_corpus(
 
     n = len(origins)
     requested = int(math.floor(trap_fraction * n + 0.5))
-    top_rng = make_rng(seed)
-    chosen = set(top_rng.choice(n, size=requested, replace=False).tolist()) if requested else set()
+    top_rng = PhiloxStream(seed)
+    chosen = set(top_rng.sample(n, requested))
 
     drafts: list[tuple[N.SourceUnit, str, Optional[str], Optional[MutationSite]]] = []
     shortfall = 0
@@ -256,22 +256,22 @@ def generate_corpus(
         if index not in chosen:
             drafts.append((unit, unit.text, None, None))
             continue
-        item_rng = make_rng(seed, index)
+        item_rng = PhiloxStream(seed, index)
         sites_by_kind = {k: applicable_sites(unit, k) for k in DEFECT_KINDS}
         kinds = [k for k in DEFECT_KINDS if sites_by_kind[k]]
         if not kinds:
             shortfall += 1
             drafts.append((unit, unit.text, None, None))
             continue
-        kind = kinds[int(item_rng.integers(len(kinds)))]
+        kind = kinds[item_rng.integers(len(kinds))]
         sites = sites_by_kind[kind]
-        site = sites[int(item_rng.integers(len(sites)))]
+        site = sites[item_rng.integers(len(sites))]
         drafts.append((unit, *_apply_for_corpus(unit, kind, site)))
 
     # Fisher-Yates over presentation order, seeded by the corpus seed.
     order = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = int(top_rng.integers(i + 1))
+        j = top_rng.integers(i + 1)
         order[i], order[j] = order[j], order[i]
 
     width = max(3, len(str(n - 1)))

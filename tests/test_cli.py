@@ -156,6 +156,31 @@ def test_unknown_config_key_is_exit_1(fixtures, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["traps", "generate", "--origins", "{fixtures}/origins", "--seed=-1", "--out", "{tmp}"],
+        ["power", "--d", "0.8", "--replicates", "1000", "--seed=-1"],
+        ["spearman", "--data", "{fixtures}/spearman/quiz_scores.csv",
+         "--permutations", "1000", "--seed=-3"],
+        ["simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2", "--sigma-u", "0.5",
+         "--sigma-e", "0.5", "--n-per-condition", "4", "--occasions", "2", "--seed=-2"],
+        ["traps", "generate", "--origins", "{fixtures}/origins", "--config", "{tmp}/run.json",
+         "--out", "{tmp}/corpus"],
+    ],
+    ids=["traps", "power", "spearman", "simulate", "config-file"],
+)
+def test_negative_seed_is_exit_1(fixtures, tmp_path, capsys, argv):
+    # Each of these used to end in a traceback from numpy's SeedSequence.
+    (tmp_path / "run.json").write_text(json.dumps({"seed": -5}))
+    argv = [a.replace("{fixtures}", str(fixtures)).replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("vcp: error: seed must be a non-negative integer, got -")
+    assert captured.out == ""
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
@@ -592,6 +617,32 @@ def test_fit_of_an_exact_cohort_is_exit_2(tmp_path, capsys):
     [line] = captured.err.splitlines()
     assert line.startswith("vcp: computation error: residual variance is zero")
     assert captured.out == ""
+
+
+def test_fit_of_an_overflowing_outcome_is_one_error_line(repo_root, tmp_path):
+    # The sums of squares used to print numpy overflow warnings first.
+    cohort = tmp_path / "cohort"
+    assert run([
+        "simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2",
+        "--sigma-u", "0.5", "--sigma-e", "0.5",
+        "--n-per-condition", "4", "--occasions", "3", "--out", str(cohort),
+    ]) == 0
+    records = [json.loads(line) for line in (cohort / "cohort.jsonl").read_text().splitlines()]
+    scaled = tmp_path / "scaled.jsonl"
+    scaled.write_text("".join(json.dumps({**r, "y": r["y"] * 1e200}) + "\n" for r in records))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "vibecheck", "fit", "--data", str(scaled)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("vcp: computation error: the cohort's sums of squares overflow")
+    assert "y spans [" in line
+    assert proc.stdout == ""
 
 
 def test_simulate_without_out_embeds_records(capsys):

@@ -156,6 +156,7 @@ def test_missing_file_rejected(tmp_path):
         ({"idle_gap": 0.0}, "idle_gap"),
         ({"epsilon": -1e-9}, "epsilon"),
         ({"trap_fraction": 1.5}, "trap_fraction"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
     ],
 )
 def test_resolved_config_is_validated(overrides, message):

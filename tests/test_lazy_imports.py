@@ -1,0 +1,100 @@
+"""numpy loads only for the commands that compute with it.
+
+The commands of the study path (metrics, sdt, traps generate, retention,
+egap, score) and the study driver run without importing numpy; the stats
+commands import it when they run.  Each check runs in a fresh interpreter,
+since this test process has numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+
+def _python(repo_root, code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True, text=True, env=env, cwd=repo_root, check=True,
+    )
+
+
+def test_cli_import_leaves_numpy_unloaded(repo_root):
+    proc = _python(repo_root, "import sys, vibecheck.cli; print('numpy' in sys.modules)")
+    assert proc.stdout.strip() == "False"
+
+
+def test_study_path_commands_leave_numpy_unloaded(repo_root, tmp_path):
+    commands = [
+        ["metrics", "fixtures/ifelse.vcp"],
+        ["sdt", "--responses", "fixtures/study/responses.jsonl"],
+        ["traps", "generate", "--origins", "fixtures/origins", "--out", str(tmp_path / "traps")],
+        ["retention", "--build", "fixtures/session/build.log",
+         "--refactor", "fixtures/session/refactor.log", "--allow-uncalibrated"],
+        ["egap", "--transcript", "fixtures/study/transcripts/s01.txt",
+         "--ontology", "fixtures/study/ontology.json", "--code", "fixtures/study/target.vcp"],
+        ["score", "--records", "fixtures/zones/boundary_records.jsonl"],
+    ]
+    code = """
+        import contextlib, io, json, sys
+        from vibecheck.cli import run
+        result = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                exit_code = run(argv)
+            result.append([argv[0], exit_code, "numpy" in sys.modules])
+        print(json.dumps(result))
+    """
+    proc = _python(repo_root, code, json.dumps(commands))
+    assert json.loads(proc.stdout) == [[argv[0], 0, False] for argv in commands]
+
+
+def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):
+    code = """
+        import runpy, sys
+        sys.argv = ["run_study.py", "--fixtures", "fixtures/study", "--out", sys.argv[1]]
+        runpy.run_path("scripts/run_study.py", run_name="__main__")
+        print("numpy" in sys.modules)
+    """
+    proc = _python(repo_root, code, str(tmp_path / "study"))
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "study" / "score" / "score_report.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [["power", "--d", "0.8", "--replicates", "1000"]],
+        [
+            ["simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2",
+             "--sigma-u", "0.5", "--sigma-e", "0.5", "--n-per-condition", "4",
+             "--occasions", "2", "--out", "{tmp}"],
+            ["fit", "--data", "{tmp}/cohort.jsonl"],
+        ],
+        [["spearman", "--data", "fixtures/spearman/quiz_scores.csv",
+          "--permutations", "1000"]],
+    ],
+    ids=["power", "simulate-fit", "spearman"],
+)
+def test_stats_commands_import_numpy_on_demand(repo_root, tmp_path, steps):
+    argvs = [[arg.replace("{tmp}", str(tmp_path)) for arg in argv] for argv in steps]
+    code = """
+        import contextlib, io, json, sys
+        from vibecheck.cli import run
+        codes = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(run(argv))
+        print(json.dumps([codes, "numpy" in sys.modules]))
+    """
+    proc = _python(repo_root, code, json.dumps(argvs))
+    assert json.loads(proc.stdout) == [[0] * len(argvs), True]
