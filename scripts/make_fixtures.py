@@ -166,9 +166,7 @@ def _pick_origins(first_seed: int, count: int) -> list[tuple[str, str]]:
     while len(candidates) < 40:
         text = random_program(seed=seed)
         unit = parse(text, name=f"cand_{seed}")
-        kinds = frozenset(
-            k for k in trapforge.DEFECT_KINDS if trapforge.applicable_sites(unit, k)
-        )
+        kinds = frozenset(k for k, sites in trapforge.applicable_sites(unit).items() if sites)
         if kinds:
             candidates.append((seed, text, kinds))
         seed += 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -56,6 +57,7 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vcp", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vcp {__version__}")

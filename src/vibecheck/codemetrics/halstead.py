@@ -25,7 +25,6 @@ counts and volume exactly 0.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,72 +42,49 @@ class HalsteadCounts:
     volume_v: float
 
 
-def _count(node: N.Node, operators: Counter, operands: Counter) -> None:
-    if isinstance(node, (N.Program, N.Block)):
-        for stmt in node.body:
-            _count(stmt, operators, operands)
-    elif isinstance(node, N.Assign):
-        operators["="] += 1
-        operands[("ident", node.target)] += 1
-        _count(node.value, operators, operands)
-    elif isinstance(node, N.If):
-        operators["if"] += 1
-        _count(node.cond, operators, operands)
-        _count(node.then, operators, operands)
-        if node.orelse is not None:
-            _count(node.orelse, operators, operands)
-    elif isinstance(node, N.While):
-        operators["while"] += 1
-        _count(node.cond, operators, operands)
-        _count(node.body, operators, operands)
-    elif isinstance(node, N.For):
-        operators["for"] += 1
-        _count(node.init, operators, operands)
-        _count(node.cond, operators, operands)
-        _count(node.update, operators, operands)
-        _count(node.body, operators, operands)
-    elif isinstance(node, N.Return):
-        operators["return"] += 1
-        if node.value is not None:
-            _count(node.value, operators, operands)
-    elif isinstance(node, N.CallStmt):
-        _count(node.call, operators, operands)
-    elif isinstance(node, N.Binary):
-        operators[node.op] += 1
-        _count(node.left, operators, operands)
-        _count(node.right, operators, operands)
-    elif isinstance(node, N.Unary):
-        operators[node.op] += 1
-        _count(node.operand, operators, operands)
-    elif isinstance(node, N.Call):
-        operators["call"] += 1
-        operands[("ident", node.func)] += 1
-        for arg in node.args:
-            _count(arg, operators, operands)
-    elif isinstance(node, N.Index):
-        operators["index"] += 1
-        operands[("ident", node.base)] += 1
-        _count(node.index, operators, operands)
-    elif isinstance(node, N.Name):
-        operands[("ident", node.ident)] += 1
-    elif isinstance(node, N.IntLit):
-        operands[("int", node.value)] += 1
-    elif isinstance(node, N.StrLit):
-        operands[("str", node.value)] += 1
-    else:
-        raise TypeError(f"unknown node: {node!r}")
+_KEYWORDS = {N.If: "if", N.While: "while", N.For: "for", N.Return: "return"}
+
+
+def _count(program: N.Program) -> tuple[list, list]:
+    """Every operator and operand occurrence, in one pass over ``walk``."""
+    operators: list = []
+    operands: list = []
+    operator = operators.append
+    operand = operands.append
+    for node in N.walk(program):
+        cls = type(node)
+        if cls is N.Name:
+            operand(("ident", node.ident))
+        elif cls is N.Binary or cls is N.Unary:
+            operator(node.op)
+        elif cls is N.IntLit:
+            operand(("int", node.value))
+        elif cls is N.Assign:
+            operator("=")
+            operand(("ident", node.target))
+        elif cls is N.Call:
+            operator("call")
+            operand(("ident", node.func))
+        elif cls is N.Index:
+            operator("index")
+            operand(("ident", node.base))
+        elif cls is N.StrLit:
+            operand(("str", node.value))
+        elif cls in _KEYWORDS:
+            operator(_KEYWORDS[cls])
+        elif cls is not N.Program and cls is not N.Block and cls is not N.CallStmt:
+            raise TypeError(f"unknown node: {node!r}")
+    return operators, operands
 
 
 def halstead(unit: Union[N.SourceUnit, N.Program]) -> HalsteadCounts:
     """Count operators/operands and compute volume for one source unit."""
     program = unit.ast if isinstance(unit, N.SourceUnit) else unit
-    operators: Counter = Counter()
-    operands: Counter = Counter()
-    _count(program, operators, operands)
-    n1 = len(operators)
-    n2 = len(operands)
-    total_n1 = sum(operators.values())
-    total_n2 = sum(operands.values())
+    operators, operands = _count(program)
+    n1 = len(set(operators))
+    n2 = len(set(operands))
+    total_n1 = len(operators)
+    total_n2 = len(operands)
     vocabulary = n1 + n2
     length = total_n1 + total_n2
     volume = float(length) * math.log2(vocabulary) if vocabulary else 0.0

@@ -283,39 +283,50 @@ def pretty_print(program: Program) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_LEAVES = frozenset((Name, IntLit, StrLit))
+
+
 def walk(node: Node):
-    """Yield ``node`` and every descendant in a deterministic pre-order."""
+    """Yield ``node`` and every descendant in a deterministic pre-order.
+
+    Dispatch is on the exact node type, leaves first; the node classes have
+    no subclasses.
+    """
     stack = [node]
     push = stack.append
+    pop = stack.pop
     while stack:
-        node = stack.pop()
+        node = pop()
         yield node
+        cls = type(node)
+        if cls in _LEAVES:
+            continue
         # Children go on the stack last-first, so the first one comes out next.
-        if isinstance(node, Binary):
+        if cls is Binary:
             push(node.right)
             push(node.left)
-        elif isinstance(node, (Program, Block)):
-            stack.extend(reversed(node.body))
-        elif isinstance(node, Assign):
+        elif cls is Assign:
             push(node.value)
-        elif isinstance(node, If):
+        elif cls is Block or cls is Program:
+            stack.extend(reversed(node.body))
+        elif cls is Call:
+            stack.extend(reversed(node.args))
+        elif cls is If:
             if node.orelse is not None:
                 push(node.orelse)
             push(node.then)
             push(node.cond)
-        elif isinstance(node, While):
+        elif cls is Index:
+            push(node.index)
+        elif cls is Unary:
+            push(node.operand)
+        elif cls is CallStmt:
+            push(node.call)
+        elif cls is While:
             push(node.body)
             push(node.cond)
-        elif isinstance(node, For):
+        elif cls is For:
             stack.extend((node.body, node.update, node.cond, node.init))
-        elif isinstance(node, Return):
+        elif cls is Return:
             if node.value is not None:
                 push(node.value)
-        elif isinstance(node, CallStmt):
-            push(node.call)
-        elif isinstance(node, Unary):
-            push(node.operand)
-        elif isinstance(node, Call):
-            stack.extend(reversed(node.args))
-        elif isinstance(node, Index):
-            push(node.index)

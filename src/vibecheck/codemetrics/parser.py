@@ -129,19 +129,27 @@ class _Parser:
         return Assign(self.texts[name_at], value, span=(self.starts[name_at], value.span[1]))
 
     def parse_if(self) -> If:
-        start = self.starts[self.i]
-        self.i += 1
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        then = self.parse_block()
+        # An ``else if`` chain is read in a loop, not by recursion, then folded
+        # from its last link outwards; every link's span ends where the chain does.
+        links = []
         orelse = None
-        end = then.span[1]
-        if self.keys[self.i] == "else":
+        while True:
+            start = self.starts[self.i]
             self.i += 1
-            orelse = self.parse_if() if self.keys[self.i] == "if" else self.parse_block()
-            end = orelse.span[1]
-        return If(cond, then, orelse, span=(start, end))
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
+            links.append((start, cond, self.parse_block()))
+            if self.keys[self.i] != "else":
+                break
+            self.i += 1
+            if self.keys[self.i] != "if":
+                orelse = self.parse_block()
+                break
+        end = (links[-1][2] if orelse is None else orelse).span[1]
+        for start, cond, then in reversed(links):
+            orelse = If(cond, then, orelse, span=(start, end))
+        return orelse
 
     def parse_while(self) -> While:
         start = self.starts[self.i]

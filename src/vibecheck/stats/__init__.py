@@ -1,38 +1,5 @@
-"""Statistics engine: power analysis, estimation, and the cohort simulator."""
+"""Statistics engine: power analysis, estimation, and the cohort simulator.
 
-from vibecheck.stats.kappa import cohens_kappa
-from vibecheck.stats.mixed import (
-    CohortDataset,
-    GeneratingParams,
-    MixedModelFit,
-    fit_mixed,
-    simulate_cohort,
-)
-from vibecheck.stats.power import (
-    AttritionTarget,
-    PowerResult,
-    PowerSpec,
-    analytic_n,
-    attrition_target,
-    mc_power,
-    required_n,
-)
-from vibecheck.stats.spearman import SpearmanResult, spearman
-
-__all__ = [
-    "cohens_kappa",
-    "CohortDataset",
-    "GeneratingParams",
-    "MixedModelFit",
-    "fit_mixed",
-    "simulate_cohort",
-    "AttritionTarget",
-    "PowerResult",
-    "PowerSpec",
-    "analytic_n",
-    "attrition_target",
-    "mc_power",
-    "required_n",
-    "SpearmanResult",
-    "spearman",
-]
+Import each module directly (``vibecheck.stats.power`` and so on): the package
+re-exports nothing, so ``kappa`` and ``tdist`` load without numpy.
+"""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -85,130 +86,107 @@ class _Site:
     description: str
 
 
-def _comparison_sites(unit: N.SourceUnit, table: dict[str, str]) -> list[_Site]:
-    sites = []
-    for node in N.walk(unit.ast):
-        if isinstance(node, N.Binary) and node.op in table:
-            sites.append(
-                _Site(
-                    span=node.op_span,
-                    replacement=table[node.op],
-                    description=f"comparison '{node.op}' replaced by '{table[node.op]}'",
-                )
-            )
-    return sites
+def applicable_sites(unit: N.SourceUnit) -> dict[str, list[_Site]]:
+    """The mutation sites of every defect kind, keyed by kind, from one walk.
 
-
-def _loop_guard_sites(unit: N.SourceUnit) -> list[_Site]:
-    sites = []
-    for node in N.walk(unit.ast):
-        if isinstance(node, (N.While, N.For)):
-            cond = node.cond
-            if isinstance(cond, N.Binary) and cond.op in _SHIFT_BOUND:
-                new_op = _SHIFT_BOUND[cond.op]
-                sites.append(
-                    _Site(
-                        span=cond.op_span,
-                        replacement=new_op,
-                        description=f"loop bound '{cond.op}' relaxed to '{new_op}'",
-                    )
-                )
-    return sites
-
-
-def _contains_index(node: N.Node) -> bool:
-    return any(isinstance(sub, N.Index) for sub in N.walk(node))
-
-
-def _bounds_guard_sites(unit: N.SourceUnit) -> list[_Site]:
-    sites = []
-    for node in N.walk(unit.ast):
-        if (
-            isinstance(node, N.If)
-            and node.orelse is None
-            and isinstance(node.cond, N.Binary)
-            and node.cond.op in _SHIFT_BOUND
-            and _contains_index(node.then)
-        ):
-            inner = unit.text[node.then.span[0] + 1 : node.then.span[1] - 1].strip()
-            sites.append(
-                _Site(
-                    span=node.span,
-                    replacement=inner,
-                    description="bounds-guard if removed around subscript access",
-                )
-            )
-    return sites
-
-
-def _sink_sites(unit: N.SourceUnit) -> list[_Site]:
-    sites = []
-    for node in N.walk(unit.ast):
-        if isinstance(node, N.Call) and node.func in SINK_FUNCTIONS:
-            for arg in node.args:
-                if isinstance(arg, N.Call) and arg.func == SANITIZER and arg.args:
-                    start = arg.args[0].span[0]
-                    end = arg.args[-1].span[1]
-                    sites.append(
-                        _Site(
-                            span=arg.span,
-                            replacement=unit.text[start:end],
-                            description=f"sanitize() wrapper removed inside {node.func}() call",
-                        )
-                    )
-    return sites
-
-
-def _guard_names(cond: N.Expr) -> set[str]:
-    return {sub.ident for sub in N.walk(cond) if isinstance(sub, N.Name)}
-
-
-def _dropped_update_sites(unit: N.SourceUnit) -> list[_Site]:
+    Each kind lists its sites in the pre-order of the nodes they sit on; the
+    seeded draws index into these lists, so the order is part of the output.
+    A node lies inside a block exactly when its span does, and pre-order is
+    source order, so subscripts and assignments inside a body are looked up
+    by position instead of by walking the body again.
+    """
+    text = unit.text
+    inverted: list[_Site] = []
+    loop_bound: list[_Site] = []
+    sink: list[_Site] = []
+    guard_ifs: list[N.If] = []
+    loops: list[Union[N.While, N.For]] = []
+    index_starts: list[int] = []
+    assigns: list[N.Assign] = []
     # For-header init/update clauses are loop syntax, not body statements;
     # deleting one would leave an unparseable header.
-    header_clauses = {
-        id(clause)
-        for node in N.walk(unit.ast)
-        if isinstance(node, N.For)
-        for clause in (node.init, node.update)
-    }
-    sites = []
+    header_clauses: set[int] = set()
     for node in N.walk(unit.ast):
-        if isinstance(node, (N.While, N.For)):
-            guard_vars = _guard_names(node.cond)
-            for sub in N.walk(node.body):
-                if (
-                    isinstance(sub, N.Assign)
-                    and sub.target in guard_vars
-                    and id(sub) not in header_clauses
-                ):
-                    sites.append(
-                        _Site(
-                            span=sub.span,
-                            replacement="",
-                            description=f"loop-variable update '{sub.target} = ...' deleted",
+        cls = type(node)
+        if cls is N.Binary:
+            op = node.op
+            if op in _NEGATE:
+                new_op = _NEGATE[op]
+                inverted.append(
+                    _Site(node.op_span, new_op, f"comparison '{op}' replaced by '{new_op}'")
+                )
+        elif cls is N.Assign:
+            if id(node) not in header_clauses:
+                assigns.append(node)
+        elif cls is N.Index:
+            index_starts.append(node.span[0])
+        elif cls is N.Call:
+            if node.func in SINK_FUNCTIONS:
+                for arg in node.args:
+                    if type(arg) is N.Call and arg.func == SANITIZER and arg.args:
+                        inner = text[arg.args[0].span[0] : arg.args[-1].span[1]]
+                        sink.append(
+                            _Site(
+                                arg.span,
+                                inner,
+                                f"sanitize() wrapper removed inside {node.func}() call",
+                            )
                         )
-                    )
-    return sites
+        elif cls is N.If:
+            cond = node.cond
+            if node.orelse is None and type(cond) is N.Binary and cond.op in _SHIFT_BOUND:
+                guard_ifs.append(node)
+        elif cls is N.While or cls is N.For:
+            loops.append(node)
+            if cls is N.For:
+                header_clauses.update((id(node.init), id(node.update)))
+            cond = node.cond
+            if type(cond) is N.Binary and cond.op in _SHIFT_BOUND:
+                new_op = _SHIFT_BOUND[cond.op]
+                loop_bound.append(
+                    _Site(cond.op_span, new_op, f"loop bound '{cond.op}' relaxed to '{new_op}'")
+                )
 
+    bounds_guard = []
+    for node in guard_ifs:
+        lo, hi = node.then.span
+        i = bisect_left(index_starts, lo)
+        if i < len(index_starts) and index_starts[i] < hi:
+            bounds_guard.append(
+                _Site(
+                    node.span,
+                    text[lo + 1 : hi - 1].strip(),
+                    "bounds-guard if removed around subscript access",
+                )
+            )
 
-def applicable_sites(unit: N.SourceUnit, kind: str) -> list[_Site]:
-    if kind == "inverted-condition":
-        return _comparison_sites(unit, _NEGATE)
-    if kind == "off-by-one":
-        return _loop_guard_sites(unit)
-    if kind == "unchecked-index":
-        return _bounds_guard_sites(unit)
-    if kind == "unsanitized-sink":
-        return _sink_sites(unit)
-    if kind == "dropped-update":
-        return _dropped_update_sites(unit)
-    raise ValidationError(f"unknown defect kind {kind!r}; known kinds: {', '.join(DEFECT_KINDS)}")
+    dropped = []
+    assign_starts = [a.span[0] for a in assigns]
+    for node in loops:
+        guard_vars = {sub.ident for sub in N.walk(node.cond) if type(sub) is N.Name}
+        lo, hi = node.body.span
+        for sub in assigns[bisect_left(assign_starts, lo) : bisect_left(assign_starts, hi)]:
+            if sub.target in guard_vars:
+                dropped.append(
+                    _Site(sub.span, "", f"loop-variable update '{sub.target} = ...' deleted")
+                )
+
+    return {
+        "inverted-condition": inverted,
+        "off-by-one": loop_bound,
+        "unchecked-index": bounds_guard,
+        "unsanitized-sink": sink,
+        "dropped-update": dropped,
+    }
 
 
 def inject(unit: N.SourceUnit, kind: str, seed: int = 0) -> tuple[str, MutationSite]:
     """Apply one seeded mutation of ``kind``; returns (mutated source, site)."""
-    sites = applicable_sites(unit, kind)
+    if kind not in DEFECT_KINDS:
+        raise ValidationError(
+            f"unknown defect kind {kind!r}; known kinds: {', '.join(DEFECT_KINDS)}"
+        )
+    sites = applicable_sites(unit)[kind]
     if not sites:
         raise NotApplicableError(kind, unit.name)
     site = sites[PhiloxStream(seed).integers(len(sites))]
@@ -257,7 +235,7 @@ def generate_corpus(
             drafts.append((unit, unit.text, None, None))
             continue
         item_rng = PhiloxStream(seed, index)
-        sites_by_kind = {k: applicable_sites(unit, k) for k in DEFECT_KINDS}
+        sites_by_kind = applicable_sites(unit)
         kinds = [k for k in DEFECT_KINDS if sites_by_kind[k]]
         if not kinds:
             shortfall += 1

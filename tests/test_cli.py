@@ -114,6 +114,23 @@ def test_long_else_if_chain_has_metrics(fixtures, tmp_path, capsys):
     assert report["h_c"] == 601.0
 
 
+def test_5000_link_else_if_chain_through_metrics_and_traps(tmp_path, capsys):
+    # 2,000 links used to exhaust the parser's stack (one frame a link).
+    origins = tmp_path / "origins"
+    origins.mkdir()
+    unit = origins / "chain.vcp"
+    unit.write_text("if (a < b) { x = 1 }" + " else if (a < b) { x = 1 }" * 5000 + "\n")
+    assert run(["metrics", str(unit)]) == 0
+    report, _ = _json_out(capsys)
+    assert report["records"][0]["cc"] == 5002
+    assert report["records"][0]["N1"] == 5001 * 3
+    out = tmp_path / "corpus"
+    assert run(["traps", "generate", "--origins", str(origins), "--fraction", "1",
+                "--out", str(out)]) == 0
+    [record] = [json.loads(line) for line in (out / "answer_key.jsonl").read_text().splitlines()]
+    assert record["ground_truth"] == "trap"
+
+
 # --- config plumbing ----------------------------------------------------------
 
 
@@ -190,6 +207,50 @@ def test_version_flag():
 def test_unknown_subcommand_is_exit_1(capsys):
     assert run(["transmogrify"]) == 1
     assert "vcp: error" in capsys.readouterr().err
+
+
+def test_usage_error_after_a_successful_call_is_one_error_line(fixtures, capsys):
+    assert run(["metrics", str(fixtures / "ifelse.vcp")]) == 0
+    capsys.readouterr()
+    assert run(["metrics"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("vcp: error:")
+    assert run(["sdt", "--responses", str(fixtures / "study" / "responses.jsonl"),
+                "--k", "x"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("vcp: error:") and "'x'" in line
+
+
+def test_back_to_back_subcommands_write_what_fresh_runs_write(repo_root, fixtures, tmp_path):
+    # The argparse parser is built once per process; no option may carry over
+    # from one call to the next.
+    responses = str(fixtures / "study" / "responses.jsonl")
+    steps = [
+        ["traps", "generate", "--origins", str(fixtures / "origins"), "--seed", "3",
+         "--fraction", "0.8", "--out", "traps"],
+        ["metrics", str(fixtures / "ifelse.vcp"), "--seed", "5", "--out", "metrics"],
+        ["sdt", "--responses", responses, "--k", "2", "--delta", "0.1", "--out", "sdt_flags"],
+        ["sdt", "--responses", responses, "--out", "sdt"],
+        ["traps", "generate", "--origins", str(fixtures / "origins"), "--out", "traps_default"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
+    )
+    for step in steps:
+        *argv, out = step
+        assert run([*argv, str(tmp_path / "together" / out)]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "vibecheck", *argv, str(tmp_path / "fresh" / out)],
+            capture_output=True, env=env, check=True,
+        )
+    together = sorted(p.relative_to(tmp_path / "together")
+                      for p in (tmp_path / "together").rglob("*") if p.is_file())
+    fresh = sorted(p.relative_to(tmp_path / "fresh")
+                   for p in (tmp_path / "fresh").rglob("*") if p.is_file())
+    assert together == fresh and len(together) > 20
+    for rel in together:
+        assert (tmp_path / "together" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes(), rel
 
 
 # --- sdt ----------------------------------------------------------------------

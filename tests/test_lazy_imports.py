@@ -1,9 +1,9 @@
 """numpy loads only for the commands that compute with it.
 
 The commands of the study path (metrics, sdt, traps generate, retention,
-egap, score) and the study driver run without importing numpy; the stats
-commands import it when they run.  Each check runs in a fresh interpreter,
-since this test process has numpy loaded already.
+egap, score), ``kappa`` and the study driver run without importing numpy; the
+other stats commands import it when they run.  Each check runs in a fresh
+interpreter, since this test process has numpy loaded already.
 """
 
 import json
@@ -55,6 +55,20 @@ def test_study_path_commands_leave_numpy_unloaded(repo_root, tmp_path):
     """
     proc = _python(repo_root, code, json.dumps(commands))
     assert json.loads(proc.stdout) == [[argv[0], 0, False] for argv in commands]
+
+
+def test_kappa_leaves_numpy_unloaded(repo_root, tmp_path):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("a,b\nnone,minor\nminor,minor\nmajor,major\n")
+    code = """
+        import contextlib, io, sys
+        from vibecheck.cli import run
+        with contextlib.redirect_stdout(io.StringIO()):
+            exit_code = run(["kappa", "--data", sys.argv[1]])
+        print(exit_code, "numpy" in sys.modules)
+    """
+    proc = _python(repo_root, code, str(ratings))
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):

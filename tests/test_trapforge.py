@@ -64,7 +64,7 @@ def test_dropped_update_deletes_loop_advance():
 @pytest.mark.parametrize("kind", DEFECT_KINDS)
 def test_injection_is_deterministic_per_seed(fixtures, kind):
     for unit in _load_origins(fixtures):
-        if not applicable_sites(unit, kind):
+        if not applicable_sites(unit)[kind]:
             continue
         assert inject(unit, kind, seed=5) == inject(unit, kind, seed=5)
 
@@ -72,7 +72,7 @@ def test_injection_is_deterministic_per_seed(fixtures, kind):
 @pytest.mark.parametrize("kind", DEFECT_KINDS)
 def test_mutations_differ_at_exactly_the_recorded_site(fixtures, kind):
     for unit in _load_origins(fixtures):
-        if not applicable_sites(unit, kind):
+        if not applicable_sites(unit)[kind]:
             continue
         mutated, site = inject(unit, kind, seed=5)
         assert mutated != unit.text
@@ -87,7 +87,7 @@ def test_mutations_differ_at_exactly_the_recorded_site(fixtures, kind):
 @pytest.mark.parametrize("kind", DEFECT_KINDS)
 def test_every_mutation_reparses(fixtures, kind):
     for unit in _load_origins(fixtures):
-        if not applicable_sites(unit, kind):
+        if not applicable_sites(unit)[kind]:
             continue
         mutated, _ = inject(unit, kind, seed=5)
         parse(mutated)
@@ -104,7 +104,7 @@ def test_unchecked_index_lowers_cc_by_one():
 
 def test_inverted_condition_preserves_cc(fixtures):
     for unit in _load_origins(fixtures):
-        if not applicable_sites(unit, "inverted-condition"):
+        if not applicable_sites(unit)["inverted-condition"]:
             continue
         mutated, _ = inject(unit, "inverted-condition", seed=5)
         assert cyclomatic_complexity(build_cfg(parse(mutated))) == cyclomatic_complexity(
@@ -121,13 +121,13 @@ def test_not_applicable_raises():
 
 def test_off_by_one_needs_a_loop_guard():
     unit = parse("if (a < b) {\n  x = 1\n}\n", name="u")
-    assert applicable_sites(unit, "off-by-one") == []
-    assert applicable_sites(unit, "inverted-condition") != []
+    assert applicable_sites(unit)["off-by-one"] == []
+    assert applicable_sites(unit)["inverted-condition"] != []
 
 
 def test_sanitize_outside_sink_is_not_a_site():
     unit = parse("x = sanitize(y)\nlog(sanitize(z))\n", name="u")
-    assert applicable_sites(unit, "unsanitized-sink") == []
+    assert applicable_sites(unit)["unsanitized-sink"] == []
 
 
 def test_unknown_kind_rejected():
@@ -138,7 +138,7 @@ def test_unknown_kind_rejected():
 def test_fixture_origins_cover_every_kind(fixtures):
     origins = _load_origins(fixtures)
     for kind in DEFECT_KINDS:
-        assert any(applicable_sites(u, kind) for u in origins), kind
+        assert any(applicable_sites(u)[kind] for u in origins), kind
 
 
 # --- corpus generation --------------------------------------------------------
