@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse
 from vibecheck.config import RunConfig, resolve_config
 from vibecheck.errors import ComputationError, ValidationError, VcpError
 from vibecheck.explainability import e_gap, load_ontology
-from vibecheck.io import as_finite, read_csv, read_json, read_jsonl, read_text
+from vibecheck.io import as_finite, csv_rows, read_csv, read_json, read_jsonl, read_text
 from vibecheck.reporting import (
     dumps_record,
     human_table,
@@ -619,9 +620,9 @@ def _cmd_kappa(args) -> int:
 
     config = _config(args)
     sink = _Sink(args.out)
-    data = read_csv(args.data, ("a", "b"))
-    kappa = cohens_kappa(data["a"], data["b"])
-    record = {"kappa": kappa, "n": len(data["a"])}
+    counts = Counter(csv_rows(args.data, ("a", "b")))
+    kappa = cohens_kappa(counts)
+    record = {"kappa": kappa, "n": sum(counts.values())}
     report = {"command": "kappa", "config": config.to_dict(), **record}
     summary = human_table([record], ["n", "kappa"])
     sink.emit("kappa", report, summary)

@@ -263,12 +263,17 @@ def _render_stmt(stmt: Stmt, indent: int) -> list[str]:
     if isinstance(stmt, If):
         lines = _attach_header(f"if ({render_expr(stmt.cond)})", _render_block(stmt.then, indent), indent)
         orelse = stmt.orelse
+        # An ``else if`` chain renders link by link in a loop, so its length
+        # costs no stack.
+        while isinstance(orelse, If):
+            chained = _attach_header(
+                f"if ({render_expr(orelse.cond)})", _render_block(orelse.then, indent), indent
+            )
+            lines[-1] = lines[-1] + " else " + chained[0].lstrip()
+            lines.extend(chained[1:])
+            orelse = orelse.orelse
         if orelse is None:
             return lines
-        if isinstance(orelse, If):
-            chained = _render_stmt(orelse, indent)
-            lines[-1] = lines[-1] + " else " + chained[0].lstrip()
-            return lines + chained[1:]
         else_lines = _attach_header("else", _render_block(orelse, indent), indent)
         lines[-1] = lines[-1] + " " + else_lines[0].lstrip()
         return lines + else_lines[1:]

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Optional, TypeVar, Union
+from typing import Any, Callable, Iterator, Optional, TypeVar, Union
 
 from vibecheck.errors import ValidationError
 
@@ -23,10 +25,12 @@ T = TypeVar("T")
 
 
 @contextlib.contextmanager
-def _opened(path: PathLike, what: str = "file", newline: Optional[str] = None):
+def _opened(
+    path: PathLike, what: str = "file", newline: Optional[str] = None, encoding: str = "utf-8"
+):
     """The file as UTF-8 text; open and decode failures name the path."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding=encoding, newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ValidationError(
@@ -88,13 +92,18 @@ def read_jsonl(path: PathLike, row_fn: Callable[[dict], T], what: str) -> list[T
     return rows
 
 
-def read_csv(
+def csv_rows(
     path: PathLike, columns: tuple[str, ...], cast: Optional[Callable[[str], Any]] = None
-) -> dict[str, list]:
-    """The named columns of a headed CSV file, as strings or ``cast`` of each
-    cell.  Blank rows are skipped; short rows and bad cells name
-    ``path:line``; a repeated header name means its last column."""
-    with _opened(path, newline="") as fh:
+) -> Iterator[tuple]:
+    """One tuple of the named cells, as strings or ``cast`` of each cell, per
+    data row of a headed CSV file, read as the file streams.
+
+    A leading UTF-8 byte-order mark is not part of the first header name.
+    Blank rows are skipped; a repeated header name means its last column.  A
+    missing column, a short row, a bad cell, a malformed file and a file
+    without data rows raise ``ValidationError`` naming ``path`` (and line).
+    """
+    with _opened(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -104,31 +113,41 @@ def read_csv(
                     f"{path}: expected CSV columns {', '.join(columns)}; got "
                     f"{', '.join(header) or 'none'}"
                 )
-            data: dict[str, list] = {c: [] for c in columns}
-            targets = [(c, data[c], index[c]) for c in columns]
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    if cast is None:
-                        for _, values, i in targets:
-                            values.append(row[i])
-                    else:
-                        for c, values, i in targets:
-                            values.append(cast(row[i]))
-                except IndexError:
-                    raise ValidationError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields"
-                    ) from None
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(
-                        f"{path}:{reader.line_num}: bad {c!r} value: {exc}"
-                    ) from exc
+            rows = filter(None, reader)
+            first = next(rows, None)
+            if first is None:
+                raise ValidationError(f"{path}: no data rows")
+            rows = itertools.chain((first,), rows)
+            if cast is None:
+                get = itemgetter(*(index[c] for c in columns))
+                # One index makes ``itemgetter`` return the cell, not a 1-tuple.
+                pick = get if len(columns) > 1 else lambda row: (get(row),)
+                yield from map(pick, rows)
+            else:
+                targets = [(c, index[c]) for c in columns]
+                for row in rows:
+                    cells = []
+                    try:
+                        for c, i in targets:
+                            cells.append(cast(row[i]))
+                    except (TypeError, ValueError) as exc:
+                        raise ValidationError(
+                            f"{path}:{reader.line_num}: bad {c!r} value: {exc}"
+                        ) from exc
+                    yield tuple(cells)
+        except IndexError:
+            raise ValidationError(
+                f"{path}:{reader.line_num}: expected {len(header)} fields"
+            ) from None
         except csv.Error as exc:
             raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not data[columns[0]]:
-        raise ValidationError(f"{path}: no data rows")
-    return data
+
+
+def read_csv(
+    path: PathLike, columns: tuple[str, ...], cast: Optional[Callable[[str], Any]] = None
+) -> dict[str, list]:
+    """The named columns of ``csv_rows(path, columns, cast)``, one list each."""
+    return dict(zip(columns, map(list, zip(*csv_rows(path, columns, cast)))))
 
 
 def as_bool(value: Any) -> bool:

@@ -1,30 +1,48 @@
-"""Cohen's kappa for two raters over a shared category set."""
+"""Cohen's kappa for two raters over a shared category set.
+
+Kappa's sufficient statistic is the table of (rater a, rater b) label-pair
+counts, so ``cohens_kappa`` takes that table: a caller can count pairs as
+they stream in and hold k x k entries for k categories, whatever the number
+of ratings.  ``pair_counts`` builds the table from two rating sequences.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 from vibecheck.errors import DegenerateAgreementError, ValidationError
 
 
-def cohens_kappa(rater_a: Sequence, rater_b: Sequence) -> float:
-    """Chance-corrected agreement ``(p_o - p_e) / (1 - p_e)``.
+def pair_counts(rater_a: Sequence, rater_b: Sequence) -> Counter:
+    """The count of each ``(a, b)`` label pair over two paired rating vectors."""
+    if len(rater_a) != len(rater_b):
+        raise ValidationError(
+            f"rating vectors differ in length: {len(rater_a)} vs {len(rater_b)}"
+        )
+    return Counter(zip(rater_a, rater_b))
+
+
+def cohens_kappa(counts: Mapping[tuple[Hashable, Hashable], int]) -> float:
+    """Chance-corrected agreement ``(p_o - p_e) / (1 - p_e)`` from a table of
+    ``(a, b)`` label-pair counts.
 
     Chance agreement ``p_e`` is the product of the raters' marginal category
     frequencies.  When both raters use a single identical category, ``p_e``
     is 1 and the statistic is undefined.
     """
-    if len(rater_a) != len(rater_b):
-        raise ValidationError(
-            f"rating vectors differ in length: {len(rater_a)} vs {len(rater_b)}"
-        )
-    n = len(rater_a)
+    n = sum(counts.values())
     if n < 1:
         raise ValidationError("need at least one paired rating")
-    observed = sum(1 for a, b in zip(rater_a, rater_b) if a == b) / n
-    freq_a = Counter(rater_a)
-    freq_b = Counter(rater_b)
+    agreements = 0
+    freq_a: Counter = Counter()
+    freq_b: Counter = Counter()
+    for (a, b), count in counts.items():
+        if a == b:
+            agreements += count
+        freq_a[a] += count
+        freq_b[b] += count
+    observed = agreements / n
     # Summed in sorted order: a set's order follows string hashing, which
     # changes from process to process and would move the last bits.
     categories = sorted(freq_a.keys() | freq_b.keys())

@@ -84,19 +84,29 @@ class CohortDataset:
                 raise ValidationError(f"column {name!r} has wrong length")
         if n == 0:
             raise ValidationError("empty cohort dataset")
-        pairs = set(zip(self.students.tolist(), self.occasions.tolist()))
-        if len(pairs) != n:
+        # Sorted by (student, occasion), a repeated pair sits next to its twin
+        # and each student's rows form one run.
+        order = np.lexsort((self.occasions, self.students))
+        students, occasions = self.students[order], self.occasions[order]
+        same_student = students[1:] == students[:-1]
+        if np.any(same_student & (occasions[1:] == occasions[:-1])):
             raise ValidationError("duplicate (student, occasion) observation")
-        per_student: dict[int, set[str]] = {}
-        for student, condition in zip(self.students.tolist(), self.conditions.tolist()):
-            if condition not in CONDITION_CODES:
-                raise ValidationError(f"unknown condition {condition!r}")
-            per_student.setdefault(student, set()).add(condition)
-        for student, conds in per_student.items():
-            if len(conds) != 1:
-                raise ValidationError(
-                    f"student {student} appears under multiple conditions"
-                )
+        vibe = self.conditions == "vibe"
+        unknown = np.flatnonzero(~vibe & (self.conditions != "trad"))
+        if unknown.size:
+            condition = self.conditions.tolist()[unknown[0]]
+            raise ValidationError(f"unknown condition {condition!r}")
+        vibe = vibe[order]
+        crossed = same_student & (vibe[1:] != vibe[:-1])
+        if np.any(crossed):
+            # Name the crossed student whose first row comes first.
+            run_starts = np.flatnonzero(np.concatenate(([True], ~same_student)))
+            first_rows = np.minimum.reduceat(order, run_starts)
+            run_of = np.cumsum(~same_student)  # run of sorted row k + 1
+            first = first_rows[run_of[crossed]].min()
+            raise ValidationError(
+                f"student {self.students.tolist()[first]} appears under multiple conditions"
+            )
 
     def records(self) -> list[dict]:
         return [

@@ -116,9 +116,15 @@ def mc_power(n: int, spec: PowerSpec) -> float:
     rng = make_rng(spec.seed, n)
     z = rng.standard_normal(spec.replicates)
     v = rng.chisquare(df, spec.replicates)
-    t = (z + shift) / np.sqrt(v / df)
+    # t = |z + shift| / sqrt(v / df), formed in place in z: the same operations
+    # in the same order, without a temporary array per step.
+    v /= df
+    np.sqrt(v, out=v)
+    z += shift
+    z /= v
+    t = np.abs(z, out=z)
     crit = tdist.ppf(1.0 - spec.alpha / 2.0, df)
-    return float(np.mean(np.abs(t) > crit))
+    return float(np.mean(t > crit))
 
 
 def required_n(spec: PowerSpec) -> PowerResult:

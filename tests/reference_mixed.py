@@ -4,6 +4,11 @@ sufficient statistics, GLS pieces from ``np.linalg.solve`` and
 ``np.linalg.inv`` at the optimum.  Test-only reference:
 ``tests/test_mixed_oracle.py`` checks the production fit against it.  Kept
 verbatim; do not edit.
+
+``validate`` is ``CohortDataset.validate`` as it stood before it moved to
+sorted array work: a set of (student, occasion) pairs and a dict of each
+student's conditions.  ``tests/test_mixed_oracle.py`` checks that the
+production method refuses the same cohorts with the same messages.
 """
 
 from __future__ import annotations
@@ -182,3 +187,30 @@ def fit_mixed(data: CohortDataset) -> MixedModelFit:
         n_obs=stats.n,
         n_students=len(students),
     )
+
+
+def validate(self: CohortDataset) -> None:
+    n = len(self.y)
+    for name, column in (
+        ("students", self.students),
+        ("occasions", self.occasions),
+        ("conditions", self.conditions),
+        ("times", self.times),
+    ):
+        if len(column) != n:
+            raise ValidationError(f"column {name!r} has wrong length")
+    if n == 0:
+        raise ValidationError("empty cohort dataset")
+    pairs = set(zip(self.students.tolist(), self.occasions.tolist()))
+    if len(pairs) != n:
+        raise ValidationError("duplicate (student, occasion) observation")
+    per_student: dict[int, set[str]] = {}
+    for student, condition in zip(self.students.tolist(), self.conditions.tolist()):
+        if condition not in CONDITION_CODES:
+            raise ValidationError(f"unknown condition {condition!r}")
+        per_student.setdefault(student, set()).add(condition)
+    for student, conds in per_student.items():
+        if len(conds) != 1:
+            raise ValidationError(
+                f"student {student} appears under multiple conditions"
+            )

@@ -19,6 +19,7 @@ from vibecheck.io import (
     as_bool,
     as_finite,
     as_int,
+    csv_rows,
     read_csv,
     read_json,
     read_jsonl,
@@ -177,23 +178,49 @@ def test_read_csv_repeated_header_takes_the_last_column(tmp_path):
     assert read_csv(path, ("a",)) == {"a": ["last"]}
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("x,z\n1,2\n", "expected CSV columns x, y; got x, z"),
-        ("", "expected CSV columns x, y; got none"),
-        ("x,y\n\n", "no data rows"),
-        ("x,y\n1,2\n\n3\n", ":4: expected 2 fields"),
-        ("x,y\n1,2\n3,oops\n", ":3: bad 'y' value"),
-        ("x,y\n1," + "9" * 200_000 + "\n", ":2: field larger than field limit"),
-    ],
-)
+_CSV_REFUSALS = [
+    ("x,z\n1,2\n", "expected CSV columns x, y; got x, z"),
+    ("", "expected CSV columns x, y; got none"),
+    ("x,y\n\n", "no data rows"),
+    ("x,y\n1,2\n\n3\n", ":4: expected 2 fields"),
+    ("x,y\n1,2\n3,oops\n", ":3: bad 'y' value"),
+    ("x,y\noops,2\n", ":2: bad 'x' value"),
+    # Cells are read in column order: a bad cell before the row runs out.
+    ("x,y\noops\n", ":2: bad 'x' value"),
+    ("x,y\n1," + "9" * 200_000 + "\n", ":2: field larger than field limit"),
+]
+
+
+@pytest.mark.parametrize("text, message", _CSV_REFUSALS)
 def test_read_csv_refusals_name_the_path(tmp_path, text, message):
     path = tmp_path / "xy.csv"
     path.write_text(text)
     with pytest.raises(ValidationError, match=str(path)) as caught:
         read_csv(path, ("x", "y"), float)
     assert message in str(caught.value)
+
+
+@pytest.mark.parametrize("text, message", _CSV_REFUSALS)
+def test_csv_rows_refusals_name_the_path(tmp_path, text, message):
+    path = tmp_path / "xy.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=str(path)) as caught:
+        list(csv_rows(path, ("x", "y"), float))
+    assert message in str(caught.value)
+
+
+def test_csv_rows_yields_one_tuple_per_row_as_it_reads(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("id,a,b\n1,minor,major\n\n2,none,none\n3\n")
+    rows = csv_rows(path, ("b", "a"))
+    assert next(rows) == ("major", "minor")
+    assert next(rows) == ("none", "none")
+    with pytest.raises(ValidationError, match=f"{path}:5: expected 3 fields"):
+        next(rows)
+    one = tmp_path / "one.csv"
+    one.write_text("a\nx\ny\n")
+    assert list(csv_rows(one, ("a",))) == [("x",), ("y",)]
+    assert list(csv_rows(one, ("a",), str.upper)) == [("X",), ("Y",)]
 
 
 # --- scalar helpers ----------------------------------------------------------

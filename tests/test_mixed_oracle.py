@@ -7,14 +7,19 @@ values derived from it may move by the search's tolerance, because the
 criterion is flat near its minimum and last-bit differences flip
 golden-section comparisons.  The criterion value at the new theta must
 then be as good as at the old one.
+
+``CohortDataset.validate`` is checked against the set-and-dict version it
+replaced: the same cohorts pass, and the others fail with the same message.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_mixed as ref
 from vibecheck.cli import run
-from vibecheck.errors import FitError
+from vibecheck.errors import FitError, ValidationError
 from vibecheck.stats import mixed
 from vibecheck.stats.mixed import CohortDataset, GeneratingParams, simulate_cohort
 
@@ -135,3 +140,93 @@ def test_time_confounded_with_condition_is_refused_where_rounding_hides_it():
     )
     with pytest.raises(FitError, match="time is constant within each condition"):
         mixed.fit_mixed(confounded)
+
+
+# --- validate ----------------------------------------------------------------
+
+
+def _verdict(check, data: CohortDataset):
+    try:
+        check(data)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _cohort(rows, conditions_dtype=None) -> CohortDataset:
+    n = len(rows)
+    return CohortDataset(
+        students=np.array([r[0] for r in rows]),
+        occasions=np.array([r[1] for r in rows]),
+        conditions=np.array([r[2] for r in rows], dtype=conditions_dtype),
+        times=np.arange(n, dtype=float),
+        y=np.zeros(n),
+    )
+
+
+def test_validate_passes_what_the_reference_passes(tmp_path):
+    for seed in range(20):
+        data = simulate_cohort(PARAMS, 1 + seed % 7, 1 + seed % 5, seed=seed)
+        assert _verdict(CohortDataset.validate, data) is None
+        assert _verdict(ref.validate, data) is None
+    path = tmp_path / "cohort.jsonl"
+    mixed.write_cohort(_unbalanced(), path)
+    assert _verdict(ref.validate, mixed.read_cohort(path)) is None
+
+
+# Each case fails the reference; the comment names what it probes.
+_INVALID = {
+    # The crossed student listed first is not the lowest id.
+    "first_crossed_by_row": [(5, 0, "trad"), (2, 0, "trad"), (2, 1, "vibe"), (5, 1, "vibe")],
+    # Student 5's first row is not its lowest occasion.
+    "first_row_not_first_occasion": [(5, 1, "trad"), (2, 0, "trad"), (2, 1, "vibe"),
+                                     (5, 0, "vibe")],
+    "crossed_late_row": [(3, 0, "trad"), (1, 0, "vibe"), (1, 1, "vibe"), (3, 1, "trad"),
+                         (1, 2, "trad")],
+    "unknown_beats_crossed": [(0, 0, "trad"), (0, 1, "vibe"), (1, 0, "control")],
+    "first_unknown_by_row": [(0, 0, "trad"), (1, 0, "placebo"), (2, 0, "Vibe")],
+    "duplicate_beats_unknown": [(0, 0, "control"), (1, 0, "trad"), (1, 0, "trad")],
+    "duplicate_apart": [(4, 2, "vibe"), (0, 0, "trad"), (4, 1, "vibe"), (4, 2, "vibe")],
+    "negative_ids": [(-3, 0, "trad"), (7, 0, "vibe"), (-3, 1, "vibe")],
+    "float_ids": [(1.5, 0.0, "trad"), (1.5, 1.0, "vibe")],
+    "empty_condition": [(0, 0, "")],
+}
+
+
+@pytest.mark.parametrize("rows", _INVALID.values(), ids=_INVALID.keys())
+@pytest.mark.parametrize("conditions_dtype", [None, object], ids=["str", "object"])
+def test_validate_refuses_what_the_reference_refuses(rows, conditions_dtype):
+    data = _cohort(rows, conditions_dtype)
+    expected = _verdict(ref.validate, data)
+    assert expected is not None
+    assert _verdict(CohortDataset.validate, data) == expected
+
+
+def test_validate_refuses_short_columns_and_empty_cohorts():
+    good = simulate_cohort(PARAMS, 2, 2, seed=0)
+    for name in ("students", "occasions", "conditions", "times"):
+        short = CohortDataset(**{**good.__dict__, name: getattr(good, name)[:-1]})
+        assert _verdict(CohortDataset.validate, short) == _verdict(ref.validate, short)
+        assert name in _verdict(CohortDataset.validate, short)
+    empty = _cohort([])
+    assert _verdict(CohortDataset.validate, empty) == _verdict(ref.validate, empty)
+
+
+_ROW = st.tuples(
+    st.integers(-2, 5),
+    st.integers(0, 3),
+    st.sampled_from(["trad", "vibe", "trad", "vibe", "control"]),
+)
+# Half the draws repeat no (student, occasion) pair, so they reach the
+# condition checks.
+_ROWS = st.one_of(
+    st.lists(_ROW, min_size=1, max_size=24),
+    st.lists(_ROW, min_size=1, max_size=24, unique_by=lambda r: r[:2]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ROWS)
+def test_validate_agrees_with_reference_on_random_cohorts(rows):
+    data = _cohort(rows)
+    assert _verdict(CohortDataset.validate, data) == _verdict(ref.validate, data)

@@ -165,6 +165,29 @@ def test_random_programs_parse_and_render_idempotently(seed):
     assert N.pretty_print(reparsed.ast) == rendered
 
 
+def test_nested_else_if_chain_renders_canonically():
+    text = (
+        "while (a) {\n  if (a < 1) {\n    x = 1\n  } else if (a < 2) { }"
+        " else if (a < 3) {\n    x = 3\n  } else {\n    x = 4\n  }\n}\n"
+    )
+    assert N.pretty_print(parse(text).ast) == text
+
+
+def test_10000_link_else_if_chain_renders_and_reparses():
+    links = [f"if (a < {i}) {{ x = {i} }}" for i in range(10_000)]
+    unit = parse(" else ".join(links) + " else { x = -1 }\n")
+    rendered = N.pretty_print(unit.ast)
+    assert rendered.count(" else if (") == 9_999
+    # Tree equality recurses once per link, so the chains are compared link
+    # by link.
+    old, new = unit.ast.body[0], parse(rendered).ast.body[0]
+    while isinstance(old, N.If):
+        assert isinstance(new, N.If)
+        assert (old.cond, old.then) == (new.cond, new.then)
+        old, new = old.orelse, new.orelse
+    assert old == new == N.Block((N.Assign("x", N.Unary("-", N.IntLit(1))),))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_program_generator_is_deterministic(seed):

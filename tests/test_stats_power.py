@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 
 from vibecheck.errors import SearchError, ValidationError
-from vibecheck.stats import power
+from vibecheck.rng import make_rng
+from vibecheck.stats import power, tdist
 from vibecheck.stats.power import (
     AttritionTarget,
     PowerSpec,
@@ -65,6 +67,21 @@ def test_mc_power_within_five_standard_errors_of_noncentral_t(design, n):
     exact = _exact_power(n, spec)
     se = math.sqrt(exact * (1.0 - exact) / spec.replicates)
     assert abs(mc_power(n, spec) - exact) <= 5.0 * se
+
+
+@pytest.mark.parametrize("design", ["two_sample", "paired"])
+@pytest.mark.parametrize("n", [2, 33, 64, 1000])
+def test_mc_power_in_place_equals_the_expression(design, n):
+    # The draws of mc_power formed as one out-of-place expression.
+    spec = PowerSpec(effect_size_d=0.5, design=design, seed=3)
+    df = n - 1 if design == "paired" else 2 * n - 2
+    shift = 0.5 * math.sqrt(n if design == "paired" else n / 2.0)
+    rng = make_rng(spec.seed, n)
+    z = rng.standard_normal(spec.replicates)
+    v = rng.chisquare(df, spec.replicates)
+    t = (z + shift) / np.sqrt(v / df)
+    crit = tdist.ppf(1.0 - spec.alpha / 2.0, df)
+    assert mc_power(n, spec) == float(np.mean(np.abs(t) > crit))
 
 
 def test_mc_power_deterministic():

@@ -14,7 +14,7 @@ from vibecheck.errors import (
     ValidationError,
 )
 from vibecheck.rng import make_rng
-from vibecheck.stats.kappa import cohens_kappa
+from vibecheck.stats.kappa import cohens_kappa, pair_counts
 from vibecheck.stats.spearman import rank_average, spearman
 
 # Sum of squared rank differences in the quiz fixture is 558, so
@@ -147,21 +147,20 @@ def test_kappa_worked_example():
     # p_o = 0.9, p_e = 0.5, kappa = 0.8.
     a = ["trap"] * 50 + ["clean"] * 50
     b = ["trap"] * 45 + ["clean"] * 5 + ["trap"] * 5 + ["clean"] * 45
-    assert cohens_kappa(a, b) == pytest.approx(0.8, abs=1e-15)
+    assert cohens_kappa(pair_counts(a, b)) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_kappa_perfect_agreement():
     labels = ["a", "b", "a", "c", "b", "a"]
-    assert cohens_kappa(labels, labels) == 1.0
+    assert cohens_kappa(pair_counts(labels, labels)) == 1.0
 
 
 def test_kappa_relabel_invariance():
     a = ["trap", "clean", "trap", "clean", "trap", "trap"]
     b = ["trap", "trap", "trap", "clean", "clean", "trap"]
     mapping = {"trap": 1, "clean": 0}
-    assert cohens_kappa(a, b) == pytest.approx(
-        cohens_kappa([mapping[v] for v in a], [mapping[v] for v in b]), abs=1e-15
-    )
+    relabelled = pair_counts([mapping[v] for v in a], [mapping[v] for v in b])
+    assert cohens_kappa(pair_counts(a, b)) == pytest.approx(cohens_kappa(relabelled), abs=1e-15)
 
 
 def test_kappa_null_distribution_centers_near_zero():
@@ -171,23 +170,23 @@ def test_kappa_null_distribution_centers_near_zero():
     for _ in range(trials):
         a = rng.integers(0, 2, size=100)
         b = rng.integers(0, 2, size=100)
-        total += cohens_kappa(a.tolist(), b.tolist())
+        total += cohens_kappa(pair_counts(a.tolist(), b.tolist()))
     assert abs(total / trials) < 0.01
 
 
 def test_kappa_degenerate_single_category():
     with pytest.raises(DegenerateAgreementError):
-        cohens_kappa(["x", "x", "x"], ["x", "x", "x"])
+        cohens_kappa(pair_counts(["x", "x", "x"], ["x", "x", "x"]))
 
 
 def test_kappa_length_mismatch():
     with pytest.raises(ValidationError, match="length"):
-        cohens_kappa([1, 2], [1, 2, 3])
+        cohens_kappa(pair_counts([1, 2], [1, 2, 3]))
 
 
 def test_kappa_empty_rejected():
     with pytest.raises(ValidationError):
-        cohens_kappa([], [])
+        cohens_kappa(pair_counts([], []))
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +196,7 @@ def test_kappa_never_exceeds_one(seed):
     a = rng.integers(0, 3, size=30).tolist()
     b = rng.integers(0, 3, size=30).tolist()
     try:
-        value = cohens_kappa(a, b)
+        value = cohens_kappa(pair_counts(a, b))
     except DegenerateAgreementError:
         return
     assert value <= 1.0 + 1e-12
