@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import math
 import shutil
 import sys
@@ -23,6 +22,8 @@ import numpy as np
 
 from vibecheck import retention, sdt, trapforge
 from vibecheck.codemetrics import metrics, parse, random_program
+from vibecheck.io import read_json
+from vibecheck.reporting import write_json, write_jsonl
 from vibecheck.retention import SessionEvent, SessionLog, write_session_log
 
 ALPHA_STAR = 0.6     # intended ln(cc) weight for the calibration bundle
@@ -286,9 +287,7 @@ def make_calibration(root: Path) -> Path:
         )
         pair_files.append((b.name, r.name))
 
-    with (cal_dir / "pairs.jsonl").open("w") as fh:
-        for b, r in pair_files:
-            fh.write(json.dumps({"build": b, "refactor": r}, sort_keys=True) + "\n")
+    write_jsonl(cal_dir / "pairs.jsonl", ({"build": b, "refactor": r} for b, r in pair_files))
 
     pairs = [
         (
@@ -307,7 +306,7 @@ def make_calibration(root: Path) -> Path:
             f"({calibration.alpha!r}, {calibration.beta!r})"
         )
     cal_path = cal_dir / "calibration.json"
-    cal_path.write_text(json.dumps(calibration.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(cal_path, calibration.to_dict())
     print(f"calibration: alpha={calibration.alpha!r} beta={calibration.beta!r} mean={mean!r}")
     return cal_path
 
@@ -378,8 +377,8 @@ def make_zones(root: Path) -> None:
         {"student": "z6", "condition": "trad", "m_csr": 0.9, "m_ht": 0.9, "e_gap": 0.2, "t_dev": 4.0},
         {"student": "z7", "condition": "vibe", "m_csr": 0.9, "m_ht": 0.3, "e_gap": 0.2, "t_dev": 2.0},
     ]
-    lines = [json.dumps(r, sort_keys=True) for r in records]
-    _write(root / "zones" / "boundary_records.jsonl", "\n".join(lines) + "\n")
+    (root / "zones").mkdir(parents=True, exist_ok=True)
+    write_jsonl(root / "zones" / "boundary_records.jsonl", records)
 
 
 # --- the end-to-end study bundle -------------------------------------------
@@ -458,15 +457,15 @@ STUDENTS = [
 def make_study(root: Path, calibration_path: Path) -> Path:
     study = root / "study"
     _write(study / "target.vcp", TARGET)
-    _write(study / "ontology.json", json.dumps(ONTOLOGY, indent=2, sort_keys=True) + "\n")
+    write_json(study / "ontology.json", ONTOLOGY)
     for name, text in _pick_origins(first_seed=2000, count=12):
         _write(study / "origins" / f"{name}.vcp", text)
     for sid, text in TRANSCRIPTS.items():
         _write(study / "transcripts" / f"{sid}.txt", text)
     shutil.copyfile(calibration_path, study / "calibration.json")
 
-    calibration = retention.OmegaCalibration.from_dict(
-        json.loads((study / "calibration.json").read_text())
+    calibration = read_json(
+        study / "calibration.json", retention.OmegaCalibration.from_dict, "calibration"
     )
     target_metrics = metrics(parse(TARGET, name="target.vcp"))
     omega_target = (
@@ -497,22 +496,17 @@ def make_study(root: Path, calibration_path: Path) -> Path:
     ]
     corpus = trapforge.generate_corpus(origins, STUDY_FRACTION, STUDY_SEED)
     truths = [item.ground_truth for item in corpus.items]
-    lines = []
+    responses = []
     for index, rec in enumerate(STUDENTS):
         flags = sdt.simulate_reviewer(truths, rec["sensitivity"], seed=9000 + index)
         for item, flagged in zip(corpus.items, flags):
-            lines.append(
-                json.dumps(
-                    {
-                        "reviewer": rec["student"],
-                        "item_id": item.item_id,
-                        "ground_truth": item.ground_truth,
-                        "flagged": flagged,
-                    },
-                    sort_keys=True,
-                )
-            )
-    _write(study / "responses.jsonl", "\n".join(lines) + "\n")
+            responses.append({
+                "reviewer": rec["student"],
+                "item_id": item.item_id,
+                "ground_truth": item.ground_truth,
+                "flagged": flagged,
+            })
+    write_jsonl(study / "responses.jsonl", responses)
 
     meta = {
         "seed": STUDY_SEED,
@@ -522,7 +516,7 @@ def make_study(root: Path, calibration_path: Path) -> Path:
             for r in STUDENTS
         ],
     }
-    _write(study / "study.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(study / "study.json", meta)
     return study
 
 

@@ -7,7 +7,8 @@ composite score report.  Each step runs in this process through
 ``vibecheck.cli.run`` with its output captured; a step that exits non-zero
 stops the study with its argv and error output.  Every randomized step
 takes its seed from the bundle's study.json, so two runs into two
-directories write identical bytes.
+directories write identical bytes.  A malformed bundle or a failed step
+ends the script with one ``run_study: error:`` line and exit code 1.
 
 Usage: python3 scripts/run_study.py --fixtures fixtures/study --out OUT_DIR
 """
@@ -17,10 +18,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
+import sys
 from pathlib import Path
 
 from vibecheck import cli
+from vibecheck.errors import ValidationError, VcpError
+from vibecheck.io import as_finite, as_int, read_json, read_jsonl
+from vibecheck.reporting import write_jsonl
+
+
+class StepFailed(RuntimeError):
+    """A vcp step exited non-zero; the message holds its argv and stderr."""
 
 
 def _vcp(*args: str) -> None:
@@ -28,13 +36,34 @@ def _vcp(*args: str) -> None:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.run(list(args))
     if code != 0:
-        raise RuntimeError(
+        raise StepFailed(
             f"step failed (exit {code}): vcp {' '.join(args)}\n{stderr.getvalue()}"
         )
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _study(meta: dict) -> dict:
+    """study.json: the corpus seed and trap fraction, and each student's id,
+    condition and development hours."""
+    students = [
+        {"student": _text(s["student"]), "condition": _text(s["condition"]),
+         "t_dev": as_finite(s["t_dev"])}
+        for s in meta["students"]
+    ]
+    return {
+        "seed": as_int(meta["seed"]),
+        "trap_fraction": as_finite(meta["trap_fraction"]),
+        "students": students,
+    }
+
+
 def run_study(fixtures: Path, out: Path) -> None:
-    meta = json.loads((fixtures / "study.json").read_text())
+    meta = read_json(fixtures / "study.json", _study, "study description")
     out.mkdir(parents=True, exist_ok=True)
 
     _vcp(
@@ -68,32 +97,30 @@ def run_study(fixtures: Path, out: Path) -> None:
             "--out", str(out / "egap" / sid),
         )
 
-    m_ht_by_reviewer = {}
-    for line in (out / "sdt" / "sdt.jsonl").read_text().splitlines():
-        rec = json.loads(line)
-        m_ht_by_reviewer[rec["reviewer"]] = rec["m_ht"]
-
-    with (out / "records.jsonl").open("w") as fh:
-        for rec in sorted(students, key=lambda r: r["student"]):
-            sid = rec["student"]
-            retention = json.loads(
-                (out / "retention" / sid / "retention.json").read_text()
-            )
-            egap = json.loads((out / "egap" / sid / "egap.json").read_text())
-            fh.write(
-                json.dumps(
-                    {
-                        "student": sid,
-                        "condition": rec["condition"],
-                        "m_csr": retention["m_csr"],
-                        "m_ht": m_ht_by_reviewer[sid],
-                        "e_gap": egap["e_gap"],
-                        "t_dev": rec["t_dev"],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    sdt_path = out / "sdt" / "sdt.jsonl"
+    m_ht_by_reviewer = dict(
+        read_jsonl(sdt_path, lambda rec: (rec["reviewer"], rec["m_ht"]), "sdt record")
+    )
+    records = []
+    for rec in sorted(students, key=lambda r: r["student"]):
+        sid = rec["student"]
+        if sid not in m_ht_by_reviewer:
+            raise ValidationError(f"{sdt_path}: no detection score for student {sid}")
+        records.append({
+            "student": sid,
+            "condition": rec["condition"],
+            "m_csr": read_json(
+                out / "retention" / sid / "retention.json",
+                lambda report: report["m_csr"],
+                "retention report",
+            ),
+            "m_ht": m_ht_by_reviewer[sid],
+            "e_gap": read_json(
+                out / "egap" / sid / "egap.json", lambda report: report["e_gap"], "egap report"
+            ),
+            "t_dev": rec["t_dev"],
+        })
+    write_jsonl(out / "records.jsonl", records)
 
     _vcp(
         "score",
@@ -109,7 +136,10 @@ def main() -> None:
     parser.add_argument("--fixtures", default="fixtures/study", help="study bundle directory")
     parser.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args()
-    run_study(Path(args.fixtures), Path(args.out))
+    try:
+        run_study(Path(args.fixtures), Path(args.out))
+    except (VcpError, StepFailed, OSError) as exc:
+        sys.exit(f"run_study: error: {' '.join(str(exc).split())}")
     print(f"study complete: {args.out}")
 
 

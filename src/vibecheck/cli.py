@@ -29,7 +29,7 @@ from vibecheck import __version__, composite, retention, sdt, trapforge
 from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse
 from vibecheck.config import RunConfig, resolve_config
 from vibecheck.errors import ComputationError, ValidationError, VcpError
-from vibecheck.explainability import e_gap, load_ontology
+from vibecheck.explainability import E_GAP_DEFINITION, e_gap, load_ontology
 from vibecheck.io import as_finite, csv_rows, read_csv, read_json, read_jsonl, read_text
 from vibecheck.reporting import (
     dumps_record,
@@ -150,12 +150,21 @@ def _build_parser() -> _Parser:
 
 
 class _Sink:
-    def __init__(self, out: Optional[str]):
+    """Where one command's reports go, and the envelope each report carries."""
+
+    def __init__(self, out: Optional[str], command: str, config: RunConfig):
         self.out_dir = Path(out) if out else None
         if self.out_dir:
             self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.command = command
+        self.config = config
 
-    def emit(self, name: str, report: dict, summary: str) -> None:
+    def report(self, fields: dict) -> dict:
+        """The machine report: the command, the resolved config, then ``fields``."""
+        return {"command": self.command, "config": self.config.to_dict(), **fields}
+
+    def emit(self, name: str, fields: dict, summary: str) -> None:
+        report = self.report(fields)
         if self.out_dir:
             write_json(self.out_dir / f"{name}.json", report)
             (self.out_dir / f"{name}.txt").write_text(summary, encoding="utf-8")
@@ -164,6 +173,15 @@ class _Sink:
             sys.stdout.write(dumps_record(report, indent=2) + "\n")
             sys.stderr.write(summary)
 
+    def emit_record(self, name: str, record: dict, columns: Sequence[str], note: str = "") -> None:
+        """A one-record report, summarised as a one-row table and ``note``."""
+        self.emit(name, record, human_table([record], columns) + note)
+
+    def emit_table(self, name: str, records: list[dict], columns: Sequence[str]) -> None:
+        """``records`` as ``name.jsonl``, in the report and as the summary table."""
+        self.emit_records(name, records)
+        self.emit(name, {"records": records}, human_table(records, columns))
+
     def emit_records(self, name: str, records: list[dict]) -> None:
         if self.out_dir:
             write_jsonl(self.out_dir / f"{name}.jsonl", records)
@@ -171,12 +189,6 @@ class _Sink:
     def emit_columns(self, name: str, columns: Sequence[str], rows) -> None:
         if self.out_dir:
             write_columns(self.out_dir / f"{name}.tsv", columns, rows)
-
-
-def _config(args: argparse.Namespace, *keys: str) -> RunConfig:
-    """The resolved config; the flags named by ``keys`` and ``--seed`` override it."""
-    overrides = {key: getattr(args, key) for key in (*keys, "seed")}
-    return resolve_config(args.config, overrides)
 
 
 def _load_unit_or_cfg(path: str):
@@ -190,26 +202,17 @@ def _load_unit_or_cfg(path: str):
 # --- subcommand bodies -----------------------------------------------------
 
 
-def _cmd_metrics(args) -> int:
-    config = _config(args)
-    sink = _Sink(args.out)
+def _cmd_metrics(args, config: RunConfig, sink: _Sink) -> int:
     records = []
     for file in args.files:
         unit = _load_unit_or_cfg(file)
         name = unit.name if hasattr(unit, "name") else Path(file).name
         records.append(metrics_record(name, metrics(unit)))
-    report = {"command": "metrics", "config": config.to_dict(), "records": records}
-    summary = human_table(
-        records, ["unit", "cc", "n1", "n2", "N1", "N2", "volume_v", "h_c"]
-    )
-    sink.emit_records("metrics", records)
-    sink.emit("metrics", report, summary)
+    sink.emit_table("metrics", records, ["unit", "cc", "n1", "n2", "N1", "N2", "volume_v", "h_c"])
     return 0
 
 
-def _cmd_sdt(args) -> int:
-    config = _config(args, "k", "delta", "correction")
-    sink = _Sink(args.out)
+def _cmd_sdt(args, config: RunConfig, sink: _Sink) -> int:
     by_reviewer = sdt.load_responses(args.responses)
     records = []
     for reviewer in sorted(by_reviewer):
@@ -221,20 +224,18 @@ def _cmd_sdt(args) -> int:
             correction=config.correction,
         )
         records.append(dataclasses.asdict(result))
-    report = {"command": "sdt", "config": config.to_dict(), "records": records}
-    summary = human_table(
+    sink.emit_table(
+        "sdt",
         records,
         ["reviewer", "hit_rate_corrected", "fa_rate_corrected", "d_prime", "m_ht",
          "correction_applied"],
     )
-    sink.emit_records("sdt", records)
-    sink.emit("sdt", report, summary)
     return 0
 
 
-def _cmd_traps_generate(args) -> int:
-    config = _config(args, "trap_fraction")
-    if not args.out:
+def _cmd_traps_generate(args, config: RunConfig, sink: _Sink) -> int:
+    out = sink.out_dir
+    if not out:
         raise ValidationError("traps generate requires --out CORPUS_DIR")
     origins_dir = Path(args.origins)
     paths = sorted(origins_dir.glob("*.vcp"))
@@ -242,12 +243,9 @@ def _cmd_traps_generate(args) -> int:
         raise ValidationError(f"no .vcp origins found in {origins_dir}")
     origins = [parse(read_text(p), name=p.stem) for p in paths]
     corpus = trapforge.generate_corpus(origins, config.trap_fraction, config.seed)
-    out = Path(args.out)
     trapforge.write_corpus(corpus, out)
     actual = sum(1 for i in corpus.items if i.ground_truth == "trap")
-    report = {
-        "command": "traps generate",
-        "config": config.to_dict(),
+    write_json(out / "report.json", sink.report({
         "n_origins": len(origins),
         "n_items": len(corpus.items),
         "requested_traps": corpus.requested_traps,
@@ -257,29 +255,27 @@ def _cmd_traps_generate(args) -> int:
             kind: sum(1 for i in corpus.items if i.defect_kind == kind)
             for kind in trapforge.DEFECT_KINDS
         },
-    }
-    write_json(out / "report.json", report)
-    summary = (
+    }))
+    sys.stdout.write(
         f"corpus: {len(corpus.items)} items ({actual} traps, "
         f"{len(corpus.items) - actual} clean), shortfall {corpus.shortfall}, "
         f"seed {config.seed}\nanswer key: {out / 'answer_key.jsonl'}\n"
     )
-    sys.stdout.write(summary)
     return 0
 
 
-def _cmd_retention(args) -> int:
-    config = _config(args, "idle_gap", "velocity_unit", "allow_uncalibrated")
-    sink = _Sink(args.out)
+def _cmd_retention(args, config: RunConfig, sink: _Sink) -> int:
     if args.decay:
+        sink.command = "retention decay"
         data = read_csv(args.decay, ("t", "s"), _finite)
         fit = retention.fit_decay(list(zip(data["t"], data["s"])))
-        record = dataclasses.asdict(fit)
-        report = {"command": "retention decay", "config": config.to_dict(), **record}
-        summary = human_table([record], ["s0", "lam", "rms_residual", "n_used", "n_excluded"])
         rows = [(t, s, fit.s0 * math.exp(-fit.lam * t)) for t, s in zip(data["t"], data["s"])]
         sink.emit_columns("decay_curve", ("t", "s", "fitted"), rows)
-        sink.emit("decay_fit", report, summary)
+        sink.emit_record(
+            "decay_fit",
+            dataclasses.asdict(fit),
+            ["s0", "lam", "rms_residual", "n_used", "n_excluded"],
+        )
         return 0
     if not args.build or not args.refactor:
         raise ValidationError("retention needs --build and --refactor (or --decay)")
@@ -299,18 +295,15 @@ def _cmd_retention(args) -> int:
     result = retention.m_csr(
         build, refactor, calibration, idle_gap=config.idle_gap, velocity_unit=config.velocity_unit
     )
-    record = dataclasses.asdict(result)
-    report = {"command": "retention", "config": config.to_dict(), **record}
-    summary = human_table(
-        [record], ["student", "v_build", "v_rec", "omega", "m_csr", "delta_t_hours"]
+    sink.emit_record(
+        "retention",
+        dataclasses.asdict(result),
+        ["student", "v_build", "v_rec", "omega", "m_csr", "delta_t_hours"],
     )
-    sink.emit("retention", report, summary)
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    config = _config(args, "idle_gap")
-    sink = _Sink(args.out)
+def _cmd_calibrate(args, config: RunConfig, sink: _Sink) -> int:
     manifest = Path(args.pairs)
 
     def pair(rec: dict) -> tuple:
@@ -327,19 +320,17 @@ def _cmd_calibrate(args) -> int:
             f"calibration failed its own baseline: mean retention score "
             f"{mean_score:.6f} is outside 1 +/- 0.05"
         )
-    record = {**calibration.to_dict(), "baseline_mean_m_csr": mean_score, "n_pairs": len(pairs)}
-    report = {"command": "calibrate", "config": config.to_dict(), **record}
     if sink.out_dir:
         write_json(sink.out_dir / "calibration.json", calibration.to_dict())
-    summary = human_table(
-        [record], ["alpha", "beta", "baseline_source", "baseline_mean_m_csr", "n_pairs"]
+    sink.emit_record(
+        "calibrate",
+        {**calibration.to_dict(), "baseline_mean_m_csr": mean_score, "n_pairs": len(pairs)},
+        ["alpha", "beta", "baseline_source", "baseline_mean_m_csr", "n_pairs"],
     )
-    sink.emit("calibrate", report, summary)
     return 0
 
 
-def _cmd_egap(args) -> int:
-    config = _config(args, "epsilon")
+def _cmd_egap(args, config: RunConfig, sink: _Sink) -> int:
     if args.check_ontology:
         ontology = load_ontology(args.check_ontology)
         sys.stdout.write(
@@ -349,16 +340,12 @@ def _cmd_egap(args) -> int:
         return 0
     if not (args.transcript and args.ontology and args.code):
         raise ValidationError("egap needs --transcript, --ontology, and --code")
-    sink = _Sink(args.out)
     transcript = read_text(args.transcript)
     ontology = load_ontology(args.ontology)
     unit = _load_unit_or_cfg(args.code)
     score = e_gap(transcript, ontology, metrics(unit), epsilon=config.epsilon)
-    record = dataclasses.asdict(score)
-    record["definition"] = "coverage-weighted decision entropy vs structural entropy"
-    report = {"command": "egap", "config": config.to_dict(), **record}
-    summary = human_table([record], ["unit", "coverage", "h_e", "h_c", "e_gap", "degenerate"])
-    sink.emit("egap", report, summary)
+    record = {**dataclasses.asdict(score), "definition": E_GAP_DEFINITION}
+    sink.emit_record("egap", record, ["unit", "coverage", "h_e", "h_c", "e_gap", "degenerate"])
     return 0
 
 
@@ -377,13 +364,12 @@ def _parse_weights(text: str) -> dict:
     return {"w1": w1, "w2": w2, "w3": w3}
 
 
-def _cmd_score(args) -> int:
-    config = _config(args, "gamma")
+def _cmd_score(args, config: RunConfig, sink: _Sink) -> int:
     if args.weights is not None:
         config = dataclasses.replace(config, **_parse_weights(args.weights))
     if args.no_gamma:
         config = dataclasses.replace(config, gamma=0.0)
-    sink = _Sink(args.out)
+    sink.config = config  # the report records the weights the scores used
     weights = composite.UtilityWeights(
         w1=config.w1, w2=config.w2, w3=config.w3, gamma=config.gamma
     )
@@ -393,9 +379,8 @@ def _cmd_score(args) -> int:
         e_gap=config.e_gap_threshold,
         m_ht=config.m_ht_cutoff,
     )
-    students = composite.read_student_records(args.records)
     records = []
-    for student in students:
+    for student in composite.read_student_records(args.records):
         zone = composite.classify_zone(student, thresholds)
         records.append({
             **dataclasses.asdict(student),
@@ -404,90 +389,26 @@ def _cmd_score(args) -> int:
             "control_metric": zone.control_metric,
             "flags": list(zone.flags),
         })
-    summary_rows = _condition_summary(records)
-    break_even_hours = _break_even_between_conditions(students, weights)
-    report = {
-        "command": "score",
-        "config": config.to_dict(),
-        "records": records,
-        "summary": {"by_condition": summary_rows, "break_even_hours": break_even_hours},
-    }
+    summary_rows = composite.condition_summary(records)
+    break_even_hours = composite.break_even_between_conditions(records, summary_rows, weights)
+    # read_student_records refuses an empty file, so there is a summary row.
     text = human_table(
         records,
         ["student", "condition", "m_csr", "m_ht", "e_gap", "t_dev", "utility", "zone", "flags"],
+    ) + "\n" + human_table(
+        summary_rows, ["condition", "n", "mean_m_csr", "sd_m_csr", "mean_utility", "sd_utility"]
     )
-    if summary_rows:
-        text += "\n" + human_table(
-            summary_rows,
-            ["condition", "n", "mean_m_csr", "sd_m_csr", "mean_utility", "sd_utility"],
-        )
+    columns = composite.COHORT_SUMMARY_COLUMNS
     sink.emit_records("score", records)
     sink.emit_columns(
-        "cohort_summary",
-        _COHORT_SUMMARY_COLUMNS,
-        [tuple(row[c] for c in _COHORT_SUMMARY_COLUMNS) for row in summary_rows],
+        "cohort_summary", columns, [tuple(row[c] for c in columns) for row in summary_rows]
     )
-    sink.emit("score_report", report, text)
+    summary = {"by_condition": summary_rows, "break_even_hours": break_even_hours}
+    sink.emit("score_report", {"records": records, "summary": summary}, text)
     return 0
 
 
-_SUMMARY_FIELDS = ("m_csr", "m_ht", "e_gap", "t_dev", "utility")
-_COHORT_SUMMARY_COLUMNS = (
-    "condition", "n", *(f"{stat}_{f}" for f in _SUMMARY_FIELDS for stat in ("mean", "sd"))
-)
-
-
-def _sample_sd(values: list[float]) -> float:
-    """Sample standard deviation from the exact rational sum of squares, so
-    the last digit does not depend on the Python version (0.0 below n = 2)."""
-    from fractions import Fraction
-
-    if len(values) < 2:
-        return 0.0
-    exact = [Fraction(v) for v in values]
-    mean = sum(exact) / len(exact)
-    return math.sqrt(float(sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)))
-
-
-def _condition_summary(records: list[dict]) -> list[dict]:
-    import statistics
-
-    by_condition: dict[str, list[dict]] = {}
-    for rec in records:
-        by_condition.setdefault(rec["condition"] or "all", []).append(rec)
-    rows = []
-    for condition in sorted(by_condition):
-        group = by_condition[condition]
-        row: dict = {"condition": condition, "n": len(group)}
-        for field in _SUMMARY_FIELDS:
-            values = [g[field] for g in group]
-            row[f"mean_{field}"] = statistics.fmean(values)
-            row[f"sd_{field}"] = _sample_sd(values)
-        rows.append(row)
-    return rows
-
-
-def _break_even_between_conditions(students, weights) -> Optional[float]:
-    if weights.gamma == 0.0:
-        return None
-    by_condition: dict[str, list] = {}
-    for s in students:
-        if s.condition:
-            by_condition.setdefault(s.condition, []).append(s)
-    if sorted(by_condition) != ["trad", "vibe"]:
-        return None
-    import statistics
-
-    def mean_record(condition: str) -> composite.StudentRecord:
-        group = by_condition[condition]
-        means = (statistics.fmean(getattr(s, f) for s in group)
-                 for f in ("m_csr", "m_ht", "e_gap", "t_dev"))
-        return composite.StudentRecord(f"mean[{condition}]", *means, condition=condition)
-
-    return composite.break_even(mean_record("vibe"), mean_record("trad"), weights)
-
-
-def _cmd_power(args) -> int:
+def _cmd_power(args, config: RunConfig, sink: _Sink) -> int:
     from vibecheck.stats.power import (
         PowerSpec,
         attrition_target,
@@ -495,14 +416,10 @@ def _cmd_power(args) -> int:
         stated_target_exceeds,
     )
 
-    config = _config(args, "replicates", "cohort_rounding")
-    sink = _Sink(args.out)
     spec = PowerSpec(effect_size_d=args.d, alpha=args.alpha, target_power=args.target_power,
                      design=args.design, replicates=config.replicates, seed=config.seed)
     result = required_n(spec)
     record = {
-        "command": "power",
-        "config": config.to_dict(),
         "design": spec.design,
         "effect_size_d": spec.effect_size_d,
         "alpha": spec.alpha,
@@ -515,40 +432,37 @@ def _cmd_power(args) -> int:
         "stated_target": None,
         "stated_exceeds_formula": None,
     }
+    note = ""
     if args.attrition is not None:
         target = attrition_target(
             result.n_required, args.attrition, rounding=config.cohort_rounding
         )
         record["attrition"] = dataclasses.asdict(target)
+        note = f"recruitment target at {args.attrition:.0%} attrition: {target.rounded_target}"
         if args.stated_target is not None:
             record["stated_target"] = args.stated_target
             record["stated_exceeds_formula"] = stated_target_exceeds(
                 target, args.stated_target
             )
-    summary = human_table(
-        [record], ["design", "effect_size_d", "n_required", "n_analytic", "power_at_n"]
-    )
-    if record["attrition"] is not None:
-        summary += (
-            f"recruitment target at {args.attrition:.0%} attrition: "
-            f"{record['attrition']['rounded_target']}"
-        )
-        if record["stated_exceeds_formula"]:
-            summary += (
-                f" (stated target {args.stated_target} exceeds the formula: "
-                "conservative padding)"
-            )
-        summary += "\n"
+            if record["stated_exceeds_formula"]:
+                note += (
+                    f" (stated target {args.stated_target} exceeds the formula: "
+                    "conservative padding)"
+                )
+        note += "\n"
     sink.emit_columns("power_curve", ("n", "mc_power"), list(result.evaluations))
-    sink.emit("power", record, summary)
+    sink.emit_record(
+        "power",
+        record,
+        ["design", "effect_size_d", "n_required", "n_analytic", "power_at_n"],
+        note,
+    )
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, config: RunConfig, sink: _Sink) -> int:
     from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
 
-    config = _config(args)
-    sink = _Sink(args.out)
     params = GeneratingParams(
         beta0=args.beta0,
         beta1=args.beta1,
@@ -557,9 +471,7 @@ def _cmd_simulate(args) -> int:
         sigma_e=args.sigma_e,
     )
     dataset = simulate_cohort(params, args.n_per_condition, args.occasions, config.seed)
-    report = {
-        "command": "simulate",
-        "config": config.to_dict(),
+    fields = {
         "params": dataclasses.asdict(params),
         "n_per_condition": args.n_per_condition,
         "occasions": args.occasions,
@@ -568,39 +480,32 @@ def _cmd_simulate(args) -> int:
     if sink.out_dir:
         write_cohort(dataset, sink.out_dir / "cohort.jsonl")
     else:
-        report["records"] = dataset.records()
+        fields["records"] = dataset.records()
     summary = (
         f"cohort: {2 * args.n_per_condition} students x {args.occasions} occasions "
         f"= {len(dataset)} observations, seed {config.seed}\n"
     )
-    sink.emit("simulate", report, summary)
+    sink.emit("simulate", fields, summary)
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args, config: RunConfig, sink: _Sink) -> int:
     from vibecheck.stats.mixed import fit_mixed, read_cohort
 
-    config = _config(args)
-    sink = _Sink(args.out)
-    dataset = read_cohort(args.data)
-    fit = fit_mixed(dataset)
-    record = dataclasses.asdict(fit)
-    report = {"command": "fit", "config": config.to_dict(), **record}
-    summary = human_table(
-        [record],
-        ["beta0", "beta1", "beta2", "se_beta1", "sigma_u", "sigma_e", "theta"],
-    )
+    fit = fit_mixed(read_cohort(args.data))
     lo, hi = fit.ci95_beta1
-    summary += f"95% CI for the condition effect: [{lo:.4f}, {hi:.4f}]\n"
-    sink.emit("mixed_fit", report, summary)
+    sink.emit_record(
+        "mixed_fit",
+        dataclasses.asdict(fit),
+        ["beta0", "beta1", "beta2", "se_beta1", "sigma_u", "sigma_e", "theta"],
+        f"95% CI for the condition effect: [{lo:.4f}, {hi:.4f}]\n",
+    )
     return 0
 
 
-def _cmd_spearman(args) -> int:
+def _cmd_spearman(args, config: RunConfig, sink: _Sink) -> int:
     from vibecheck.stats.spearman import spearman
 
-    config = _config(args)
-    sink = _Sink(args.out)
     data = read_csv(args.data, ("x", "y"), _finite)
     result = spearman(
         data["x"],
@@ -608,30 +513,26 @@ def _cmd_spearman(args) -> int:
         permutations=args.permutations,
         seed=config.seed if args.permutations else None,
     )
-    record = dataclasses.asdict(result)
-    report = {"command": "spearman", "config": config.to_dict(), **record}
-    summary = human_table([record], ["n", "rho", "p_two_sided", "p_permutation"])
-    sink.emit("spearman", report, summary)
+    sink.emit_record(
+        "spearman", dataclasses.asdict(result), ["n", "rho", "p_two_sided", "p_permutation"]
+    )
     return 0
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args, config: RunConfig, sink: _Sink) -> int:
     from vibecheck.stats.kappa import cohens_kappa
 
-    config = _config(args)
-    sink = _Sink(args.out)
     counts = Counter(csv_rows(args.data, ("a", "b")))
-    kappa = cohens_kappa(counts)
-    record = {"kappa": kappa, "n": sum(counts.values())}
-    report = {"command": "kappa", "config": config.to_dict(), **record}
-    summary = human_table([record], ["n", "kappa"])
-    sink.emit("kappa", report, summary)
+    sink.emit_record(
+        "kappa", {"kappa": cohens_kappa(counts), "n": sum(counts.values())}, ["n", "kappa"]
+    )
     return 0
 
 
 _COMMANDS = {
     "metrics": _cmd_metrics,
     "sdt": _cmd_sdt,
+    "traps generate": _cmd_traps_generate,
     "retention": _cmd_retention,
     "calibrate": _cmd_calibrate,
     "egap": _cmd_egap,
@@ -645,12 +546,16 @@ _COMMANDS = {
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse ``argv``, resolve the config (every option named after a config
+    key overrides that key), open the output sink and run the command."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "traps":
-            return _cmd_traps_generate(args)
-        return _COMMANDS[args.command](args)
+        command = f"traps {args.traps_command}" if args.command == "traps" else args.command
+        keys = {field.name for field in dataclasses.fields(RunConfig)}
+        overrides = {key: value for key, value in vars(args).items() if key in keys}
+        config = resolve_config(args.config, overrides)
+        return _COMMANDS[command](args, config, _Sink(args.out, command, config))
     except ValidationError as exc:
         sys.stderr.write(f"vcp: error: {exc}\n")
         return 1

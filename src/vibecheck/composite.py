@@ -1,4 +1,4 @@
-"""Composite utility, break-even analysis, and learning-zone placement.
+"""Composite utility, break-even analysis, cohort summaries and learning zones.
 
 Per-student utility combines the three protocol metrics and a time cost:
 
@@ -135,6 +135,65 @@ def break_even(
         + weights.w3 * (vibe.e_gap - trad.e_gap)
     )
     return trad_advantage / weights.gamma
+
+
+SUMMARY_FIELDS = ("m_csr", "m_ht", "e_gap", "t_dev", "utility")
+COHORT_SUMMARY_COLUMNS = (
+    "condition", "n", *(f"{stat}_{f}" for f in SUMMARY_FIELDS for stat in ("mean", "sd"))
+)
+
+
+def sample_sd(values: list[float]) -> float:
+    """Sample standard deviation from the exact rational sum of squares, so
+    the last digit does not depend on the Python version (0.0 below n = 2)."""
+    from fractions import Fraction
+
+    if len(values) < 2:
+        return 0.0
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return math.sqrt(float(sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)))
+
+
+def condition_summary(records: list[dict]) -> list[dict]:
+    """One row per condition, sorted, of ``n`` and the mean and sample sd of
+    each of ``SUMMARY_FIELDS`` over scored records; records without a
+    condition are summarised under ``"all"``."""
+    import statistics
+
+    by_condition: dict[str, list[dict]] = {}
+    for rec in records:
+        by_condition.setdefault(rec["condition"] or "all", []).append(rec)
+    rows = []
+    for condition in sorted(by_condition):
+        group = by_condition[condition]
+        row: dict = {"condition": condition, "n": len(group)}
+        for field in SUMMARY_FIELDS:
+            values = [g[field] for g in group]
+            row[f"mean_{field}"] = statistics.fmean(values)
+            row[f"sd_{field}"] = sample_sd(values)
+        rows.append(row)
+    return rows
+
+
+def break_even_between_conditions(
+    records: list[dict], summary: list[dict], weights: UtilityWeights
+) -> Optional[float]:
+    """``break_even`` of the mean vibe record against the mean trad record,
+    the means taken from the ``condition_summary`` rows of ``records``.
+    None when ``gamma`` is 0 or the records name conditions other than
+    exactly ``trad`` and ``vibe`` (records without a condition aside)."""
+    if weights.gamma == 0.0:
+        return None
+    if {rec["condition"] for rec in records if rec["condition"]} != {"trad", "vibe"}:
+        return None
+    rows = {row["condition"]: row for row in summary}
+
+    def mean_record(condition: str) -> StudentRecord:
+        means = (rows[condition][f"mean_{f}"] for f in ("m_csr", "m_ht", "e_gap", "t_dev"))
+        return StudentRecord(f"mean[{condition}]", *means, condition=condition)
+
+    return break_even(mean_record("vibe"), mean_record("trad"), weights)
 
 
 def classify_zone(

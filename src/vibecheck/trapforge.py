@@ -244,7 +244,8 @@ def generate_corpus(
         kind = kinds[item_rng.integers(len(kinds))]
         sites = sites_by_kind[kind]
         site = sites[item_rng.integers(len(sites))]
-        drafts.append((unit, *_apply_for_corpus(unit, kind, site)))
+        mutated, mutation = _apply(unit, kind, site)
+        drafts.append((unit, mutated, kind, mutation))
 
     # Fisher-Yates over presentation order, seeded by the corpus seed.
     order = list(range(n))
@@ -273,13 +274,6 @@ def generate_corpus(
         requested_traps=requested,
         shortfall=shortfall,
     )
-
-
-def _apply_for_corpus(
-    unit: N.SourceUnit, kind: str, site: _Site
-) -> tuple[str, str, MutationSite]:
-    mutated, mutation = _apply(unit, kind, site)
-    return mutated, kind, mutation
 
 
 def write_corpus(corpus: TrapCorpus, out_dir: Union[str, Path]) -> None:

@@ -1,7 +1,10 @@
 """The study driver runs every vcp step in process and fails loudly."""
 
 import importlib.util
+import json
+import os
 import shutil
+import subprocess
 import sys
 
 import pytest
@@ -59,3 +62,46 @@ def test_study_output_is_byte_identical_to_the_golden_tree(
     assert written == expected
     for rel in written:
         assert (out / rel).read_bytes() == (golden / rel).read_bytes(), rel
+
+
+def _driver(repo_root, bundle, out) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "VCP_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(repo_root / "scripts" / "run_study.py"),
+         "--fixtures", str(bundle), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "study_json",
+    [
+        '{"seed": 2026, "trap_fraction": 0.5, "students": [',
+        json.dumps({"trap_fraction": 0.5, "students": []}),
+    ],
+    ids=["not-json", "no-seed"],
+)
+def test_malformed_study_json_is_one_error_line(repo_root, tmp_path, study_json):
+    bundle = tmp_path / "study"
+    bundle.mkdir()
+    (bundle / "study.json").write_text(study_json)
+    proc = _driver(repo_root, bundle, tmp_path / "out")
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"run_study: error: {bundle / 'study.json'}: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_failed_step_is_one_error_line(repo_root, fixtures, tmp_path):
+    bundle = tmp_path / "study"
+    shutil.copytree(fixtures / "study", bundle)
+    (bundle / "logs" / "s03_build.log").unlink()
+    proc = _driver(repo_root, bundle, tmp_path / "out")
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("run_study: error: step failed (exit 1): vcp retention ")
+    assert "vcp: error:" in line
