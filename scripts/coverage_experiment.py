@@ -3,7 +3,8 @@
 Simulates seeded cohorts from known parameters, refits each one, and
 reports 95% CI coverage of the condition effect, the mean estimate, and
 the spread of the REML variance components.  Per-replicate estimates go to
-a TSV for plotting.
+a TSV for plotting.  Both files depend only on the options, so two runs write
+the same bytes; the elapsed time is printed, not written.
 
 Usage: python3 scripts/coverage_experiment.py --out results/coverage
        [--replicates 500] [--beta1 0.4] [--n-per-condition 40]
@@ -72,7 +73,6 @@ def main() -> None:
         "mean_beta1": mean_est,
         "sd_beta1": sd_est,
         "mean_se_beta1": math.fsum(r[2] for r in rows) / len(rows),
-        "elapsed_seconds": elapsed,
     }
     write_columns(
         out / "replicates.tsv",

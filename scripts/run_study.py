@@ -23,7 +23,7 @@ from pathlib import Path
 
 from vibecheck import cli
 from vibecheck.errors import ValidationError, VcpError
-from vibecheck.io import as_finite, as_int, read_json, read_jsonl
+from vibecheck.io import as_finite, as_int, as_str, read_json, read_jsonl
 from vibecheck.reporting import write_jsonl
 
 
@@ -41,17 +41,11 @@ def _vcp(*args: str) -> None:
         )
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
 def _study(meta: dict) -> dict:
     """study.json: the corpus seed and trap fraction, and each student's id,
     condition and development hours."""
     students = [
-        {"student": _text(s["student"]), "condition": _text(s["condition"]),
+        {"student": as_str(s["student"]), "condition": as_str(s["condition"]),
          "t_dev": as_finite(s["t_dev"])}
         for s in meta["students"]
     ]

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from vibecheck import __version__, composite, retention, sdt, trapforge
 from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse
 from vibecheck.config import RunConfig, resolve_config
-from vibecheck.errors import ComputationError, ValidationError, VcpError
+from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.explainability import E_GAP_DEFINITION, e_gap, load_ontology
 from vibecheck.io import as_finite, csv_rows, read_csv, read_json, read_jsonl, read_text
 from vibecheck.reporting import (
@@ -203,11 +203,7 @@ def _load_unit_or_cfg(path: str):
 
 
 def _cmd_metrics(args, config: RunConfig, sink: _Sink) -> int:
-    records = []
-    for file in args.files:
-        unit = _load_unit_or_cfg(file)
-        name = unit.name if hasattr(unit, "name") else Path(file).name
-        records.append(metrics_record(name, metrics(unit)))
+    records = [metrics_record(Path(f).name, metrics(_load_unit_or_cfg(f))) for f in args.files]
     sink.emit_table("metrics", records, ["unit", "cc", "n1", "n2", "N1", "N2", "volume_v", "h_c"])
     return 0
 
@@ -561,9 +557,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ComputationError as exc:
         sys.stderr.write(f"vcp: computation error: {exc}\n")
-        return 2
-    except VcpError as exc:  # future-proof: any other toolkit error
-        sys.stderr.write(f"vcp: error: {exc}\n")
         return 2
     except OverflowError as exc:  # a result past the range of a float
         sys.stderr.write(f"vcp: computation error: numeric overflow: {exc}\n")

@@ -137,53 +137,50 @@ def dump_cfg(cfg: ControlFlowGraph, path: Union[str, Path]) -> None:
 # --- construction ----------------------------------------------------------
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.stmts: list[list[str]] = []
-        self.edges: list[tuple[int, int, str]] = []
-
-    def new_block(self) -> int:
-        self.stmts.append([])
-        return len(self.stmts) - 1
-
-    def link(self, src: int, dst: int, label: str) -> None:
-        self.edges.append((src, dst, label))
-
-    def emit(self, block: int, text: str) -> None:
-        self.stmts[block].append(text)
-
-
-def build_cfg(unit: Union[N.SourceUnit, N.Program]) -> ControlFlowGraph:
+def build_cfg(unit: N.SourceUnit) -> ControlFlowGraph:
     """Build the whole-unit control-flow graph chaining top-level statements."""
-    program = unit.ast if isinstance(unit, N.SourceUnit) else unit
-    b = _Builder()
-    entry = b.new_block()
-    exit_block = b.new_block()
+    program = unit.ast
+    if not program.body:
+        cfg = ControlFlowGraph(
+            (BasicBlock(0, ()), BasicBlock(1, ())), (Edge(0, 1, "seq"),), 0, 1
+        )
+        cfg.validate()
+        return cfg
+
+    # Each block's statement lines by block id, and the edges as
+    # (src, dst, label); blocks 0 and 1 are entry and exit.
+    block_lines: list[list[str]] = [[], []]
+    links: list[tuple[int, int, str]] = []
+    entry, exit_block = 0, 1
+
+    def new_block() -> int:
+        block_lines.append([])
+        return len(block_lines) - 1
 
     def flow(stmts: Iterable[N.Stmt], current: int | None) -> int | None:
         for stmt in stmts:
             if current is None:
                 # Unreachable suffix (after a return): parked in a dangling
                 # block that the reachability prune below removes.
-                current = b.new_block()
+                current = new_block()
             current = place(stmt, current)
         return current
 
     def fresh_after(current: int) -> int:
         """A block to hold a guard: reuse ``current`` only if still empty."""
-        if not b.stmts[current] and all(e[0] != current for e in b.edges):
+        if not block_lines[current] and all(e[0] != current for e in links):
             return current
-        nxt = b.new_block()
-        b.link(current, nxt, "seq")
+        nxt = new_block()
+        links.append((current, nxt, "seq"))
         return nxt
 
     def place(stmt: N.Stmt, current: int) -> int | None:
         if isinstance(stmt, (N.Assign, N.CallStmt)):
-            b.emit(current, N.render_stmt_line(stmt))
+            block_lines[current].append(N.render_stmt_line(stmt))
             return current
         if isinstance(stmt, N.Return):
-            b.emit(current, N.render_stmt_line(stmt))
-            b.link(current, exit_block, "seq")
+            block_lines[current].append(N.render_stmt_line(stmt))
+            links.append((current, exit_block, "seq"))
             return None
         if isinstance(stmt, N.Block):
             return flow(stmt.body, current)
@@ -194,83 +191,75 @@ def build_cfg(unit: Union[N.SourceUnit, N.Program]) -> ControlFlowGraph:
             guard = current
             joins: list[int] = []
             while True:
-                b.emit(guard, N.render_stmt_line(stmt))
-                join = b.new_block()
+                block_lines[guard].append(N.render_stmt_line(stmt))
+                join = new_block()
                 joins.append(join)
-                then_block = b.new_block()
-                b.link(guard, then_block, "true")
+                then_block = new_block()
+                links.append((guard, then_block, "true"))
                 then_end = flow(stmt.then.body, then_block)
                 if then_end is not None:
-                    b.link(then_end, join, "seq")
+                    links.append((then_end, join, "seq"))
                 if stmt.orelse is None:
-                    b.link(guard, join, "false")
+                    links.append((guard, join, "false"))
                     break
-                else_block = b.new_block()
-                b.link(guard, else_block, "false")
+                else_block = new_block()
+                links.append((guard, else_block, "false"))
                 if not isinstance(stmt.orelse, N.If):
                     else_end = flow(stmt.orelse.body, else_block)
                     if else_end is not None:
-                        b.link(else_end, join, "seq")
+                        links.append((else_end, join, "seq"))
                     break
                 stmt, guard = stmt.orelse, else_block
             for inner in range(len(joins) - 1, 0, -1):
-                b.link(joins[inner], joins[inner - 1], "seq")
+                links.append((joins[inner], joins[inner - 1], "seq"))
             return joins[0]
         if isinstance(stmt, N.While):
             guard = fresh_after(current)
-            b.emit(guard, N.render_stmt_line(stmt))
-            body_block = b.new_block()
-            b.link(guard, body_block, "true")
+            block_lines[guard].append(N.render_stmt_line(stmt))
+            body_block = new_block()
+            links.append((guard, body_block, "true"))
             body_end = flow(stmt.body.body, body_block)
             if body_end is not None:
-                b.link(body_end, guard, "loop-back")
-            after = b.new_block()
-            b.link(guard, after, "loop-exit")
+                links.append((body_end, guard, "loop-back"))
+            after = new_block()
+            links.append((guard, after, "loop-exit"))
             return after
         if isinstance(stmt, N.For):
-            b.emit(current, N.render_stmt_line(stmt.init))
+            block_lines[current].append(N.render_stmt_line(stmt.init))
             guard = fresh_after(current)
-            b.emit(guard, N.render_stmt_line(stmt))
-            body_block = b.new_block()
-            b.link(guard, body_block, "true")
+            block_lines[guard].append(N.render_stmt_line(stmt))
+            body_block = new_block()
+            links.append((guard, body_block, "true"))
             body_end = flow(stmt.body.body, body_block)
             if body_end is not None:
-                b.emit(body_end, N.render_stmt_line(stmt.update))
-                b.link(body_end, guard, "loop-back")
-            after = b.new_block()
-            b.link(guard, after, "loop-exit")
+                block_lines[body_end].append(N.render_stmt_line(stmt.update))
+                links.append((body_end, guard, "loop-back"))
+            after = new_block()
+            links.append((guard, after, "loop-exit"))
             return after
         raise TypeError(f"unknown statement node: {stmt!r}")
 
-    if not program.body:
-        b.link(entry, exit_block, "seq")
-        cfg = ControlFlowGraph(
-            (BasicBlock(0, ()), BasicBlock(1, ())), (Edge(0, 1, "seq"),), 0, 1
-        )
-        cfg.validate()
-        return cfg
-
-    first = b.new_block()
-    b.link(entry, first, "seq")
+    first = new_block()
+    links.append((entry, first, "seq"))
     last = flow(program.body, first)
     if last is not None:
-        b.link(last, exit_block, "seq")
+        links.append((last, exit_block, "seq"))
 
     # Prune blocks unreachable from entry, keeping entry and exit.
-    succs: dict[int, list[int]] = {i: [] for i in range(len(b.stmts))}
-    for src, dst, _ in b.edges:
+    succs: dict[int, list[int]] = {i: [] for i in range(len(block_lines))}
+    for src, dst, _ in links:
         succs[src].append(dst)
     live = _reachable(entry, succs)
     live.add(exit_block)
-    order = [i for i in range(len(b.stmts)) if i in live]
+    order = [i for i in range(len(block_lines)) if i in live]
     # Entry stays first and exit moves last for readable interchange files.
     order.remove(exit_block)
     order.append(exit_block)
     renumber = {old: new for new, old in enumerate(order)}
-    blocks = tuple(BasicBlock(renumber[i], tuple(b.stmts[i])) for i in order)
+    blocks = tuple(BasicBlock(renumber[i], tuple(block_lines[i])) for i in order)
     edges = tuple(
         Edge(renumber[src], renumber[dst], label)
-        for src, dst, label in b.edges
+        for src, dst, label in links
         if src in live and dst in live
     )
     cfg = ControlFlowGraph(blocks, edges, renumber[entry], renumber[exit_block])

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from vibecheck.codemetrics import nodes as N
 
@@ -77,10 +76,9 @@ def _count(program: N.Program) -> tuple[list, list]:
     return operators, operands
 
 
-def halstead(unit: Union[N.SourceUnit, N.Program]) -> HalsteadCounts:
+def halstead(unit: N.SourceUnit) -> HalsteadCounts:
     """Count operators/operands and compute volume for one source unit."""
-    program = unit.ast if isinstance(unit, N.SourceUnit) else unit
-    operators, operands = _count(program)
+    operators, operands = _count(unit.ast)
     n1 = len(set(operators))
     n2 = len(set(operands))
     total_n1 = len(operators)

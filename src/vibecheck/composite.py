@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from vibecheck.errors import ComputationError, ValidationError
-from vibecheck.io import as_finite, read_jsonl
+from vibecheck.io import as_finite, as_str, read_jsonl
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -216,12 +216,12 @@ def classify_zone(
 
 def _student_record(rec: dict) -> StudentRecord:
     return StudentRecord(
-        student=str(rec["student"]),
+        student=as_str(rec["student"]),
         m_csr=as_finite(rec["m_csr"]),
         m_ht=as_finite(rec["m_ht"]),
         e_gap=as_finite(rec["e_gap"]),
         t_dev=as_finite(rec["t_dev"]),
-        condition=str(rec["condition"]) if "condition" in rec else None,
+        condition=as_str(rec["condition"]) if "condition" in rec else None,
     )
 
 

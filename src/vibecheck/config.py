@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from vibecheck.errors import ValidationError
-from vibecheck.io import as_bool, as_finite, as_int, read_json
+from vibecheck.io import as_bool, as_finite, as_int, as_str, read_json
 
 ENV_CONFIG = "VCP_CONFIG"
 
@@ -51,15 +51,9 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def _as_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
 # Each field's value from a config file goes through the helper for its
 # annotation (a string under ``from __future__ import annotations``).
-_CAST_BY_TYPE = {"float": as_finite, "int": as_int, "bool": as_bool, "str": _as_str}
+_CAST_BY_TYPE = {"float": as_finite, "int": as_int, "bool": as_bool, "str": as_str}
 _FIELDS = {f.name: _CAST_BY_TYPE[f.type] for f in dataclasses.fields(RunConfig)}
 
 

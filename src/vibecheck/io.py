@@ -157,6 +157,13 @@ def as_bool(value: Any) -> bool:
     return value
 
 
+def as_str(value: Any) -> str:
+    """A JSON string only: null and numbers are not coerced."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def as_int(value: Any) -> int:
     """An integral number (``3`` or ``3.0``); booleans, strings and fractions
     are refused rather than truncated."""

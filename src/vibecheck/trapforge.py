@@ -10,7 +10,8 @@ origin only at the mutation site and always reparses:
   (``<`` <-> ``<=``, ``>`` <-> ``>=``), shifting the iteration count by one;
 - ``unchecked-index``: one if-statement without an else whose condition is a
   comparison and whose body subscripts an array is unwrapped, deleting the
-  bounds guard around the access;
+  bounds guard around the access (an ``else if`` link keeps the braces of its
+  body, which becomes the ``else`` block);
 - ``unsanitized-sink``: one ``sanitize(...)`` wrapper inside a call to a
   designated sink function is removed, routing the argument in raw;
 - ``dropped-update``: one assignment to a loop-guard variable inside the
@@ -100,6 +101,8 @@ def applicable_sites(unit: N.SourceUnit) -> dict[str, list[_Site]]:
     loop_bound: list[_Site] = []
     sink: list[_Site] = []
     guard_ifs: list[N.If] = []
+    # Ifs that follow an ``else``: unwrapped, they must keep their braces.
+    chain_links: set[int] = set()
     loops: list[Union[N.While, N.For]] = []
     index_starts: list[int] = []
     assigns: list[N.Assign] = []
@@ -136,6 +139,8 @@ def applicable_sites(unit: N.SourceUnit) -> dict[str, list[_Site]]:
             cond = node.cond
             if node.orelse is None and type(cond) is N.Binary and cond.op in _SHIFT_BOUND:
                 guard_ifs.append(node)
+            elif type(node.orelse) is N.If:
+                chain_links.add(id(node.orelse))
         elif cls is N.While or cls is N.For:
             loops.append(node)
             if cls is N.For:
@@ -152,12 +157,9 @@ def applicable_sites(unit: N.SourceUnit) -> dict[str, list[_Site]]:
         lo, hi = node.then.span
         i = bisect_left(index_starts, lo)
         if i < len(index_starts) and index_starts[i] < hi:
+            body = text[lo:hi] if id(node) in chain_links else text[lo + 1 : hi - 1].strip()
             bounds_guard.append(
-                _Site(
-                    node.span,
-                    text[lo + 1 : hi - 1].strip(),
-                    "bounds-guard if removed around subscript access",
-                )
+                _Site(node.span, body, "bounds-guard if removed around subscript access")
             )
 
     dropped = []
@@ -280,12 +282,22 @@ def write_corpus(corpus: TrapCorpus, out_dir: Union[str, Path]) -> None:
     """Write ``items/<id>.vcp``, the answer key, and a manifest.
 
     The answer key lands next to (not inside) ``items/`` so the reviewer
-    bundle is the items directory alone.
+    bundle is the items directory alone.  An ``items/`` that already holds a
+    ``.vcp`` file this corpus does not name is refused before anything is
+    written; no file is ever deleted.
     """
     out = Path(out_dir)
-    (out / "items").mkdir(parents=True, exist_ok=True)
+    items = out / "items"
+    names = {f"{item.item_id}.vcp" for item in corpus.items}
+    stale = sum(1 for path in items.glob("*.vcp") if path.name not in names)
+    if stale:
+        raise ValidationError(
+            f"{items} holds {stale} .vcp file(s) that this corpus does not name; "
+            "write the corpus to an empty directory"
+        )
+    items.mkdir(parents=True, exist_ok=True)
     for item in corpus.items:
-        (out / "items" / f"{item.item_id}.vcp").write_text(item.source, encoding="utf-8")
+        (items / f"{item.item_id}.vcp").write_text(item.source, encoding="utf-8")
     write_jsonl(out / "answer_key.jsonl", (_key_record(item) for item in corpus.items))
     manifest = {
         "seed": corpus.seed,

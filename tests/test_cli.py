@@ -570,6 +570,18 @@ def test_score_bad_record_line_is_exit_1(tmp_path, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["student", "condition"])
+@pytest.mark.parametrize("value", [None, 3])
+def test_score_non_string_student_or_condition_is_exit_1(tmp_path, capsys, field, value):
+    record = {"student": "s1", "condition": "vibe", "m_csr": 0.8, "m_ht": 0.9, "e_gap": 0.1,
+              "t_dev": 1.0}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
+    assert run(["score", "--records", str(path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"vcp: error: {path}:2: bad student record: expected a string")
+
+
 # --- power / simulate / fit ---------------------------------------------------
 
 

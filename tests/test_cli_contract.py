@@ -1,15 +1,19 @@
 """What every ``vcp`` command shares: flags named after config keys override
-the config file, and each report carries its command and resolved config.
-Also pins the cohort summary and break-even of ``vcp score`` on edge-case
-cohorts."""
+the config file, each report carries its command and resolved config, and
+every toolkit error maps to exit 1 or exit 2.  Also pins the cohort summary
+and break-even of ``vcp score`` on edge-case cohorts."""
 
 import argparse
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import vibecheck
 from vibecheck.cli import _build_parser, run
 from vibecheck.config import RunConfig
+from vibecheck.errors import ComputationError, ValidationError, VcpError
 
 _DEFAULTS = RunConfig().to_dict()
 
@@ -79,6 +83,23 @@ def base_argv(fixtures, tmp_path_factory):
         ("spearman",): ["spearman", "--data", str(fixtures / "spearman" / "quiz_scores.csv")],
         ("kappa",): ["kappa", "--data", str(kappa)],
     }
+
+
+def test_every_toolkit_error_is_a_validation_or_a_computation_error():
+    # ``cli.run`` maps these two branches to exit 1 and exit 2 and has no
+    # catch-all for a bare ``VcpError``; every module but ``__main__`` is
+    # imported so that each subclass is defined.
+    for info in pkgutil.walk_packages(vibecheck.__path__, "vibecheck."):
+        if info.name != "vibecheck.__main__":
+            importlib.import_module(info.name)
+    pending, seen = [VcpError], []
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            seen.append(sub)
+    assert ValidationError in seen and ComputationError in seen and len(seen) > 2
+    for error in seen:
+        assert issubclass(error, (ValidationError, ComputationError)), error
 
 
 def test_every_subcommand_takes_the_common_seed_flag():

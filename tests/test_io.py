@@ -19,6 +19,7 @@ from vibecheck.io import (
     as_bool,
     as_finite,
     as_int,
+    as_str,
     csv_rows,
     read_csv,
     read_json,
@@ -235,6 +236,17 @@ def test_as_bool_accepts_json_booleans(value):
 def test_as_bool_refuses_everything_else(value):
     with pytest.raises(TypeError, match="expected true or false"):
         as_bool(value)
+
+
+@pytest.mark.parametrize("value", ["", "s01", "None", "3"])
+def test_as_str_accepts_json_strings(value):
+    assert as_str(value) is value
+
+
+@pytest.mark.parametrize("value", [None, 3, 3.0, True, ["s"], {"s": 1}])
+def test_as_str_refuses_everything_else(value):
+    with pytest.raises(TypeError, match="expected a string"):
+        as_str(value)
 
 
 @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2, -2), (10**30, 10**30)])

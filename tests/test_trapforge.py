@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vibecheck.cli import run
 from vibecheck.codemetrics.cfg import build_cfg, cyclomatic_complexity
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import NotApplicableError, ValidationError
@@ -51,6 +52,13 @@ def test_unchecked_index_removes_bounds_guard():
     mutated, site = inject(parse(src, name="u"), "unchecked-index")
     assert mutated == "x = buf[i]\n"
     assert site.start == 0
+
+
+def test_unchecked_index_on_an_else_if_link_keeps_the_braces():
+    src = "if (a < b) { x = 1 } else if (i < n) { y = d[i] }\n"
+    mutated, site = inject(parse(src, name="u"), "unchecked-index")
+    assert mutated == "if (a < b) { x = 1 } else { y = d[i] }\n"
+    assert (site.start, site.end) == (26, 49)
 
 
 def test_dropped_update_deletes_loop_advance():
@@ -276,6 +284,52 @@ def test_answer_key_records_site_against_origin_coordinates(fixtures, tmp_path):
         assert 0 <= site["start"] < site["end"] <= len(origin.text)
         assert rec["defect_kind"] in DEFECT_KINDS
         assert site["description"]
+
+
+def test_traps_generate_on_an_else_if_link_writes_a_parseable_trap(tmp_path, capsys):
+    origins = tmp_path / "origins"
+    origins.mkdir()
+    (origins / "o.vcp").write_text("if (a < b) { x = 1 } else if (i < n) { y = d[i] }\n")
+    argv = ["traps", "generate", "--origins", str(origins), "--fraction", "1", "--seed", "0",
+            "--out", str(tmp_path / "c")]
+    assert run(argv) == 0
+    [key] = read_answer_key(tmp_path / "c" / "answer_key.jsonl").items()
+    assert key == ("item_000", "trap")
+    trap = (tmp_path / "c" / "items" / "item_000.vcp").read_text()
+    assert trap == "if (a < b) { x = 1 } else { y = d[i] }\n"
+    parse(trap)
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_traps_generate_refuses_items_of_an_earlier_corpus(fixtures, tmp_path, capsys):
+    four = tmp_path / "four"
+    four.mkdir()
+    for path in sorted((fixtures / "origins").glob("*.vcp"))[:4]:
+        (four / path.name).write_bytes(path.read_bytes())
+    out = tmp_path / "c"
+    assert run(["traps", "generate", "--origins", str(fixtures / "origins"),
+                "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert run(["traps", "generate", "--origins", str(four), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"vcp: error: {out / 'items'} holds 8 .vcp file(s) that this corpus does not name; "
+        "write the corpus to an empty directory\n"
+    )
+    assert _tree_bytes(out) == before
+
+
+def test_traps_generate_rewrites_the_same_corpus_in_place(fixtures, tmp_path):
+    out = tmp_path / "c"
+    argv = ["traps", "generate", "--origins", str(fixtures / "origins"), "--out", str(out)]
+    assert run(argv) == 0
+    first = _tree_bytes(out)
+    assert sum(1 for rel in first if rel.parent.name == "items") == 12
+    assert run(argv) == 0
+    assert _tree_bytes(out) == first
 
 
 def test_read_answer_key_reports_bad_line(tmp_path):

@@ -6,9 +6,12 @@ production code replaced.  Over generated programs, the joined 10x units of
 the benchmark's corpus pool, the fixture origins and a few hand-written
 shapes, both must give the same sites per kind in the same order (the seeded
 draws index into these lists), the same Halstead counts and the same walk
-order.
+order.  One site differs on purpose: an ``else if`` link that is a bounds
+guard is replaced by its braced body, where the reference left a bare
+``else`` that does not parse.
 """
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -19,7 +22,7 @@ from vibecheck.codemetrics import nodes as N
 from vibecheck.codemetrics.halstead import _count
 from vibecheck.codemetrics.parser import parse
 from vibecheck.codemetrics.progen import random_program
-from vibecheck.trapforge import DEFECT_KINDS, applicable_sites
+from vibecheck.trapforge import DEFECT_KINDS, _apply, applicable_sites
 
 _SHAPES = [
     "",
@@ -55,11 +58,30 @@ def _corpus_pool_texts(seed: int) -> list[str]:
     return texts
 
 
+def _braced_links(unit: N.SourceUnit, sites: list) -> list:
+    """The reference's unchecked-index sites, except that an ``else if`` link
+    is replaced by its braced body: the reference unwrapped it, which left an
+    ``else`` without a block."""
+    links = {
+        node.orelse.span: node.orelse.then.span
+        for node in N.walk(unit.ast)
+        if type(node) is N.If and type(node.orelse) is N.If
+    }
+    return [
+        dataclasses.replace(site, replacement=unit.text[slice(*links[site.span])])
+        if site.span in links else site
+        for site in sites
+    ]
+
+
 def _assert_same(unit: N.SourceUnit) -> None:
     sites = applicable_sites(unit)
     assert list(sites) == list(DEFECT_KINDS)
     for kind in DEFECT_KINDS:
-        assert sites[kind] == R.applicable_sites(unit, kind), kind
+        expected = R.applicable_sites(unit, kind)
+        if kind == "unchecked-index":
+            expected = _braced_links(unit, expected)
+        assert sites[kind] == expected, kind
     operators, operands = _count(unit.ast)
     ref_operators, ref_operands = Counter(), Counter()
     R._count(unit.ast, ref_operators, ref_operands)
@@ -99,3 +121,11 @@ def test_hand_written_shapes_have_sites_of_every_kind():
         for kind, sites in applicable_sites(parse(text, name="shape")).items():
             found[kind] += len(sites)
     assert all(found[kind] >= 2 for kind in DEFECT_KINDS), found
+
+
+def test_every_site_of_the_hand_written_shapes_splices_into_parseable_text():
+    for text in _SHAPES:
+        unit = parse(text, name="shape")
+        for kind, sites in applicable_sites(unit).items():
+            for site in sites:
+                _apply(unit, kind, site)  # reparses the spliced text
