@@ -369,7 +369,6 @@ def _cmd_score(args, config: RunConfig, sink: _Sink) -> int:
     weights = composite.UtilityWeights(
         w1=config.w1, w2=config.w2, w3=config.w3, gamma=config.gamma
     )
-    weights.validate()
     thresholds = composite.ZoneThresholds(
         m_csr=config.m_csr_threshold,
         e_gap=config.e_gap_threshold,

@@ -28,7 +28,7 @@ from typing import Iterable, Union
 
 from vibecheck.codemetrics import nodes as N
 from vibecheck.errors import ValidationError
-from vibecheck.io import as_int, read_json
+from vibecheck.io import as_int, as_list, as_str, read_json
 from vibecheck.reporting import write_json
 
 EDGE_LABELS = frozenset({"seq", "true", "false", "loop-back", "loop-exit"})
@@ -88,6 +88,8 @@ class ControlFlowGraph:
         if _reachable(self.exit, preds) != known:
             raise ValidationError("exit must be reachable from every block")
 
+    __post_init__ = validate
+
     # --- interchange form --------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -102,15 +104,13 @@ class ControlFlowGraph:
     def from_dict(cls, data: dict) -> "ControlFlowGraph":
         """Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed dict."""
         blocks = tuple(
-            BasicBlock(as_int(node["id"]), tuple(node["stmts"]) if "stmts" in node else ())
+            BasicBlock(as_int(node["id"]), tuple(map(as_str, as_list(node.get("stmts", [])))))
             for node in data["nodes"]
         )
         edges = tuple(
-            Edge(as_int(e["from"]), as_int(e["to"]), str(e["label"])) for e in data["edges"]
+            Edge(as_int(e["from"]), as_int(e["to"]), as_str(e["label"])) for e in data["edges"]
         )
-        cfg = cls(blocks, edges, as_int(data["entry"]), as_int(data["exit"]))
-        cfg.validate()
-        return cfg
+        return cls(blocks, edges, as_int(data["entry"]), as_int(data["exit"]))
 
 
 def _reachable(start: int, adjacency: dict[int, list[int]]) -> set[int]:
@@ -141,11 +141,9 @@ def build_cfg(unit: N.SourceUnit) -> ControlFlowGraph:
     """Build the whole-unit control-flow graph chaining top-level statements."""
     program = unit.ast
     if not program.body:
-        cfg = ControlFlowGraph(
+        return ControlFlowGraph(
             (BasicBlock(0, ()), BasicBlock(1, ())), (Edge(0, 1, "seq"),), 0, 1
         )
-        cfg.validate()
-        return cfg
 
     # Each block's statement lines by block id, and the edges as
     # (src, dst, label); blocks 0 and 1 are entry and exit.
@@ -262,9 +260,7 @@ def build_cfg(unit: N.SourceUnit) -> ControlFlowGraph:
         for src, dst, label in links
         if src in live and dst in live
     )
-    cfg = ControlFlowGraph(blocks, edges, renumber[entry], renumber[exit_block])
-    cfg.validate()
-    return cfg
+    return ControlFlowGraph(blocks, edges, renumber[entry], renumber[exit_block])
 
 
 # --- graph metrics ---------------------------------------------------------

@@ -63,6 +63,8 @@ class StudentRecord:
         if not (self.t_dev >= 0.0) or math.isnan(self.t_dev):
             raise ValidationError(f"t_dev must be >= 0, got {self.t_dev!r}")
 
+    __post_init__ = validate
+
 
 @dataclass(frozen=True)
 class UtilityWeights:
@@ -83,6 +85,8 @@ class UtilityWeights:
                 f"metric weights must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}"
             )
 
+    __post_init__ = validate
+
 
 @dataclass(frozen=True)
 class ZoneThresholds:
@@ -100,8 +104,6 @@ class ZoneResult:
 
 def utility(record: StudentRecord, weights: UtilityWeights) -> float:
     """Composite utility of one student record under the given weights."""
-    record.validate()
-    weights.validate()
     return (
         weights.w1 * record.m_csr
         + weights.w2 * record.m_ht
@@ -121,9 +123,6 @@ def break_even(
     exactly equal; a negative value means the vibe record dominates even
     with zero time saved.  Undefined when ``gamma`` is 0.
     """
-    vibe.validate()
-    trad.validate()
-    weights.validate()
     if weights.gamma == 0.0:
         raise ComputationError(
             "break-even is undefined with gamma = 0: development time has no "
@@ -200,7 +199,6 @@ def classify_zone(
     record: StudentRecord, thresholds: ZoneThresholds = ZoneThresholds()
 ) -> ZoneResult:
     """Zone placement with its control metric and any review flags."""
-    record.validate()
     if record.m_csr <= thresholds.m_csr:
         return ZoneResult(ZONE_FOUNDATIONAL, _CONTROL_METRICS[ZONE_FOUNDATIONAL], ())
     if record.e_gap > thresholds.e_gap:

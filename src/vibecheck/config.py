@@ -47,6 +47,22 @@ class RunConfig:
     # run plumbing
     seed: int = 0
 
+    def validate(self) -> None:
+        if self.correction not in ("half-count", "none"):
+            raise ValidationError(f"unknown correction {self.correction!r}")
+        if self.velocity_unit not in ("volume", "loc"):
+            raise ValidationError(f"unknown velocity unit {self.velocity_unit!r}")
+        if self.idle_gap <= 0:
+            raise ValidationError("idle_gap must be positive")
+        if self.epsilon <= 0:
+            raise ValidationError("epsilon must be positive")
+        if not (0.0 <= self.trap_fraction <= 1.0):
+            raise ValidationError("trap_fraction must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
+
+    __post_init__ = validate
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -86,21 +102,4 @@ def resolve_config(
             if key not in _FIELDS:
                 raise ValidationError(f"unknown config override {key!r}")
             layered[key] = value
-    config = RunConfig(**layered)
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    if config.correction not in ("half-count", "none"):
-        raise ValidationError(f"unknown correction {config.correction!r}")
-    if config.velocity_unit not in ("volume", "loc"):
-        raise ValidationError(f"unknown velocity unit {config.velocity_unit!r}")
-    if config.idle_gap <= 0:
-        raise ValidationError("idle_gap must be positive")
-    if config.epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
-    if not (0.0 <= config.trap_fraction <= 1.0):
-        raise ValidationError("trap_fraction must lie in [0, 1]")
-    if config.seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {config.seed}")
+    return RunConfig(**layered)

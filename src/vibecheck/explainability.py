@@ -24,7 +24,7 @@ from typing import Union
 
 from vibecheck.codemetrics import CodeMetrics
 from vibecheck.errors import DegenerateEntropyWarning, ValidationError
-from vibecheck.io import as_finite, read_json
+from vibecheck.io import as_finite, as_list, as_str, read_json
 
 DEFAULT_EPSILON = 1e-9
 PROPORTION_TOLERANCE = 1e-9
@@ -76,6 +76,8 @@ class ConceptOntology:
                 f"got {total!r}"
             )
 
+    __post_init__ = validate
+
 
 @dataclass(frozen=True)
 class ExplanationScore:
@@ -97,7 +99,6 @@ def _phrase_pattern(phrase: str) -> re.Pattern:
 
 def match_concepts(transcript: str, ontology: ConceptOntology) -> tuple[str, ...]:
     """Ids of concepts with at least one phrase occurring in the transcript."""
-    ontology.validate()
     matched = []
     for concept in ontology.concepts:
         if any(_phrase_pattern(p).search(transcript) for p in concept.phrases):
@@ -156,13 +157,13 @@ def e_gap(
 
 def _ontology_from_dict(data: dict) -> ConceptOntology:
     return ConceptOntology(
-        unit=str(data["unit"]),
-        version=str(data["version"]),
+        unit=as_str(data["unit"]),
+        version=as_str(data["version"]),
         concepts=tuple(
             Concept(
-                concept_id=str(c["concept_id"]),
+                concept_id=as_str(c["concept_id"]),
                 proportion=as_finite(c["proportion"]),
-                phrases=tuple(str(p) for p in c["phrases"]),
+                phrases=tuple(map(as_str, as_list(c["phrases"]))),
             )
             for c in data["concepts"]
         ),
@@ -170,7 +171,5 @@ def _ontology_from_dict(data: dict) -> ConceptOntology:
 
 
 def load_ontology(path: Union[str, Path]) -> ConceptOntology:
-    """Read and validate an ontology JSON file."""
-    ontology = read_json(path, _ontology_from_dict, "ontology")
-    ontology.validate()
-    return ontology
+    """Read an ontology JSON file."""
+    return read_json(path, _ontology_from_dict, "ontology")

@@ -164,6 +164,13 @@ def as_str(value: Any) -> str:
     return value
 
 
+def as_list(value: Any) -> list:
+    """A JSON array only: a string is not split into characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {value!r}")
+    return value
+
+
 def as_int(value: Any) -> int:
     """An integral number (``3`` or ``3.0``); booleans, strings and fractions
     are refused rather than truncated."""

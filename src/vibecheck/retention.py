@@ -38,7 +38,7 @@ from vibecheck.errors import (
     UndefinedVelocityError,
     ValidationError,
 )
-from vibecheck.io import as_bool, as_finite, read_jsonl, read_text
+from vibecheck.io import as_bool, as_finite, as_str, read_jsonl, read_text
 from vibecheck.reporting import write_jsonl
 
 DEFAULT_IDLE_GAP = 120.0  # seconds
@@ -77,6 +77,8 @@ class SessionLog:
                     f"cold_refactor session contains assisted event {event.kind!r}"
                 )
 
+    __post_init__ = validate
+
 
 @dataclass(frozen=True)
 class OmegaCalibration:
@@ -94,7 +96,7 @@ class OmegaCalibration:
         return cls(
             alpha=as_finite(data["alpha"]),
             beta=as_finite(data["beta"]),
-            baseline_source=str(data["baseline_source"]),
+            baseline_source=as_str(data["baseline_source"]),
             degenerate=as_bool(data.get("degenerate", False)),
         )
 
@@ -131,7 +133,6 @@ def active_minutes(log: SessionLog, idle_gap: float = DEFAULT_IDLE_GAP) -> float
     """Minutes covered by the union of per-event windows ``[t, t + idle_gap]``."""
     if idle_gap <= 0:
         raise ValidationError(f"idle_gap must be positive, got {idle_gap!r}")
-    log.validate()
     if not log.events:
         return 0.0
     total = 0.0
@@ -260,8 +261,6 @@ def calibration_mean_score(
 
 
 def _check_pair(build: SessionLog, refactor: SessionLog) -> None:
-    build.validate()
-    refactor.validate()
     if build.phase != "ai_build":
         raise ValidationError(f"build log has phase {build.phase!r}, expected 'ai_build'")
     if refactor.phase != "cold_refactor":
@@ -351,14 +350,14 @@ def fit_decay(observations: Sequence[tuple[float, float]]) -> DecayFit:
 def _session_record(rec: dict):
     """A trailer, header or event record, told apart by their keys."""
     if "final_unit" in rec:
-        return str(rec["final_unit"])
+        return as_str(rec["final_unit"])
     if "phase" in rec:
-        return str(rec["student"]), str(rec["phase"])
+        return as_str(rec["student"]), as_str(rec["phase"])
     payload = rec.get("payload")
     return SessionEvent(
         t=as_finite(rec["t"]),
-        kind=str(rec["kind"]),
-        payload=None if payload is None else str(payload),
+        kind=as_str(rec["kind"]),
+        payload=None if payload is None else as_str(payload),
     )
 
 
@@ -375,16 +374,9 @@ def read_session_log(path: Union[str, Path]) -> SessionLog:
         raise ValidationError(
             f"{path}: a session log is a header, then events, then a final_unit trailer"
         )
-    (student, phase), unit_rel = records[0], records[-1]
-    unit_path = path.parent / unit_rel
-    log = SessionLog(
-        student=student,
-        phase=phase,
-        events=tuple(records[1:-1]),
-        final_unit=parse(read_text(unit_path, "final unit"), name=unit_path.name),
-    )
-    log.validate()
-    return log
+    (student, phase), unit_path = records[0], path.parent / records[-1]
+    unit = parse(read_text(unit_path, "final unit"), name=unit_path.name)
+    return SessionLog(student, phase, tuple(records[1:-1]), unit)
 
 
 def write_session_log(log: SessionLog, path: Union[str, Path], unit_rel: str) -> None:

@@ -1,10 +1,13 @@
 """Seeded random-number streams.
 
-All stochastic code in the toolkit draws from a counter-based Philox4x64-10
+The toolkit's stochastic code draws from a counter-based Philox4x64-10
 generator keyed by an explicit integer tuple.  Distinct key tuples give
 independent streams, so replicate ``r`` of a study seeded with ``s`` can use
 ``make_rng(s, r)`` without coordinating with any other replicate.  There is
-no module-level generator and no global state anywhere.
+no module-level generator and no global state anywhere.  The one exception
+is ``codemetrics.progen.random_program``, which draws from a
+``random.Random(seed)`` of its own.  It stays on that stream because
+``fixtures/origins`` and the benchmark's corpus pools are built from it.
 
 There are two front doors onto one keyed stream:
 

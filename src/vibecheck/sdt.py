@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from vibecheck.errors import DomainError, ValidationError
-from vibecheck.io import read_jsonl
+from vibecheck.io import as_str, read_jsonl
 from vibecheck.rng import make_rng
 
 DEFAULT_K = 1.5
@@ -248,9 +248,9 @@ def _response(rec: dict) -> tuple[str, TrapResponse]:
     if not isinstance(flagged, bool):
         raise TypeError(f"'flagged' must be true or false, got {flagged!r}")
     resp = TrapResponse(
-        item_id=str(rec["item_id"]), ground_truth=str(rec["ground_truth"]), flagged=flagged
+        item_id=as_str(rec["item_id"]), ground_truth=as_str(rec["ground_truth"]), flagged=flagged
     )
-    return str(rec["reviewer"]), resp
+    return as_str(rec["reviewer"]), resp
 
 
 def simulate_reviewer(

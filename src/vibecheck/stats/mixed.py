@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from vibecheck.errors import FitError, ValidationError
-from vibecheck.io import as_finite, as_int, read_jsonl
+from vibecheck.io import as_finite, as_int, as_str, read_jsonl
 from vibecheck.reporting import write_jsonl
 from vibecheck.rng import make_rng
 from vibecheck.sdt import inverse_normal_cdf
@@ -58,6 +58,8 @@ class GeneratingParams:
     def validate(self) -> None:
         if self.sigma_u < 0.0 or self.sigma_e < 0.0:
             raise ValidationError("standard deviations must be >= 0")
+
+    __post_init__ = validate
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,8 @@ class CohortDataset:
                 f"student {self.students.tolist()[first]} appears under multiple conditions"
             )
 
+    __post_init__ = validate
+
     def records(self) -> list[dict]:
         return [
             {
@@ -145,7 +149,6 @@ def simulate_cohort(
     seed: int,
 ) -> CohortDataset:
     """Balanced two-condition cohort, deterministic for a given seed."""
-    params.validate()
     if n_per_condition < 1:
         raise ValidationError("need at least one student per condition")
     if occasions < 1:
@@ -166,7 +169,7 @@ def simulate_cohort(
     students = np.repeat(np.arange(n_students), occasions)
     occasion_col = np.tile(np.arange(occasions), n_students)
     labels = np.where(condition_codes == 1.0, "vibe", "trad")
-    dataset = CohortDataset(
+    return CohortDataset(
         students=students,
         occasions=occasion_col,
         conditions=np.repeat(labels, occasions),
@@ -174,8 +177,6 @@ def simulate_cohort(
         y=outcome.ravel(),
         truth=params,
     )
-    dataset.validate()
-    return dataset
 
 
 # --- REML fit --------------------------------------------------------------
@@ -199,7 +200,6 @@ class _Sufficient:
 
 
 def _prepare(data: CohortDataset) -> _Sufficient:
-    data.validate()
     cond = (data.conditions == "vibe").astype(float)  # as in CONDITION_CODES
     X = np.column_stack([np.ones(len(data)), cond, data.times])
     y = np.asarray(data.y, dtype=float)
@@ -392,7 +392,7 @@ def _observation(rec: dict) -> tuple[int, int, str, float, float]:
     return (
         as_int(rec["student"]),
         as_int(rec["occasion"]),
-        str(rec["condition"]),
+        as_str(rec["condition"]),
         as_finite(rec["time"]),
         as_finite(rec["y"]),
     )
@@ -402,7 +402,7 @@ def read_cohort(path: Union[str, Path]) -> CohortDataset:
     rows = read_jsonl(path, _observation, "observation")
     students, occasions, conditions, times, y = zip(*rows) if rows else ((),) * 5
     try:
-        dataset = CohortDataset(
+        return CohortDataset(
             students=np.array(students, dtype=int),
             occasions=np.array(occasions, dtype=int),
             conditions=np.array(conditions),
@@ -411,5 +411,3 @@ def read_cohort(path: Union[str, Path]) -> CohortDataset:
         )
     except OverflowError as exc:  # an id past the range of a machine integer
         raise ValidationError(f"{path}: {exc}") from exc
-    dataset.validate()
-    return dataset

@@ -70,6 +70,8 @@ class PowerSpec:
                 f"got {self.replicates}"
             )
 
+    __post_init__ = validate
+
 
 @dataclass(frozen=True)
 class PowerResult:
@@ -91,7 +93,6 @@ class AttritionTarget:
 
 def analytic_n(spec: PowerSpec) -> int:
     """Normal-approximation sample size (the closed-form cross-check)."""
-    spec.validate()
     z = inverse_normal_cdf(1.0 - spec.alpha / 2.0) + inverse_normal_cdf(spec.target_power)
     per_group = (z / spec.effect_size_d) ** 2
     if spec.design == "two_sample":
@@ -105,7 +106,6 @@ def mc_power(n: int, spec: PowerSpec) -> float:
     ``t = (z + shift) / sqrt(v / df)`` with ``z`` standard normal and ``v``
     chi-square on ``df``: exactly the noncentral t of the test.
     """
-    spec.validate()
     if n < 2:
         raise ValidationError(f"per-group n must be >= 2, got {n}")
     d = spec.effect_size_d

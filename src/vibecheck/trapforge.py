@@ -33,7 +33,7 @@ from vibecheck.codemetrics import nodes as N
 from vibecheck.codemetrics.lexer import line_col
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import NotApplicableError, ValidationError
-from vibecheck.io import read_jsonl
+from vibecheck.io import as_str, read_jsonl
 from vibecheck.reporting import write_json, write_jsonl
 from vibecheck.rng import PhiloxStream
 
@@ -326,7 +326,7 @@ def read_answer_key(path: Union[str, Path]) -> dict[str, str]:
     return dict(
         read_jsonl(
             path,
-            lambda rec: (str(rec["item_id"]), str(rec["ground_truth"])),
+            lambda rec: (as_str(rec["item_id"]), as_str(rec["ground_truth"])),
             "answer-key record",
         )
     )

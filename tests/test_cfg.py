@@ -160,14 +160,13 @@ def test_load_rejects_unknown_edge_label(tmp_path):
 
 
 def test_validate_rejects_edge_into_entry():
-    cfg = ControlFlowGraph(
-        blocks=(BasicBlock(0, ()), BasicBlock(1, ())),
-        edges=(Edge(0, 1, "seq"), Edge(1, 0, "seq")),
-        entry=0,
-        exit=1,
-    )
     with pytest.raises(ValidationError):
-        cfg.validate()
+        ControlFlowGraph(
+            blocks=(BasicBlock(0, ()), BasicBlock(1, ())),
+            edges=(Edge(0, 1, "seq"), Edge(1, 0, "seq")),
+            entry=0,
+            exit=1,
+        )
 
 
 @settings(max_examples=80, deadline=None)

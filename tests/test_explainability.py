@@ -157,39 +157,33 @@ def test_gap_decreases_as_more_concepts_are_explained(mentioned):
 
 
 def test_proportions_must_sum_to_one():
-    bad = _ontology(Concept("c1", 0.5, ("a b",)), Concept("c2", 0.4, ("c d",)))
     with pytest.raises(ValidationError, match="sum to 1"):
-        bad.validate()
+        _ontology(Concept("c1", 0.5, ("a b",)), Concept("c2", 0.4, ("c d",)))
 
 
 def test_duplicate_concept_ids_rejected():
-    bad = _ontology(Concept("c1", 0.5, ("a",)), Concept("c1", 0.5, ("b",)))
     with pytest.raises(ValidationError, match="unique"):
-        bad.validate()
+        _ontology(Concept("c1", 0.5, ("a",)), Concept("c1", 0.5, ("b",)))
 
 
 def test_out_of_range_proportion_rejected():
-    bad = _ontology(Concept("c1", 0.0, ("a",)), Concept("c2", 1.0, ("b",)))
     with pytest.raises(ValidationError, match="outside"):
-        bad.validate()
+        _ontology(Concept("c1", 0.0, ("a",)), Concept("c2", 1.0, ("b",)))
 
 
 def test_empty_phrase_rejected():
-    bad = _ontology(Concept("c1", 1.0, ("  ",)))
     with pytest.raises(ValidationError, match="empty phrase"):
-        bad.validate()
+        _ontology(Concept("c1", 1.0, ("  ",)))
 
 
 def test_uppercase_phrase_rejected():
-    bad = _ontology(Concept("c1", 1.0, ("Bounded Loop",)))
     with pytest.raises(ValidationError, match="lowercase"):
-        bad.validate()
+        _ontology(Concept("c1", 1.0, ("Bounded Loop",)))
 
 
 def test_concept_without_phrases_rejected():
-    bad = _ontology(Concept("c1", 1.0, ()))
     with pytest.raises(ValidationError, match="no phrases"):
-        bad.validate()
+        _ontology(Concept("c1", 1.0, ()))
 
 
 def test_load_ontology_fixture(fixtures):

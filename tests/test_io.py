@@ -2,6 +2,7 @@
 each input hole it closed, and a fuzz of every file input through ``vcp``."""
 
 import contextlib
+import copy
 import io
 import json
 import shutil
@@ -19,6 +20,7 @@ from vibecheck.io import (
     as_bool,
     as_finite,
     as_int,
+    as_list,
     as_str,
     csv_rows,
     read_csv,
@@ -27,6 +29,7 @@ from vibecheck.io import (
     read_text,
 )
 from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
+from vibecheck.trapforge import read_answer_key
 
 NOT_UTF8 = b"\xff\xfe"
 
@@ -249,6 +252,17 @@ def test_as_str_refuses_everything_else(value):
         as_str(value)
 
 
+def test_as_list_accepts_json_arrays():
+    value = ["a", 1]
+    assert as_list(value) is value and as_list([]) == []
+
+
+@pytest.mark.parametrize("value", ["loop", None, 3, ("a",), {"a": 1}])
+def test_as_list_refuses_everything_else(value):
+    with pytest.raises(TypeError, match="expected an array"):
+        as_list(value)
+
+
 @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2, -2), (10**30, 10**30)])
 def test_as_int_accepts_integral_numbers(value, expected):
     result = as_int(value)
@@ -383,6 +397,94 @@ def test_short_kappa_row_is_exit_1(tmp_path):
     path.write_text("a,b\nminor,minor\nmajor\n")
     code, err = _vcp(["kappa", "--data", path])
     assert code == 1 and f"{path}:3:" in err
+
+
+# One valid document per input kind: a list of records for a JSONL file, a
+# dict for a JSON file.
+_VALID_DOCS = {
+    "responses": [{"reviewer": "r", "item_id": "i", "ground_truth": "trap", "flagged": True}],
+    "answer_key": [{"item_id": "i", "ground_truth": "trap"}],
+    "session": [{"student": "s", "phase": "ai_build"},
+                {"t": 0.0, "kind": "edit", "payload": "note"},
+                {"final_unit": "unit.vcp"}],
+    "calibration": {"alpha": 1.0, "beta": 0.0, "baseline_source": "x"},
+    "ontology": {"unit": "u.vcp", "version": "v1",
+                 "concepts": [{"concept_id": "c1", "proportion": 1.0, "phrases": ["loop"]}]},
+    "cohort": [{"student": 0, "occasion": 0, "condition": "trad", "time": 0.0, "y": 1.0}],
+    "cfg": {"nodes": [{"id": 0, "stmts": ["x = 1"]}, {"id": 1}],
+            "edges": [{"from": 0, "to": 1, "label": "seq"}], "entry": 0, "exit": 1},
+}
+# Each text field and list field a reader takes: its kind and its place in the
+# document (for JSONL, the record index first).
+_FIELDS = {
+    "response.reviewer": ("responses", (0, "reviewer")),
+    "response.item_id": ("responses", (0, "item_id")),
+    "response.ground_truth": ("responses", (0, "ground_truth")),
+    "answer_key.item_id": ("answer_key", (0, "item_id")),
+    "answer_key.ground_truth": ("answer_key", (0, "ground_truth")),
+    "session.student": ("session", (0, "student")),
+    "session.phase": ("session", (0, "phase")),
+    "session.kind": ("session", (1, "kind")),
+    "session.payload": ("session", (1, "payload")),
+    "session.final_unit": ("session", (2, "final_unit")),
+    "calibration.baseline_source": ("calibration", ("baseline_source",)),
+    "ontology.unit": ("ontology", ("unit",)),
+    "ontology.version": ("ontology", ("version",)),
+    "ontology.concept_id": ("ontology", ("concepts", 0, "concept_id")),
+    "ontology.phrase": ("ontology", ("concepts", 0, "phrases", 0)),
+    "ontology.phrases": ("ontology", ("concepts", 0, "phrases")),
+    "cohort.condition": ("cohort", (0, "condition")),
+    "cfg.label": ("cfg", ("edges", 0, "label")),
+    "cfg.stmts": ("cfg", ("nodes", 0, "stmts")),
+}
+_LIST_FIELDS = ("ontology.phrases", "cfg.stmts")
+_CASES = [
+    (field, value)
+    for field in _FIELDS
+    for value in [None, 7] + (["x = 1"] if field in _LIST_FIELDS else [])
+    if (field, value) != ("session.payload", None)  # an event without a payload
+]
+
+
+def _field_argv(kind, path, fixtures):
+    session = fixtures / "session"
+    return {
+        "responses": ["sdt", "--responses", path],
+        "session": ["retention", "--build", path, "--refactor", session / "refactor.log",
+                    "--allow-uncalibrated"],
+        "calibration": ["retention", "--build", session / "build.log", "--refactor",
+                        session / "refactor.log", "--calibration", path],
+        "ontology": ["egap", "--check-ontology", path],
+        "cohort": ["fit", "--data", path],
+        "cfg": ["metrics", path],
+    }[kind]
+
+
+@pytest.mark.parametrize("field, value", _CASES, ids=[f"{f}={v!r}" for f, v in _CASES])
+def test_text_and_list_fields_are_not_coerced(fixtures, tmp_path, field, value):
+    kind, place = _FIELDS[field]
+    doc = copy.deepcopy(_VALID_DOCS[kind])
+    target = doc
+    for key in place[:-1]:
+        target = target[key]
+    target[place[-1]] = value
+    path = tmp_path / ("input.json" if kind == "cfg" else "input.dat")
+    if isinstance(doc, list):
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in doc))
+        where = f"{path}:{place[0] + 1}: "
+    else:
+        path.write_text(json.dumps(doc))
+        where = f"{path}: "
+    (tmp_path / "unit.vcp").write_text("x = 1\n")  # a session log's final unit
+    if kind == "answer_key":  # no command reads an answer key
+        with pytest.raises(ValidationError) as caught:
+            read_answer_key(path)
+        code, err = 1, f"vcp: error: {caught.value}\n"
+    else:
+        code, err = _vcp(_field_argv(kind, path, fixtures))
+    assert code == 1
+    assert err.startswith(f"vcp: error: {where}") and len(err.splitlines()) == 1
+    assert ("expected an array" if field in _LIST_FIELDS else "expected a string") in err
 
 
 # --- fuzz: arbitrary bytes as every file input --------------------------------

@@ -10,7 +10,11 @@ then be as good as at the old one.
 
 ``CohortDataset.validate`` is checked against the set-and-dict version it
 replaced: the same cohorts pass, and the others fail with the same message.
+``CohortDataset`` runs ``validate`` when it is built, so the harness builds
+one from a dict of columns and hands the same columns to the reference.
 """
+
+import types
 
 import numpy as np
 import pytest
@@ -145,17 +149,30 @@ def test_time_confounded_with_condition_is_refused_where_rounding_hides_it():
 # --- validate ----------------------------------------------------------------
 
 
-def _verdict(check, data: CohortDataset):
+def _new(columns: dict) -> None:
+    CohortDataset(**columns)
+
+
+def _ref(columns: dict) -> None:
+    ref.validate(types.SimpleNamespace(**columns))
+
+
+def _verdict(check, columns: dict):
     try:
-        check(data)
+        check(columns)
     except ValidationError as exc:
         return str(exc)
     return None
 
 
-def _cohort(rows, conditions_dtype=None) -> CohortDataset:
+def _columns(data: CohortDataset) -> dict:
+    names = ("students", "occasions", "conditions", "times", "y")
+    return {name: getattr(data, name) for name in names}
+
+
+def _cohort(rows, conditions_dtype=None) -> dict:
     n = len(rows)
-    return CohortDataset(
+    return dict(
         students=np.array([r[0] for r in rows]),
         occasions=np.array([r[1] for r in rows]),
         conditions=np.array([r[2] for r in rows], dtype=conditions_dtype),
@@ -166,12 +183,12 @@ def _cohort(rows, conditions_dtype=None) -> CohortDataset:
 
 def test_validate_passes_what_the_reference_passes(tmp_path):
     for seed in range(20):
-        data = simulate_cohort(PARAMS, 1 + seed % 7, 1 + seed % 5, seed=seed)
-        assert _verdict(CohortDataset.validate, data) is None
-        assert _verdict(ref.validate, data) is None
+        columns = _columns(simulate_cohort(PARAMS, 1 + seed % 7, 1 + seed % 5, seed=seed))
+        assert _verdict(_new, columns) is None
+        assert _verdict(_ref, columns) is None
     path = tmp_path / "cohort.jsonl"
     mixed.write_cohort(_unbalanced(), path)
-    assert _verdict(ref.validate, mixed.read_cohort(path)) is None
+    assert _verdict(_ref, _columns(mixed.read_cohort(path))) is None
 
 
 # Each case fails the reference; the comment names what it probes.
@@ -196,20 +213,20 @@ _INVALID = {
 @pytest.mark.parametrize("rows", _INVALID.values(), ids=_INVALID.keys())
 @pytest.mark.parametrize("conditions_dtype", [None, object], ids=["str", "object"])
 def test_validate_refuses_what_the_reference_refuses(rows, conditions_dtype):
-    data = _cohort(rows, conditions_dtype)
-    expected = _verdict(ref.validate, data)
+    columns = _cohort(rows, conditions_dtype)
+    expected = _verdict(_ref, columns)
     assert expected is not None
-    assert _verdict(CohortDataset.validate, data) == expected
+    assert _verdict(_new, columns) == expected
 
 
 def test_validate_refuses_short_columns_and_empty_cohorts():
-    good = simulate_cohort(PARAMS, 2, 2, seed=0)
+    good = _columns(simulate_cohort(PARAMS, 2, 2, seed=0))
     for name in ("students", "occasions", "conditions", "times"):
-        short = CohortDataset(**{**good.__dict__, name: getattr(good, name)[:-1]})
-        assert _verdict(CohortDataset.validate, short) == _verdict(ref.validate, short)
-        assert name in _verdict(CohortDataset.validate, short)
+        short = {**good, name: good[name][:-1]}
+        assert _verdict(_new, short) == _verdict(_ref, short)
+        assert name in _verdict(_new, short)
     empty = _cohort([])
-    assert _verdict(CohortDataset.validate, empty) == _verdict(ref.validate, empty)
+    assert _verdict(_new, empty) == _verdict(_ref, empty)
 
 
 _ROW = st.tuples(
@@ -228,5 +245,5 @@ _ROWS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(_ROWS)
 def test_validate_agrees_with_reference_on_random_cohorts(rows):
-    data = _cohort(rows)
-    assert _verdict(CohortDataset.validate, data) == _verdict(ref.validate, data)
+    columns = _cohort(rows)
+    assert _verdict(_new, columns) == _verdict(_ref, columns)

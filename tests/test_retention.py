@@ -400,14 +400,13 @@ def test_session_log_round_trip(tmp_path):
 
 
 def test_cold_refactor_rejects_assisted_events(tmp_path):
-    log = SessionLog(
-        student="s",
-        phase="cold_refactor",
-        events=(SessionEvent(0.0, "prompt"),),
-        final_unit=UNIT,
-    )
     with pytest.raises(ValidationError, match="assisted"):
-        log.validate()
+        SessionLog(
+            student="s",
+            phase="cold_refactor",
+            events=(SessionEvent(0.0, "prompt"),),
+            final_unit=UNIT,
+        )
     # The same purity check fires when reading a file written around validate.
     path = tmp_path / "bad.log"
     path.write_text(
@@ -443,12 +442,10 @@ def test_read_session_log_missing_unit_file(tmp_path):
 
 
 def test_unknown_event_kind_rejected():
-    log = _log("ai_build", [0.0], kinds=["compile"])
     with pytest.raises(ValidationError):
-        log.validate()
+        _log("ai_build", [0.0], kinds=["compile"])
 
 
 def test_unknown_phase_rejected():
-    log = _log("debug_session", [0.0])
     with pytest.raises(ValidationError):
-        log.validate()
+        _log("debug_session", [0.0])
