@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from vibecheck.config import RunConfig
 from vibecheck.reporting import human_table, write_columns
 from vibecheck.stats.power import PowerSpec, mc_power, required_n
 
@@ -46,7 +47,7 @@ def sweep(design: str, d: float, replicates: int, seed: int, out: Path) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--replicates", type=int, default=20_000)
+    parser.add_argument("--replicates", type=int, default=RunConfig.replicates)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     out = Path(args.out)

@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from vibecheck import __version__, composite, retention, sdt, trapforge
-from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse
-from vibecheck.config import RunConfig, resolve_config
+from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse_file
+from vibecheck.config import CORRECTIONS, VELOCITY_UNITS, RunConfig, resolve_config
 from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.explainability import E_GAP_DEFINITION, e_gap, load_ontology
 from vibecheck.io import as_finite, csv_rows, read_csv, read_json, read_jsonl, read_text
@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--responses", required=True, help="JSONL trap-response records")
     p.add_argument("--k", type=_finite_float, default=None, help="logistic slope")
     p.add_argument("--delta", type=_finite_float, default=None, help="logistic midpoint")
-    p.add_argument("--correction", choices=["half-count", "none"], default=None)
+    p.add_argument("--correction", choices=CORRECTIONS, default=None)
 
     traps = sub.add_parser("traps", help="trap-corpus operations")
     traps_sub = traps.add_subparsers(dest="traps_command", required=True)
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--calibration", help="calibration JSON from 'vcp calibrate'")
     p.add_argument("--allow-uncalibrated", action="store_true", default=None)
     p.add_argument("--idle-gap", type=_finite_float, default=None, help="idle gap seconds")
-    p.add_argument("--velocity-unit", choices=["volume", "loc"], default=None)
+    p.add_argument("--velocity-unit", choices=VELOCITY_UNITS, default=None)
     p.add_argument("--decay", help="CSV of t,s observations to fit instead")
 
     p = sub.add_parser("calibrate", parents=[common], help="fit complexity weights on expert pairs")
@@ -195,7 +195,7 @@ def _load_unit_or_cfg(path: str):
     """A .vcp file parses to a source unit; anything else loads as a graph."""
     p = Path(path)
     if p.suffix == ".vcp":
-        return parse(read_text(p), name=p.name)
+        return parse_file(p, p.name)
     return load_cfg(p)
 
 
@@ -213,11 +213,7 @@ def _cmd_sdt(args, config: RunConfig, sink: _Sink) -> int:
     records = []
     for reviewer in sorted(by_reviewer):
         result = sdt.score_responses(
-            reviewer,
-            by_reviewer[reviewer],
-            k=config.k,
-            delta=config.delta,
-            correction=config.correction,
+            reviewer, by_reviewer[reviewer], config.k, config.delta, config.correction
         )
         records.append(dataclasses.asdict(result))
     sink.emit_table(
@@ -237,7 +233,7 @@ def _cmd_traps_generate(args, config: RunConfig, sink: _Sink) -> int:
     paths = sorted(origins_dir.glob("*.vcp"))
     if not paths:
         raise ValidationError(f"no .vcp origins found in {origins_dir}")
-    origins = [parse(read_text(p), name=p.stem) for p in paths]
+    origins = [parse_file(p, p.stem) for p in paths]
     corpus = trapforge.generate_corpus(origins, config.trap_fraction, config.seed)
     trapforge.write_corpus(corpus, out)
     actual = sum(1 for i in corpus.items if i.ground_truth == "trap")
@@ -288,9 +284,7 @@ def _cmd_retention(args, config: RunConfig, sink: _Sink) -> int:
             "no calibration given; pass --calibration FILE or --allow-uncalibrated "
             "to score with the raw ln(cc) weight"
         )
-    result = retention.m_csr(
-        build, refactor, calibration, idle_gap=config.idle_gap, velocity_unit=config.velocity_unit
-    )
+    result = retention.m_csr(build, refactor, calibration, config.idle_gap, config.velocity_unit)
     sink.emit_record(
         "retention",
         dataclasses.asdict(result),
@@ -347,7 +341,7 @@ def _cmd_egap(args, config: RunConfig, sink: _Sink) -> int:
 
 def _parse_weights(text: str) -> dict:
     if text == "default":
-        return {"w1": 1.0 / 3.0, "w2": 1.0 / 3.0, "w3": 1.0 / 3.0}
+        return {"w1": RunConfig.w1, "w2": RunConfig.w2, "w3": RunConfig.w3}
     parts = text.split(",")
     if len(parts) != 3:
         raise ValidationError(
@@ -366,17 +360,12 @@ def _cmd_score(args, config: RunConfig, sink: _Sink) -> int:
     if args.no_gamma:
         config = dataclasses.replace(config, gamma=0.0)
     sink.config = config  # the report records the weights the scores used
-    weights = composite.UtilityWeights(
-        w1=config.w1, w2=config.w2, w3=config.w3, gamma=config.gamma
-    )
-    thresholds = composite.ZoneThresholds(
-        m_csr=config.m_csr_threshold,
-        e_gap=config.e_gap_threshold,
-        m_ht=config.m_ht_cutoff,
-    )
+    weights = composite.UtilityWeights(config.w1, config.w2, config.w3, config.gamma)
     records = []
     for student in composite.read_student_records(args.records):
-        zone = composite.classify_zone(student, thresholds)
+        zone = composite.classify_zone(
+            student, config.m_csr_threshold, config.e_gap_threshold, config.m_ht_cutoff
+        )
         records.append({
             **dataclasses.asdict(student),
             "utility": composite.utility(student, weights),
@@ -547,8 +536,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         command = f"traps {args.traps_command}" if args.command == "traps" else args.command
-        keys = {field.name for field in dataclasses.fields(RunConfig)}
-        overrides = {key: value for key, value in vars(args).items() if key in keys}
+        overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
         config = resolve_config(args.config, overrides)
         return _COMMANDS[command](args, config, _Sink(args.out, command, config))
     except ValidationError as exc:

@@ -18,7 +18,7 @@ from vibecheck.codemetrics.metrics import (
     metrics_record,
 )
 from vibecheck.codemetrics.nodes import Program, SourceUnit, pretty_print
-from vibecheck.codemetrics.parser import parse
+from vibecheck.codemetrics.parser import parse, parse_file
 from vibecheck.codemetrics.progen import random_program
 
 __all__ = [
@@ -40,5 +40,6 @@ __all__ = [
     "SourceUnit",
     "pretty_print",
     "parse",
+    "parse_file",
     "random_program",
 ]

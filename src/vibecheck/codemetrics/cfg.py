@@ -211,26 +211,18 @@ def build_cfg(unit: N.SourceUnit) -> ControlFlowGraph:
             for inner in range(len(joins) - 1, 0, -1):
                 links.append((joins[inner], joins[inner - 1], "seq"))
             return joins[0]
-        if isinstance(stmt, N.While):
+        if isinstance(stmt, (N.While, N.For)):
+            is_for = isinstance(stmt, N.For)
+            if is_for:
+                block_lines[current].append(N.render_stmt_line(stmt.init))
             guard = fresh_after(current)
             block_lines[guard].append(N.render_stmt_line(stmt))
             body_block = new_block()
             links.append((guard, body_block, "true"))
             body_end = flow(stmt.body.body, body_block)
             if body_end is not None:
-                links.append((body_end, guard, "loop-back"))
-            after = new_block()
-            links.append((guard, after, "loop-exit"))
-            return after
-        if isinstance(stmt, N.For):
-            block_lines[current].append(N.render_stmt_line(stmt.init))
-            guard = fresh_after(current)
-            block_lines[guard].append(N.render_stmt_line(stmt))
-            body_block = new_block()
-            links.append((guard, body_block, "true"))
-            body_end = flow(stmt.body.body, body_block)
-            if body_end is not None:
-                block_lines[body_end].append(N.render_stmt_line(stmt.update))
+                if is_for:
+                    block_lines[body_end].append(N.render_stmt_line(stmt.update))
                 links.append((body_end, guard, "loop-back"))
             after = new_block()
             links.append((guard, after, "loop-exit"))

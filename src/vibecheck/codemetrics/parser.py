@@ -50,6 +50,7 @@ from vibecheck.codemetrics.nodes import (
     While,
 )
 from vibecheck.errors import ValidationError, VcpSyntaxError
+from vibecheck.io import PathLike, read_text
 
 _STMT_EXPECTED = ("identifier", "'if'", "'while'", "'for'", "'return'", "'{'")
 _EXPR_EXPECTED = ("identifier", "integer", "string", "'('", "'!'", "'-'")
@@ -283,3 +284,11 @@ def parse(text: str, name: str = "<unit>") -> SourceUnit:
     except RecursionError:
         raise ValidationError(f"{name}: nesting too deep to parse") from None
     return SourceUnit(name=name, text=text, ast=program)
+
+
+def parse_file(path: PathLike, name: str, what: str = "file") -> SourceUnit:
+    """:func:`parse` of a UTF-8 source file; a syntax error names ``path``."""
+    try:
+        return parse(read_text(path, what), name=name)
+    except VcpSyntaxError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from vibecheck.config import RunConfig
 from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.io import as_finite, as_str, read_jsonl
 
@@ -68,10 +69,10 @@ class StudentRecord:
 
 @dataclass(frozen=True)
 class UtilityWeights:
-    w1: float = 1.0 / 3.0
-    w2: float = 1.0 / 3.0
-    w3: float = 1.0 / 3.0
-    gamma: float = 0.0
+    w1: float = RunConfig.w1
+    w2: float = RunConfig.w2
+    w3: float = RunConfig.w3
+    gamma: float = RunConfig.gamma
 
     def validate(self) -> None:
         for name, value in (("w1", self.w1), ("w2", self.w2), ("w3", self.w3)):
@@ -86,13 +87,6 @@ class UtilityWeights:
             )
 
     __post_init__ = validate
-
-
-@dataclass(frozen=True)
-class ZoneThresholds:
-    m_csr: float = 0.8
-    e_gap: float = 0.3
-    m_ht: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -196,18 +190,21 @@ def break_even_between_conditions(
 
 
 def classify_zone(
-    record: StudentRecord, thresholds: ZoneThresholds = ZoneThresholds()
+    record: StudentRecord,
+    m_csr_threshold: float = RunConfig.m_csr_threshold,
+    e_gap_threshold: float = RunConfig.e_gap_threshold,
+    m_ht_cutoff: float = RunConfig.m_ht_cutoff,
 ) -> ZoneResult:
     """Zone placement with its control metric and any review flags."""
-    if record.m_csr <= thresholds.m_csr:
+    if record.m_csr <= m_csr_threshold:
         return ZoneResult(ZONE_FOUNDATIONAL, _CONTROL_METRICS[ZONE_FOUNDATIONAL], ())
-    if record.e_gap > thresholds.e_gap:
+    if record.e_gap > e_gap_threshold:
         return ZoneResult(
             ZONE_ARCHITECTURAL,
             _CONTROL_METRICS[ZONE_ARCHITECTURAL],
             (FLAG_FOUNDATIONAL_REVIEW,),
         )
-    if record.m_ht >= thresholds.m_ht:
+    if record.m_ht >= m_ht_cutoff:
         return ZoneResult(ZONE_PROFESSIONAL, _CONTROL_METRICS[ZONE_PROFESSIONAL], ())
     return ZoneResult(ZONE_ARCHITECTURAL, _CONTROL_METRICS[ZONE_ARCHITECTURAL], ())
 

@@ -4,6 +4,8 @@ Values resolve as: command-line flags > config file (``--config FILE``,
 falling back to the ``VCP_CONFIG`` environment variable) > built-in
 defaults.  Config files are flat JSON objects; unknown keys are rejected so
 typos fail loudly.  Every report embeds the fully resolved configuration.
+Each setting's default and allowed values are declared here once; a library
+function taking a setting defaults to the ``RunConfig`` attribute of its name.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from vibecheck.errors import ValidationError
 from vibecheck.io import as_bool, as_finite, as_int, as_str, read_json
 
 ENV_CONFIG = "VCP_CONFIG"
+CORRECTIONS = ("half-count", "none")
+VELOCITY_UNITS = ("volume", "loc")
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,9 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.correction not in ("half-count", "none"):
+        if self.correction not in CORRECTIONS:
             raise ValidationError(f"unknown correction {self.correction!r}")
-        if self.velocity_unit not in ("volume", "loc"):
+        if self.velocity_unit not in VELOCITY_UNITS:
             raise ValidationError(f"unknown velocity unit {self.velocity_unit!r}")
         if self.idle_gap <= 0:
             raise ValidationError("idle_gap must be positive")

@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Union
 
 from vibecheck.codemetrics import CodeMetrics
+from vibecheck.config import RunConfig
 from vibecheck.errors import DegenerateEntropyWarning, ValidationError
 from vibecheck.io import as_finite, as_list, as_str, read_json
 
-DEFAULT_EPSILON = 1e-9
 PROPORTION_TOLERANCE = 1e-9
 
 E_GAP_DEFINITION = "coverage-weighted decision entropy vs structural entropy"
@@ -110,7 +110,7 @@ def e_gap(
     transcript: str,
     ontology: ConceptOntology,
     code_metrics: CodeMetrics,
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float = RunConfig.epsilon,
 ) -> ExplanationScore:
     """Explanation-gap score of a transcript against its unit's ontology."""
     if epsilon <= 0.0:

@@ -2,8 +2,8 @@
 
 Text is UTF-8; JSON refuses ``NaN``, ``Infinity`` and numbers that overflow
 to inf, and each JSON document or JSONL line must be an object.  Failing to
-read, decode, parse or convert an input raises a ``ValidationError`` naming
-the path (and line), so bad input ends in exit code 1, never a traceback.
+read, decode, parse, convert or check an input raises a ``ValidationError``
+naming the path (and line), so bad input ends in exit code 1, never a traceback.
 The scalar helpers convert JSON values without coercion.
 """
 
@@ -60,8 +60,8 @@ _loads = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_l
 
 
 def read_json(path: PathLike, fn: Callable[[dict], T], what: str) -> T:
-    """``fn`` of the file's JSON object; a ``KeyError``, ``TypeError`` or
-    ``ValueError`` from ``fn`` names the path, toolkit errors pass through."""
+    """``fn`` of the file's JSON object; a ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``ValidationError`` from ``fn`` names the path."""
     try:
         data = _loads(read_text(path, what))
     except ValueError as exc:
@@ -70,14 +70,14 @@ def read_json(path: PathLike, fn: Callable[[dict], T], what: str) -> T:
         raise ValidationError(f"{path}: {what} must hold a JSON object")
     try:
         return fn(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed {what}: {exc}") from exc
 
 
 def read_jsonl(path: PathLike, row_fn: Callable[[dict], T], what: str) -> list[T]:
     """``row_fn`` of each JSON object line, blank lines skipped.  A line that
-    is not an object, or a ``KeyError``, ``TypeError`` or ``ValueError`` from
-    ``row_fn``, names ``path:line``; toolkit errors pass through."""
+    is not an object, or a ``KeyError``, ``TypeError``, ``ValueError`` or
+    ``ValidationError`` from ``row_fn``, names ``path:line``."""
     rows = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -87,7 +87,7 @@ def read_jsonl(path: PathLike, row_fn: Callable[[dict], T], what: str) -> list[T
             if not isinstance(record, dict):
                 raise TypeError("expected a JSON object")
             rows.append(row_fn(record))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad {what}: {exc}") from exc
     return rows
 

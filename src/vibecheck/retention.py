@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from vibecheck.codemetrics import CodeMetrics, metrics, parse
+from vibecheck.codemetrics import CodeMetrics, metrics, parse_file
 from vibecheck.codemetrics.nodes import SourceUnit
+from vibecheck.config import VELOCITY_UNITS, RunConfig
 from vibecheck.errors import (
     CalibrationError,
     DegenerateOmegaWarning,
@@ -38,10 +39,8 @@ from vibecheck.errors import (
     UndefinedVelocityError,
     ValidationError,
 )
-from vibecheck.io import as_bool, as_finite, as_str, read_jsonl, read_text
+from vibecheck.io import as_bool, as_finite, as_str, read_jsonl
 from vibecheck.reporting import write_jsonl
-
-DEFAULT_IDLE_GAP = 120.0  # seconds
 
 EVENT_KINDS = frozenset({"edit", "prompt", "paste", "run", "test_pass", "test_fail"})
 PHASES = ("ai_build", "cold_refactor")
@@ -129,7 +128,7 @@ class DecayFit:
 # --- time accounting -------------------------------------------------------
 
 
-def active_minutes(log: SessionLog, idle_gap: float = DEFAULT_IDLE_GAP) -> float:
+def active_minutes(log: SessionLog, idle_gap: float = RunConfig.idle_gap) -> float:
     """Minutes covered by the union of per-event windows ``[t, t + idle_gap]``."""
     if idle_gap <= 0:
         raise ValidationError(f"idle_gap must be positive, got {idle_gap!r}")
@@ -160,10 +159,10 @@ def lines_of_code(unit: SourceUnit) -> int:
 
 
 def velocity(
-    log: SessionLog, idle_gap: float = DEFAULT_IDLE_GAP, unit: str = "volume"
+    log: SessionLog, idle_gap: float = RunConfig.idle_gap, unit: str = RunConfig.velocity_unit
 ) -> float:
     """Output per active minute: Halstead volume (default) or lines."""
-    if unit not in ("volume", "loc"):
+    if unit not in VELOCITY_UNITS:
         raise ValidationError(f"unknown velocity unit {unit!r}")
     minutes = active_minutes(log, idle_gap=idle_gap)
     if minutes <= 0.0:
@@ -204,7 +203,7 @@ def csr_ratio(v_rec: float, v_build: float, omega_value: float) -> float:
 
 def calibrate_omega(
     pairs: Sequence[tuple[SessionLog, SessionLog]],
-    idle_gap: float = DEFAULT_IDLE_GAP,
+    idle_gap: float = RunConfig.idle_gap,
     baseline_source: str = "expert-baseline",
 ) -> OmegaCalibration:
     """Least-squares (alpha, beta) making expert retention scores hit 1.
@@ -248,7 +247,7 @@ def calibrate_omega(
 def calibration_mean_score(
     calibration: OmegaCalibration,
     pairs: Sequence[tuple[SessionLog, SessionLog]],
-    idle_gap: float = DEFAULT_IDLE_GAP,
+    idle_gap: float = RunConfig.idle_gap,
 ) -> float:
     """Mean retention score of the calibration's own baseline pairs."""
     import numpy as np
@@ -280,8 +279,8 @@ def m_csr(
     build: SessionLog,
     refactor: SessionLog,
     calibration: OmegaCalibration,
-    idle_gap: float = DEFAULT_IDLE_GAP,
-    velocity_unit: str = "volume",
+    idle_gap: float = RunConfig.idle_gap,
+    velocity_unit: str = RunConfig.velocity_unit,
 ) -> RetentionResult:
     """Retention score for one student's build/refactor pair.
 
@@ -375,8 +374,11 @@ def read_session_log(path: Union[str, Path]) -> SessionLog:
             f"{path}: a session log is a header, then events, then a final_unit trailer"
         )
     (student, phase), unit_path = records[0], path.parent / records[-1]
-    unit = parse(read_text(unit_path, "final unit"), name=unit_path.name)
-    return SessionLog(student, phase, tuple(records[1:-1]), unit)
+    unit = parse_file(unit_path, unit_path.name, "final unit")
+    try:
+        return SessionLog(student, phase, tuple(records[1:-1]), unit)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def write_session_log(log: SessionLog, path: Union[str, Path], unit_rel: str) -> None:

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from vibecheck.config import CORRECTIONS, RunConfig
 from vibecheck.errors import DomainError, ValidationError
 from vibecheck.io import as_str, read_jsonl
 from vibecheck.rng import make_rng
-
-DEFAULT_K = 1.5
-DEFAULT_DELTA = 1.0
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -132,14 +130,14 @@ def _validate_responses(responses: Sequence[TrapResponse]) -> None:
         seen.add(resp.item_id)
 
 
-def rates(responses: Sequence[TrapResponse], correction: str = "half-count") -> Rates:
+def rates(responses: Sequence[TrapResponse], correction: str = RunConfig.correction) -> Rates:
     """Hit and false-alarm rates, with the half-count extreme-rate correction.
 
     With correction ``"half-count"`` (the default), an observed rate of
     exactly 0 over n items becomes ``1/(2n)`` and an observed rate of
     exactly 1 becomes ``1 - 1/(2n)``; interior rates are untouched.
     """
-    if correction not in ("half-count", "none"):
+    if correction not in CORRECTIONS:
         raise ValidationError(f"unknown correction {correction!r}")
     _validate_responses(responses)
     n_trap = sum(1 for r in responses if r.ground_truth == "trap")
@@ -188,7 +186,7 @@ def d_prime(hit_rate: float, fa_rate: float) -> float:
     return inverse_normal_cdf(hit_rate) - inverse_normal_cdf(fa_rate)
 
 
-def m_ht(d_prime_value: float, k: float = DEFAULT_K, delta: float = DEFAULT_DELTA) -> float:
+def m_ht(d_prime_value: float, k: float = RunConfig.k, delta: float = RunConfig.delta) -> float:
     """Logistic trap-detection score ``1 / (1 + exp(-k (d' - delta)))``."""
     if k < 0:
         raise ValidationError(f"logistic slope k must be >= 0, got {k!r}")
@@ -202,9 +200,9 @@ def m_ht(d_prime_value: float, k: float = DEFAULT_K, delta: float = DEFAULT_DELT
 def score_responses(
     reviewer: str,
     responses: Sequence[TrapResponse],
-    k: float = DEFAULT_K,
-    delta: float = DEFAULT_DELTA,
-    correction: str = "half-count",
+    k: float = RunConfig.k,
+    delta: float = RunConfig.delta,
+    correction: str = RunConfig.correction,
 ) -> SdtResult:
     """Full per-reviewer pipeline: rates -> correction -> d' -> score."""
     r = rates(responses, correction=correction)

@@ -409,5 +409,5 @@ def read_cohort(path: Union[str, Path]) -> CohortDataset:
             times=np.array(times, dtype=float),
             y=np.array(y, dtype=float),
         )
-    except OverflowError as exc:  # an id past the range of a machine integer
+    except (OverflowError, ValidationError) as exc:  # OverflowError: an id past int64
         raise ValidationError(f"{path}: {exc}") from exc

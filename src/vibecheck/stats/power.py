@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from vibecheck.config import RunConfig
 from vibecheck.errors import SearchError, ValidationError
 from vibecheck.rng import make_rng
 from vibecheck.sdt import inverse_normal_cdf
@@ -46,7 +47,7 @@ class PowerSpec:
     alpha: float = 0.05
     target_power: float = 0.8
     design: str = "two_sample"
-    replicates: int = 20_000
+    replicates: int = RunConfig.replicates
     seed: int = 0
 
     def validate(self) -> None:

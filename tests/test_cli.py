@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from vibecheck.cli import run
+from vibecheck.codemetrics import parse
+from vibecheck.errors import ValidationError
 
 VOL_ASSIGN = 11.60964047443681  # x = a + b: 5 tokens over a vocabulary of 5
 
@@ -86,7 +88,10 @@ def test_long_integer_literal_is_exit_1(tmp_path, capsys):
     (origins / "unit.vcp").write_text("x = " + "1" * 5000 + "\n")
     assert run(["metrics", str(origins / "unit.vcp")]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line == "vcp: error: line 1, column 5: integer literal longer than 1000 digits"
+    assert line == (
+        f"vcp: error: {origins / 'unit.vcp'}: line 1, column 5: "
+        "integer literal longer than 1000 digits"
+    )
     assert run(["traps", "generate", "--origins", str(origins), "--out", str(tmp_path / "c")]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("vcp: error: ") and "integer literal longer than 1000 digits" in line
@@ -806,3 +811,92 @@ def test_kappa_does_not_depend_on_string_hashing(repo_root, tmp_path):
         outputs.add(proc.stdout)
     [output] = outputs
     assert json.loads(output)["kappa"] == -0.4285714285714287
+
+
+# --- every refused input file is named ------------------------------------------
+
+
+def _refused_file(case, tmp_path, fixtures):
+    """(argv, the refused file, the error that follows its name)."""
+    if case == "score":
+        path = tmp_path / "rec.jsonl"
+        path.write_text(json.dumps(
+            {"student": "s", "m_csr": 1.0, "m_ht": 1.5, "e_gap": 0.1, "t_dev": 1.0}
+        ) + "\n")
+        return ["score", "--records", path], path, ":1: bad student record: " + (
+            "m_ht must lie in (0, 1), got 1.5"
+        )
+    if case == "egap":
+        path = tmp_path / "ont.json"
+        path.write_text(json.dumps({"unit": "u", "version": "1", "concepts": [
+            {"concept_id": "c", "proportion": 0.5, "phrases": ["loop"]},
+        ]}))
+        return ["egap", "--check-ontology", path], path, ": malformed ontology: " + (
+            "concept proportions must sum to 1 within 1e-09, got 0.5"
+        )
+    if case == "retention":
+        path = tmp_path / "bad.log"
+        (tmp_path / "unit.vcp").write_text("x = 1\n")
+        path.write_text(
+            '{"student": "demo", "phase": "bogus"}\n{"kind": "edit", "t": 0.0}\n'
+            '{"final_unit": "unit.vcp"}\n'
+        )
+        argv = ["retention", "--build", path, "--refactor",
+                fixtures / "session" / "refactor.log", "--allow-uncalibrated"]
+        return argv, path, ": unknown phase 'bogus'"
+    if case == "calibrate":
+        _, log, error = _refused_file("retention", tmp_path, fixtures)
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps({"build": log.name, "refactor": log.name}) + "\n")
+        return ["calibrate", "--pairs", path], path, f":1: bad pair record: {log}{error}"
+    if case == "graph":
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "nodes": [{"id": 0}, {"id": 1}], "entry": 0, "exit": 1,
+            "edges": [{"from": 0, "to": 1, "label": "seq"}, {"from": 1, "to": 0, "label": "seq"}],
+        }))
+        return ["metrics", path], path, (
+            ": malformed control-flow graph: entry block must have in-degree 0"
+        )
+    if case == "fit":
+        path = tmp_path / "coh.jsonl"
+        row = json.dumps({"student": 1, "occasion": 0, "condition": "trad", "time": 0.0,
+                          "y": 1.0})
+        path.write_text(row + "\n" + row + "\n")
+        return ["fit", "--data", path], path, ": duplicate (student, occasion) observation"
+    path = tmp_path / "bad.vcp"
+    path.write_text("x = = 1\n")
+    with pytest.raises(ValidationError) as caught:
+        parse("x = = 1\n")
+    assert str(caught.value).startswith("line 1, column 5: unexpected '=' (")
+    return ["metrics", path], path, f": {caught.value}"
+
+
+@pytest.mark.parametrize(
+    "case", ["score", "egap", "retention", "calibrate", "graph", "fit", "metrics"]
+)
+def test_a_refused_input_file_is_named(fixtures, tmp_path, capsys, case):
+    argv, path, error = _refused_file(case, tmp_path, fixtures)
+    assert run([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"vcp: error: {path}{error}"]
+
+
+def test_a_syntax_error_in_an_origin_or_final_unit_names_the_file(fixtures, tmp_path, capsys):
+    origins = tmp_path / "origins"
+    origins.mkdir()
+    (origins / "bad.vcp").write_text("x = = 1\n")
+    argv = ["traps", "generate", "--origins", origins, "--out", tmp_path / "corpus"]
+    assert run([str(a) for a in argv]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"vcp: error: {origins / 'bad.vcp'}: line 1, column 5: ")
+    (tmp_path / "unit.vcp").write_text("x = = 1\n")
+    log = tmp_path / "build.log"
+    log.write_text(
+        '{"student": "demo", "phase": "ai_build"}\n{"kind": "edit", "t": 0.0}\n'
+        '{"final_unit": "unit.vcp"}\n'
+    )
+    argv = ["retention", "--build", log, "--refactor",
+            fixtures / "session" / "refactor.log", "--allow-uncalibrated"]
+    assert run([str(a) for a in argv]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"vcp: error: {tmp_path / 'unit.vcp'}: line 1, column 5: ")

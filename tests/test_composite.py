@@ -11,7 +11,6 @@ from vibecheck.composite import (
     StudentRecord,
     UtilityWeights,
     ZoneResult,
-    ZoneThresholds,
     break_even,
     classify_zone,
     utility,
@@ -178,8 +177,10 @@ def test_retention_check_precedes_gap_check():
 
 
 def test_custom_thresholds():
-    thresholds = ZoneThresholds(m_csr=0.5, e_gap=0.5, m_ht=0.9)
-    result = classify_zone(_record(m_csr=0.6, m_ht=0.91, e_gap=0.2), thresholds)
+    result = classify_zone(
+        _record(m_csr=0.6, m_ht=0.91, e_gap=0.2),
+        m_csr_threshold=0.5, e_gap_threshold=0.5, m_ht_cutoff=0.9,
+    )
     assert result.zone == "professional"
 
 

@@ -1,11 +1,16 @@
 """Config resolution: defaults, file layer, override layer."""
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from vibecheck.config import ENV_CONFIG, RunConfig, resolve_config
+from vibecheck import composite, explainability, retention, sdt
+from vibecheck.cli import _build_parser
+from vibecheck.config import CORRECTIONS, ENV_CONFIG, VELOCITY_UNITS, RunConfig, resolve_config
 from vibecheck.errors import ValidationError
+from vibecheck.stats.power import PowerSpec
 
 
 def test_defaults():
@@ -169,3 +174,52 @@ def test_to_dict_round_trips_every_field(tmp_path):
     path = tmp_path / "echo.json"
     path.write_text(json.dumps(config.to_dict()))
     assert resolve_config(str(path), {}) == config
+
+
+# --- the library and the command line take their defaults from RunConfig ------
+
+_SETTING_DEFAULTS = [
+    (sdt.m_ht, "k", "k"),
+    (sdt.m_ht, "delta", "delta"),
+    (sdt.rates, "correction", "correction"),
+    (sdt.score_responses, "k", "k"),
+    (sdt.score_responses, "delta", "delta"),
+    (sdt.score_responses, "correction", "correction"),
+    (retention.active_minutes, "idle_gap", "idle_gap"),
+    (retention.velocity, "idle_gap", "idle_gap"),
+    (retention.velocity, "unit", "velocity_unit"),
+    (retention.calibrate_omega, "idle_gap", "idle_gap"),
+    (retention.calibration_mean_score, "idle_gap", "idle_gap"),
+    (retention.m_csr, "idle_gap", "idle_gap"),
+    (retention.m_csr, "velocity_unit", "velocity_unit"),
+    (explainability.e_gap, "epsilon", "epsilon"),
+    (composite.classify_zone, "m_csr_threshold", "m_csr_threshold"),
+    (composite.classify_zone, "e_gap_threshold", "e_gap_threshold"),
+    (composite.classify_zone, "m_ht_cutoff", "m_ht_cutoff"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, parameter, setting", _SETTING_DEFAULTS,
+    ids=[f"{fn.__module__}.{fn.__name__}.{p}" for fn, p, _ in _SETTING_DEFAULTS],
+)
+def test_library_default_is_the_run_config_default(fn, parameter, setting):
+    default = inspect.signature(fn).parameters[parameter].default
+    assert default == getattr(RunConfig(), setting)
+
+
+def test_record_defaults_are_the_run_config_defaults():
+    config = RunConfig()
+    weights = composite.UtilityWeights()
+    for field in dataclasses.fields(weights):
+        assert getattr(weights, field.name) == getattr(config, field.name)
+    [replicates] = [f for f in dataclasses.fields(PowerSpec) if f.name == "replicates"]
+    assert replicates.default == config.replicates
+
+
+def test_option_choices_are_the_allowed_settings():
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    sdt_options = commands["sdt"]._option_string_actions
+    retention_options = commands["retention"]._option_string_actions
+    assert sdt_options["--correction"].choices == CORRECTIONS
+    assert retention_options["--velocity-unit"].choices == VELOCITY_UNITS

@@ -151,14 +151,36 @@ def test_read_jsonl_bad_line_names_path_and_line(tmp_path, line, detail):
 def test_read_jsonl_toolkit_error_passes_through(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"v": 1}\n')
-    error = ValidationError("row-level check")
+    error = FitError("singular")
 
     def row_fn(rec):
         raise error
 
-    with pytest.raises(ValidationError) as caught:
+    with pytest.raises(FitError) as caught:
         read_jsonl(path, row_fn, "row")
     assert caught.value is error
+
+
+def test_validation_error_from_the_row_function_names_the_file(tmp_path):
+    error = ValidationError("row-level check")
+
+    def fn(data):
+        if data.get("v") == 2:
+            raise error
+        return data
+
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"v": 1}\n\n{"v": 2}\n')
+    with pytest.raises(ValidationError) as caught:
+        read_jsonl(path, fn, "row")
+    assert str(caught.value) == f"{path}:3: bad row: row-level check"
+    assert caught.value.__cause__ is error
+    path = tmp_path / "doc.json"
+    path.write_text('{"v": 2}')
+    with pytest.raises(ValidationError) as caught:
+        read_json(path, fn, "doc")
+    assert str(caught.value) == f"{path}: malformed doc: row-level check"
+    assert caught.value.__cause__ is error
 
 
 # --- read_csv ----------------------------------------------------------------

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vibecheck.config import RunConfig
 from vibecheck.errors import DomainError, ValidationError
 from vibecheck.sdt import (
-    DEFAULT_DELTA,
-    DEFAULT_K,
     TrapResponse,
     d_prime,
     inverse_normal_cdf,
@@ -176,7 +175,7 @@ def test_d_prime_increases_with_hit_rate(h, f):
 
 
 def test_m_ht_is_half_at_delta():
-    assert m_ht(DEFAULT_DELTA) == 0.5
+    assert m_ht(RunConfig.delta) == 0.5
     assert m_ht(2.5, k=2.0, delta=2.5) == 0.5
 
 
@@ -211,7 +210,7 @@ def test_m_ht_monotone_and_bounded(a, b):
 @given(st.floats(min_value=-8, max_value=8))
 def test_m_ht_translation_symmetry(d):
     # Around the midpoint the logistic is odd: s(delta+x) + s(delta-x) = 1.
-    total = m_ht(DEFAULT_DELTA + d) + m_ht(DEFAULT_DELTA - d)
+    total = m_ht(RunConfig.delta + d) + m_ht(RunConfig.delta - d)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -226,7 +225,7 @@ def test_score_responses_keeps_raw_and_corrected_rates():
     assert result.fa_rate_corrected == pytest.approx(0.05)
     assert result.correction_applied
     assert result.d_prime == pytest.approx(D_95_05, abs=1e-9)
-    assert (result.k, result.delta) == (DEFAULT_K, DEFAULT_DELTA)
+    assert (result.k, result.delta) == (RunConfig.k, RunConfig.delta)
     assert result.criterion_c == pytest.approx(0.0, abs=1e-12)
 
 
