@@ -31,6 +31,7 @@ from vibecheck.config import CORRECTIONS, VELOCITY_UNITS, RunConfig, resolve_con
 from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.explainability import E_GAP_DEFINITION, e_gap, load_ontology
 from vibecheck.io import as_finite, csv_rows, read_csv, read_json, read_jsonl, read_text
+from vibecheck.pool import ordered_map, path_bytes
 from vibecheck.reporting import (
     dumps_record,
     human_table,
@@ -202,8 +203,12 @@ def _load_unit_or_cfg(path: str):
 # --- subcommand bodies -----------------------------------------------------
 
 
+def _file_metrics(path: str) -> dict:
+    return metrics_record(Path(path).name, metrics(_load_unit_or_cfg(path)))
+
+
 def _cmd_metrics(args, config: RunConfig, sink: _Sink) -> int:
-    records = [metrics_record(Path(f).name, metrics(_load_unit_or_cfg(f))) for f in args.files]
+    records = ordered_map(_file_metrics, args.files, [path_bytes(f) for f in args.files])
     sink.emit_table("metrics", records, ["unit", "cc", "n1", "n2", "N1", "N2", "volume_v", "h_c"])
     return 0
 
@@ -233,12 +238,11 @@ def _cmd_traps_generate(args, config: RunConfig, sink: _Sink) -> int:
     paths = sorted(origins_dir.glob("*.vcp"))
     if not paths:
         raise ValidationError(f"no .vcp origins found in {origins_dir}")
-    origins = [parse_file(p, p.stem) for p in paths]
-    corpus = trapforge.generate_corpus(origins, config.trap_fraction, config.seed)
+    corpus = trapforge.generate_corpus(paths, config.trap_fraction, config.seed)
     trapforge.write_corpus(corpus, out)
     actual = sum(1 for i in corpus.items if i.ground_truth == "trap")
     write_json(out / "report.json", sink.report({
-        "n_origins": len(origins),
+        "n_origins": len(paths),
         "n_items": len(corpus.items),
         "requested_traps": corpus.requested_traps,
         "actual_traps": actual,

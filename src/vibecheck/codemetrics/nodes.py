@@ -164,34 +164,58 @@ def _expr_prec(expr: Expr) -> int:
 
 
 def render_expr(expr: Expr) -> str:
-    if isinstance(expr, Name):
+    """The canonical text of ``expr``.  Pieces of text and subexpressions
+    wait on an explicit stack, last piece first, so a deep tree, such as a
+    long operator chain, costs no interpreter stack."""
+    if type(expr) is Name:  # the commonest expression, without the stack
         return expr.ident
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, StrLit):
-        return '"' + _escape(expr.value) + '"'
-    if isinstance(expr, Call):
-        return expr.func + "(" + ", ".join(render_expr(a) for a in expr.args) + ")"
-    if isinstance(expr, Index):
-        return expr.base + "[" + render_expr(expr.index) + "]"
-    if isinstance(expr, Unary):
-        inner = render_expr(expr.operand)
-        # Parenthesize any binary operand; nested unaries get explicit parens
-        # too so "-(-x)" never prints as a single "--" lexeme.
-        if isinstance(expr.operand, (Binary, Unary)):
-            inner = "(" + inner + ")"
-        return expr.op + inner
-    if isinstance(expr, Binary):
-        prec = BINARY_PRECEDENCE[expr.op]
-        left = render_expr(expr.left)
-        right = render_expr(expr.right)
-        if _expr_prec(expr.left) < prec:
-            left = "(" + left + ")"
-        # Binaries are left-associative: equal precedence on the right needs parens.
-        if _expr_prec(expr.right) <= prec:
-            right = "(" + right + ")"
-        return f"{left} {expr.op} {right}"
-    raise TypeError(f"unknown expression node: {expr!r}")
+    out: list[str] = []
+    todo: list = [expr]
+    put, push, pop = out.append, todo.append, todo.pop
+    while todo:
+        item = pop()
+        cls = type(item)
+        if cls is str:
+            put(item)
+        elif cls is Name:
+            put(item.ident)
+        elif cls is Binary:
+            prec = BINARY_PRECEDENCE[item.op]
+            left_parens = _expr_prec(item.left) < prec
+            # Binaries are left-associative: equal precedence on the right needs parens.
+            right_parens = _expr_prec(item.right) <= prec
+            if right_parens:
+                push(")")
+            push(item.right)
+            push((") " if left_parens else " ") + item.op + (" (" if right_parens else " "))
+            push(item.left)
+            if left_parens:
+                push("(")
+        elif cls is IntLit:
+            put(str(item.value))
+        elif cls is Call:
+            push(")")
+            args = item.args
+            for k in range(len(args) - 1, 0, -1):
+                push(args[k])
+                push(", ")
+            if args:
+                push(args[0])
+            push(item.func + "(")
+        elif cls is StrLit:
+            put('"' + _escape(item.value) + '"')
+        elif cls is Unary:
+            # Parenthesize any binary operand; nested unaries get explicit
+            # parens too so "-(-x)" never prints as a single "--" lexeme.
+            if type(item.operand) in (Binary, Unary):
+                todo += (")", item.operand, item.op + "(")
+            else:
+                todo += (item.operand, item.op)
+        elif cls is Index:
+            todo += ("]", item.index, item.base + "[")
+        else:
+            raise TypeError(f"unknown expression node: {item!r}")
+    return "".join(out)
 
 
 def render_stmt_line(stmt: Stmt) -> str:

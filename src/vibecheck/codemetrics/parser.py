@@ -58,6 +58,13 @@ _VALUE_STARTS = frozenset({"<int>", "<string>", "(", "!", "-"})
 # Longest integer literal accepted, well inside the 4,300 digits that int()
 # converts from a string.
 _MAX_INT_DIGITS = 1000
+# Deepest nesting accepted, counting every block, bracket and unary operator
+# that encloses a token; the links of an ``else if`` chain do not nest.  A
+# level costs the parser at most four stack frames and every later pass at
+# most two, so a program within the budget parses and is measured well inside
+# the interpreter's default limit of 1,000 frames, whatever the caller's depth
+# (a forked worker runs a few frames deeper than the process that forked it).
+DEPTH_BUDGET = 200
 
 
 class _Parser:
@@ -65,6 +72,9 @@ class _Parser:
         self.text = text
         self.keys, self.texts, self.starts, self.ends = map(list, zip(*lex(text)))
         self.i = 0  # index of the next token; the parser never moves past <eof>
+        # Levels open around the next token.  A syntax error ends the parse,
+        # so a level is closed only on the way out of a successful parse.
+        self.depth = 0
 
     def expect(self, key: str) -> int:
         """Consume a ``key`` token and return its index."""
@@ -74,6 +84,14 @@ class _Parser:
             raise self._error((expected,))
         self.i = i + 1
         return i
+
+    def open_level(self, at: int) -> None:
+        """Enter one nesting level opened by token ``at``."""
+        self.depth += 1
+        if self.depth > DEPTH_BUDGET:
+            raise VcpSyntaxError(
+                f"nesting deeper than {DEPTH_BUDGET} levels", *line_col(self.text, self.starts[at])
+            )
 
     def _error(self, expected: tuple[str, ...]) -> VcpSyntaxError:
         i = self.i
@@ -114,6 +132,7 @@ class _Parser:
     def parse_block(self) -> Block:
         keys = self.keys
         open_at = self.expect("{")
+        self.open_level(open_at)
         body: list[Stmt] = []
         while keys[self.i] != "}":
             if keys[self.i] == "<eof>":
@@ -121,6 +140,7 @@ class _Parser:
             body.append(self.parse_stmt())
         close_at = self.i
         self.i = close_at + 1
+        self.depth -= 1
         return Block(tuple(body), span=(self.starts[open_at], self.ends[close_at]))
 
     def parse_assign(self) -> Assign:
@@ -186,33 +206,47 @@ class _Parser:
 
     # --- expressions -------------------------------------------------------
 
-    def parse_expr(self, min_prec: int = 1) -> Expr:
-        """Precedence climbing: fold every operator that binds at least
-        ``min_prec`` into ``left``; the right operand takes only tighter ones,
-        so equal precedence associates to the left."""
+    def parse_expr(self) -> Expr:
+        """Operator precedence on explicit stacks: before an operator is
+        pushed, every pending operator that binds at least as tightly is
+        folded (all of them at the end), so equal precedence associates to
+        the left and a long operator chain costs no stack."""
         keys = self.keys
-        left = self.parse_unary()
+        first = self.parse_unary()
+        op_at = self.i
+        prec = BINARY_PRECEDENCE.get(keys[op_at], 0)
+        if not prec:
+            return first
+        operands = [first]
+        pending: list[tuple[int, int]] = []  # (precedence, token index) of open operators
         while True:
+            while pending and pending[-1][0] >= prec:
+                at = pending.pop()[1]
+                right = operands.pop()
+                left = operands[-1]
+                operands[-1] = Binary(
+                    keys[at],
+                    left,
+                    right,
+                    span=(left.span[0], right.span[1]),
+                    op_span=(self.starts[at], self.ends[at]),
+                )
+            if not prec:
+                return operands[0]
+            pending.append((prec, op_at))
+            self.i = op_at + 1
+            operands.append(self.parse_unary())
             op_at = self.i
             prec = BINARY_PRECEDENCE.get(keys[op_at], 0)
-            if prec < min_prec:
-                return left
-            self.i = op_at + 1
-            right = self.parse_expr(prec + 1)
-            left = Binary(
-                keys[op_at],
-                left,
-                right,
-                span=(left.span[0], right.span[1]),
-                op_span=(self.starts[op_at], self.ends[op_at]),
-            )
 
     def parse_unary(self) -> Expr:
         i = self.i
         key = self.keys[i]
         if key == "!" or key == "-":
+            self.open_level(i)
             self.i = i + 1
             operand = self.parse_unary()
+            self.depth -= 1
             return Unary(key, operand, span=(self.starts[i], operand.span[1]))
         return self.parse_primary()
 
@@ -220,6 +254,7 @@ class _Parser:
         """``IDENT "(" args ")"``, with the parser at the identifier."""
         keys = self.keys
         name_at = self.i
+        self.open_level(name_at + 1)
         self.i += 2
         args: list[Expr] = []
         if keys[self.i] != ")":
@@ -228,6 +263,7 @@ class _Parser:
                 self.i += 1
                 args.append(self.parse_expr())
         close_at = self.expect(")")
+        self.depth -= 1
         return Call(self.texts[name_at], tuple(args), span=(self.starts[name_at], self.ends[close_at]))
 
     def parse_primary(self) -> Expr:
@@ -238,9 +274,11 @@ class _Parser:
             if after == "(":
                 return self.parse_call()
             if after == "[":
+                self.open_level(i + 1)
                 self.i = i + 2
                 index = self.parse_expr()
                 close_at = self.expect("]")
+                self.depth -= 1
                 return Index(self.texts[i], index, span=(self.starts[i], self.ends[close_at]))
             self.i = i + 1
             return Name(self.texts[i], span=(self.starts[i], self.ends[i]))
@@ -257,9 +295,11 @@ class _Parser:
             self.i = i + 1
             return StrLit(self.texts[i], span=(self.starts[i], self.ends[i]))
         if key == "(":
+            self.open_level(i)
             self.i = i + 1
             inner = self.parse_expr()
             close_at = self.expect(")")
+            self.depth -= 1
             if isinstance(inner, (Binary, Unary)):
                 # Keep the parenthesized extent so splices stay balanced.
                 inner = _respan(inner, (self.starts[i], self.ends[close_at]))
@@ -277,13 +317,10 @@ def parse(text: str, name: str = "<unit>") -> SourceUnit:
     """Parse VCPLang source into a :class:`SourceUnit`.
 
     Raises :class:`~vibecheck.errors.VcpSyntaxError` with line, column, and
-    the expected-token set on malformed input.
+    the expected-token set on malformed input, and at the token that opens
+    the first level past ``DEPTH_BUDGET``.
     """
-    try:
-        program = _Parser(text).parse_program()
-    except RecursionError:
-        raise ValidationError(f"{name}: nesting too deep to parse") from None
-    return SourceUnit(name=name, text=text, ast=program)
+    return SourceUnit(name=name, text=text, ast=_Parser(text).parse_program())
 
 
 def parse_file(path: PathLike, name: str, what: str = "file") -> SourceUnit:

@@ -2,7 +2,8 @@
 
 Two branches matter to the CLI: ``ValidationError`` (malformed input, exit
 code 1) and ``ComputationError`` (well-formed input on which the requested
-computation is undefined, exit code 2).
+computation is undefined, exit code 2).  Every error survives a pickle round
+trip, so one raised in a worker process reaches the CLI unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ class VcpSyntaxError(ValidationError):
     """Syntax error in VCPLang source, with position and expectation set."""
 
     def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
+        self.message = message
         self.line = line
         self.col = col
         self.expected = tuple(expected)
@@ -31,6 +33,9 @@ class VcpSyntaxError(ValidationError):
         if expected:
             detail += " (expected " + " or ".join(expected) + ")"
         super().__init__(detail)
+
+    def __reduce__(self):  # rebuilt from the constructor's arguments, not from ``args``
+        return type(self), (self.message, self.line, self.col, self.expected)
 
 
 class DomainError(ComputationError):
@@ -44,6 +49,9 @@ class NotApplicableError(ComputationError):
         self.kind = kind
         self.unit = unit
         super().__init__(f"defect kind {kind!r} has no applicable site in unit {unit!r}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.unit)
 
 
 class CalibrationError(ComputationError):

@@ -13,13 +13,13 @@ its integer statistic stays exact.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from vibecheck.errors import ConstantInputError, ValidationError
+from vibecheck.pool import available_cpus
 from vibecheck.rng import make_rng
 from vibecheck.stats import tdist
 
@@ -144,10 +144,6 @@ def _permutation_p(ix: np.ndarray, iy: np.ndarray, permutations: int, seed: int)
         return extreme
 
     chunks = -(-permutations // _PERMUTATION_CHUNK)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # macOS and Windows have no affinity call
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(min(chunks, cpus)) as pool:
+    with ThreadPoolExecutor(min(chunks, available_cpus())) as pool:
         extreme = sum(pool.map(count, range(chunks)))
     return (1 + extreme) / (1 + permutations)

@@ -23,6 +23,7 @@ Site coordinates in the answer key refer to the origin source.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -31,9 +32,10 @@ from typing import Optional, Sequence, Union
 
 from vibecheck.codemetrics import nodes as N
 from vibecheck.codemetrics.lexer import line_col
-from vibecheck.codemetrics.parser import parse
+from vibecheck.codemetrics.parser import parse, parse_file
 from vibecheck.errors import NotApplicableError, ValidationError
 from vibecheck.io import as_str, read_jsonl
+from vibecheck.pool import ordered_map, path_bytes
 from vibecheck.reporting import write_json, write_jsonl
 from vibecheck.rng import PhiloxStream
 
@@ -204,24 +206,50 @@ def _apply(unit: N.SourceUnit, kind: str, site: _Site) -> tuple[str, MutationSit
     return mutated, MutationSite(start, end, line, col, site.description)
 
 
+def _draft(
+    task: tuple[int, Union[Path, N.SourceUnit], bool], seed: int
+) -> tuple[str, str, Optional[str], bool, Optional[MutationSite]]:
+    """One origin's item: (name, source, defect kind, shortfall, site).
+
+    ``task`` is (origin index, origin, selected for mutation).  A path is
+    parsed here, so its tree is dropped once the item is drafted.
+    """
+    index, origin, selected = task
+    unit = parse_file(origin, origin.stem) if isinstance(origin, Path) else origin
+    if not selected:
+        return unit.name, unit.text, None, False, None
+    item_rng = PhiloxStream(seed, index)
+    sites_by_kind = applicable_sites(unit)
+    kinds = [k for k in DEFECT_KINDS if sites_by_kind[k]]
+    if not kinds:
+        return unit.name, unit.text, None, True, None
+    kind = kinds[item_rng.integers(len(kinds))]
+    sites = sites_by_kind[kind]
+    mutated, mutation = _apply(unit, kind, sites[item_rng.integers(len(sites))])
+    return unit.name, mutated, kind, False, mutation
+
+
 def generate_corpus(
-    origins: Sequence[N.SourceUnit], trap_fraction: float, seed: int
+    origins: Sequence[Union[Path, N.SourceUnit]], trap_fraction: float, seed: int
 ) -> TrapCorpus:
     """Deterministically derive a shuffled review corpus from clean origins.
 
+    An origin is a ``.vcp`` path, parsed under its stem, or a parsed unit.
     ``round(trap_fraction * len(origins))`` origins are selected for
     mutation; each selected origin draws a defect kind uniformly from the
     kinds applicable to it, using a stream derived from ``(seed, origin
     index)`` so items are independent.  A selected origin with no applicable
     kind stays clean and is counted in ``shortfall``.  Presentation order is
     a Fisher-Yates shuffle seeded by the corpus seed, and item ids are
-    assigned after shuffling.
+    assigned after shuffling.  The origins are drafted through
+    :func:`vibecheck.pool.ordered_map`, so a large batch of paths is parsed
+    and mutated on every available CPU with the same result.
     """
     if not origins:
         raise ValidationError("corpus generation needs at least one origin")
     if not (0.0 <= trap_fraction <= 1.0):
         raise ValidationError(f"trap_fraction must lie in [0, 1], got {trap_fraction!r}")
-    names = [u.name for u in origins]
+    names = [o.stem if isinstance(o, Path) else o.name for o in origins]
     if len(set(names)) != len(names):
         raise ValidationError("origin names must be unique")
 
@@ -229,25 +257,15 @@ def generate_corpus(
     requested = int(math.floor(trap_fraction * n + 0.5))
     top_rng = PhiloxStream(seed)
     chosen = set(top_rng.sample(n, requested))
-
-    drafts: list[tuple[N.SourceUnit, str, Optional[str], Optional[MutationSite]]] = []
-    shortfall = 0
-    for index, unit in enumerate(origins):
-        if index not in chosen:
-            drafts.append((unit, unit.text, None, None))
-            continue
-        item_rng = PhiloxStream(seed, index)
-        sites_by_kind = applicable_sites(unit)
-        kinds = [k for k in DEFECT_KINDS if sites_by_kind[k]]
-        if not kinds:
-            shortfall += 1
-            drafts.append((unit, unit.text, None, None))
-            continue
-        kind = kinds[item_rng.integers(len(kinds))]
-        sites = sites_by_kind[kind]
-        site = sites[item_rng.integers(len(sites))]
-        mutated, mutation = _apply(unit, kind, site)
-        drafts.append((unit, mutated, kind, mutation))
+    sizes = [
+        path_bytes(o) if isinstance(o, Path) else len(o.text.encode("utf-8")) for o in origins
+    ]
+    drafts = ordered_map(
+        functools.partial(_draft, seed=seed),
+        [(index, origin, index in chosen) for index, origin in enumerate(origins)],
+        sizes,
+    )
+    shortfall = sum(draft[3] for draft in drafts)
 
     # Fisher-Yates over presentation order, seeded by the corpus seed.
     order = list(range(n))
@@ -258,7 +276,7 @@ def generate_corpus(
     width = max(3, len(str(n - 1)))
     items = []
     for position, original_index in enumerate(order):
-        unit, source, kind, site = drafts[original_index]
+        name, source, kind, _, site = drafts[original_index]
         items.append(
             TrapItem(
                 item_id=f"item_{position:0{width}d}",
@@ -266,7 +284,7 @@ def generate_corpus(
                 ground_truth="trap" if kind else "clean",
                 defect_kind=kind,
                 mutation_site=site,
-                origin_name=unit.name,
+                origin_name=name,
             )
         )
     return TrapCorpus(

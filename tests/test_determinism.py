@@ -1,10 +1,15 @@
-"""Two runs under different string-hash seeds write the same bytes.
+"""Two runs under different string-hash seeds, or on different CPU counts,
+write the same bytes.
 
 A child interpreter runs every ``vcp`` subcommand on committed fixtures, each
 with ``--out``, and then the study driver, all in process and inside its own
 working directory.  The argv lists are perfbench's ``cold_commands``.  One
 child runs with ``PYTHONHASHSEED=0`` and one with ``PYTHONHASHSEED=1``; every
 file they write and everything they print must match byte for byte.
+
+Another pair of children runs ``vcp metrics`` and ``vcp traps generate`` over
+perfbench's corpus pool, large enough to fork workers; one of them first
+restricts itself to a single CPU, so it runs in process.
 """
 
 import os
@@ -48,7 +53,37 @@ print("== study complete")
 '''
 
 
-def _run_child(repo_root: Path, work: Path, hash_seed: str) -> tuple[str, dict]:
+CORPUS_CHILD = r'''
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import workloads
+from vibecheck import cli
+
+if sys.argv[2] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # this process only
+print("cpus", len(os.sched_getaffinity(0)))
+corpus = workloads.Corpus(Path(sys.argv[1]), Path("tmp"), 1, False, {})
+corpus.setup()
+commands = {
+    "metrics": ["metrics", *corpus.files, "--out", "out/metrics"],
+    "traps": ["traps", "generate", "--origins", str(corpus.pool_dir), "--fraction", "0.5",
+              "--seed", "1", "--out", "out/corpus"],
+}
+for name, argv in commands.items():
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(argv)
+    print(f"== {name}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+'''
+
+
+def _run_child(
+    repo_root: Path, work: Path, hash_seed: str, child: str = CHILD, mode: str = ""
+) -> tuple[str, dict]:
     work.mkdir()
     (work / "fixtures").symlink_to(repo_root / "fixtures", target_is_directory=True)
     env = {k: v for k, v in os.environ.items() if k != "VCP_CONFIG"}
@@ -58,7 +93,7 @@ def _run_child(repo_root: Path, work: Path, hash_seed: str) -> tuple[str, dict]:
                     env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(repo_root)],
+        [sys.executable, "-c", child, str(repo_root), mode],
         cwd=work, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
@@ -80,3 +115,17 @@ def test_outputs_do_not_depend_on_the_hash_seed(repo_root, tmp_path):
     for name in files0:
         assert files0[name] == files1[name], name
     assert out0 == out1
+
+
+def test_corpus_outputs_do_not_depend_on_the_cpu_count(repo_root, tmp_path):
+    out1, files1 = _run_child(repo_root, tmp_path / "one", "0", CORPUS_CHILD, "one-cpu")
+    outn, filesn = _run_child(repo_root, tmp_path / "all", "0", CORPUS_CHILD, "all-cpus")
+    cpus1, _, report1 = out1.partition("\n")
+    _, _, reportn = outn.partition("\n")
+    assert cpus1 == "cpus 1"
+    assert report1.count(": exit 0\n") == 2
+    assert len([name for name in files1 if name.startswith("out/corpus/items/")]) == 264
+    assert sorted(files1) == sorted(filesn)
+    for name in files1:
+        assert files1[name] == filesn[name], name
+    assert report1 == reportn

@@ -1,9 +1,11 @@
-"""numpy loads only for the commands that compute with it.
+"""numpy and the process pool load only for the commands that use them.
 
 The commands of the study path (metrics, sdt, traps generate, retention,
 egap, score), ``kappa`` and the study driver run without importing numpy; the
-other stats commands import it when they run.  Each check runs in a fresh
-interpreter, since this test process has numpy loaded already.
+other stats commands import it when they run.  The study's batches are far
+below ``pool.FORK_MIN_BYTES``, so they run in process and never import
+``multiprocessing`` or ``concurrent.futures.process`` either.  Each check runs
+in a fresh interpreter, since this test process has numpy loaded already.
 """
 
 import json
@@ -26,9 +28,13 @@ def _python(repo_root, code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+_UNLOADED = ("numpy", "multiprocessing", "concurrent.futures.process")
+_LOADED = f"[m for m in {_UNLOADED!r} if m in sys.modules]"
+
+
 def test_cli_import_leaves_numpy_unloaded(repo_root):
-    proc = _python(repo_root, "import sys, vibecheck.cli; print('numpy' in sys.modules)")
-    assert proc.stdout.strip() == "False"
+    proc = _python(repo_root, f"import sys, vibecheck.cli; print({_LOADED})")
+    assert proc.stdout.strip() == "[]"
 
 
 def test_study_path_commands_leave_numpy_unloaded(repo_root, tmp_path):
@@ -50,11 +56,11 @@ def test_study_path_commands_leave_numpy_unloaded(repo_root, tmp_path):
             with contextlib.redirect_stdout(io.StringIO()), \\
                     contextlib.redirect_stderr(io.StringIO()):
                 exit_code = run(argv)
-            result.append([argv[0], exit_code, "numpy" in sys.modules])
+            result.append([argv[0], exit_code, LOADED])
         print(json.dumps(result))
-    """
+    """.replace("LOADED", _LOADED)
     proc = _python(repo_root, code, json.dumps(commands))
-    assert json.loads(proc.stdout) == [[argv[0], 0, False] for argv in commands]
+    assert json.loads(proc.stdout) == [[argv[0], 0, []] for argv in commands]
 
 
 def test_kappa_leaves_numpy_unloaded(repo_root, tmp_path):
@@ -76,10 +82,10 @@ def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):
         import runpy, sys
         sys.argv = ["run_study.py", "--fixtures", "fixtures/study", "--out", sys.argv[1]]
         runpy.run_path("scripts/run_study.py", run_name="__main__")
-        print("numpy" in sys.modules)
-    """
+        print(LOADED)
+    """.replace("LOADED", _LOADED)
     proc = _python(repo_root, code, str(tmp_path / "study"))
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "study" / "score" / "score_report.json").is_file()
 
 

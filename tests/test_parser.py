@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from vibecheck.codemetrics import nodes as N
 from vibecheck.codemetrics.lexer import lex, line_col
-from vibecheck.codemetrics.parser import parse
+from vibecheck.codemetrics.metrics import metrics
+from vibecheck.codemetrics.parser import DEPTH_BUDGET, parse, parse_file
 from vibecheck.codemetrics.progen import random_program
 from vibecheck.errors import ValidationError, VcpSyntaxError
 
@@ -240,3 +241,73 @@ def test_crlf_source_parses_with_offsets_into_the_text():
     assert assign.span == (0, 5)
     assert guard.span == (7, 31)
     assert line_col(unit.text, guard.then.body[0].span[0]) == (3, 3)
+
+
+# --- the nesting budget -------------------------------------------------------
+
+# Each shape nested ``n`` levels deep, with the 1-based column of the token
+# that opens level ``n``.
+_NESTINGS = {
+    "call": (lambda n: "x = " + "f(" * n + ")" * n, lambda n: 2 * n + 4),
+    "parens": (lambda n: "x = " + "(" * n + "1" + ")" * n, lambda n: n + 4),
+    "if": (lambda n: "if (a < b) { " * n + "}" * n, lambda n: 13 * n - 1),
+    "block": (lambda n: "{ " * n + "}" * n, lambda n: 2 * n - 1),
+    "unary": (lambda n: "x = " + "!-" * (n // 2) + "-" * (n % 2) + "1", lambda n: n + 4),
+    "index": (lambda n: "x = " + "a[" * n + "1" + "]" * n, lambda n: 2 * n + 4),
+    "operators": (lambda n: "x = " + "a || b && c == d < e + f * (" * n + "1" + ")" * n,
+                  lambda n: 28 * n + 4),
+    "mixed": (lambda n: "while (a) { " * (n // 2) + "x = " + "f(" * (n - n // 2)
+              + ")" * (n - n // 2) + " }" * (n // 2),
+              lambda n: 12 * (n // 2) + 2 * (n - n // 2) + 4),
+}
+
+
+def _at_depth(frames: int, fn):
+    return fn() if frames == 0 else _at_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_at_the_budget_is_measured_even_from_a_deep_caller(shape):
+    text = _NESTINGS[shape][0](DEPTH_BUDGET)
+    metrics(parse(text))
+    # A forked worker, a test runner or an embedding program calls from
+    # deeper in the stack than a plain ``vcp`` run.
+    _at_depth(150, lambda: metrics(parse(text)))
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_past_the_budget_is_refused_at_its_opening_token(shape):
+    make, column = _NESTINGS[shape]
+    err = _syntax_error(make(DEPTH_BUDGET + 1))
+    assert str(err) == (
+        f"line 1, column {column(DEPTH_BUDGET + 1)}: nesting deeper than {DEPTH_BUDGET} levels"
+    )
+    assert (err.line, err.col, err.expected) == (1, column(DEPTH_BUDGET + 1), ())
+
+
+def test_a_too_deep_file_is_refused_with_its_path(tmp_path):
+    path = tmp_path / "sub" / "deep.vcp"
+    path.parent.mkdir()
+    path.write_text("x = " + "f(" * 300 + ")" * 300 + "\n")
+    with pytest.raises(ValidationError) as excinfo:
+        parse_file(path, "deep")
+    assert str(excinfo.value) == (
+        f"{path}: line 1, column {2 * DEPTH_BUDGET + 6}: nesting deeper than {DEPTH_BUDGET} levels"
+    )
+
+
+def test_else_if_links_and_sibling_blocks_do_not_nest():
+    chain = " else ".join(["if (a < b) { x = f(1) }"] * (3 * DEPTH_BUDGET))
+    siblings = "{ x = (1) } " * (3 * DEPTH_BUDGET)
+    for text in (chain, siblings, "x = " + " + ".join(["(a)"] * 3 * DEPTH_BUDGET)):
+        metrics(parse(text))
+
+
+@pytest.mark.parametrize("op", ["+", "*", "&&", "<"])
+def test_long_operator_chain_is_measured_and_rendered(op):
+    # A left-associative chain nests one node per operator, so measuring or
+    # rendering it recursively would exhaust the stack.
+    text = "x = " + f" {op} ".join(f"a{i}" for i in range(5_000)) + "\n"
+    unit = parse(text)
+    assert metrics(unit).halstead.N1 == 5_000
+    assert N.pretty_print(unit.ast) == text
