@@ -16,10 +16,11 @@ REML criterion
     (n - p) log(sigma_e^2(theta)) + log|W(theta)| + log|X' W(theta)^-1 X|
 
 reduces to sums of per-student sufficient statistics over the students of
-each group size, kept as Python floats.  The criterion is evaluated in plain
-float arithmetic: each theta forms the 3x3 system and factors it with an
-unrolled L D L', since a numpy call would cost more in dispatch than the
-few dozen flops of the work.  It is minimized over theta by bracketed
+each group size.  The rows are put in (student, occasion) order and every
+sum is added up one float at a time in that order, so the fit does not
+depend on the row order of the cohort or on a BLAS kernel.  The criterion
+is evaluated in plain float arithmetic: each theta forms the 3x3 system and
+factors it with an unrolled L D L'.  It is minimized over theta by bracketed
 golden-section search to 1e-8.  The fixed effects and the standard error of
 beta1 come from the same factorisation at the optimum; at theta = 0 the fit
 coincides with ordinary least squares.
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from vibecheck.errors import FitError, ValidationError
 from vibecheck.io import as_finite, as_int, as_str, read_jsonl
@@ -44,6 +45,7 @@ CONDITION_CODES = {"trad": 0.0, "vibe": 1.0}
 
 _GOLDEN_TOL = 1e-8
 _THETA_MAX = 1e6
+_MAX_OBS = 1_000_000
 _SINGULAR = "singular fixed-effect design: X' W^-1 X is not positive definite"
 
 
@@ -64,11 +66,11 @@ class GeneratingParams:
 
 @dataclass(frozen=True)
 class CohortDataset:
-    students: np.ndarray  # int student id per observation
-    occasions: np.ndarray  # int occasion index per observation
-    conditions: np.ndarray  # "trad" | "vibe" per observation
-    times: np.ndarray  # float time value per observation
-    y: np.ndarray
+    students: tuple[int, ...]  # student id per observation
+    occasions: tuple[int, ...]  # occasion index per observation
+    conditions: tuple[str, ...]  # "trad" | "vibe" per observation
+    times: tuple[float, ...]  # time value per observation
+    y: tuple[float, ...]
     truth: Optional[GeneratingParams] = None
 
     def __len__(self) -> int:
@@ -76,55 +78,33 @@ class CohortDataset:
 
     def validate(self) -> None:
         n = len(self.y)
-        for name, column in (
-            ("students", self.students),
-            ("occasions", self.occasions),
-            ("conditions", self.conditions),
-            ("times", self.times),
-        ):
-            if len(column) != n:
+        for name in ("students", "occasions", "conditions", "times"):
+            if len(getattr(self, name)) != n:
                 raise ValidationError(f"column {name!r} has wrong length")
         if n == 0:
             raise ValidationError("empty cohort dataset")
-        # Sorted by (student, occasion), a repeated pair sits next to its twin
-        # and each student's rows form one run.
-        order = np.lexsort((self.occasions, self.students))
-        students, occasions = self.students[order], self.occasions[order]
-        same_student = students[1:] == students[:-1]
-        if np.any(same_student & (occasions[1:] == occasions[:-1])):
+        if len(set(zip(self.students, self.occasions))) != n:
             raise ValidationError("duplicate (student, occasion) observation")
-        vibe = self.conditions == "vibe"
-        unknown = np.flatnonzero(~vibe & (self.conditions != "trad"))
-        if unknown.size:
-            condition = self.conditions.tolist()[unknown[0]]
-            raise ValidationError(f"unknown condition {condition!r}")
-        vibe = vibe[order]
-        crossed = same_student & (vibe[1:] != vibe[:-1])
-        if np.any(crossed):
-            # Name the crossed student whose first row comes first.
-            run_starts = np.flatnonzero(np.concatenate(([True], ~same_student)))
-            first_rows = np.minimum.reduceat(order, run_starts)
-            run_of = np.cumsum(~same_student)  # run of sorted row k + 1
-            first = first_rows[run_of[crossed]].min()
-            raise ValidationError(
-                f"student {self.students.tolist()[first]} appears under multiple conditions"
-            )
+        arm: dict = {}  # each student's first condition, in order of first row
+        crossed = set()
+        for student, condition in zip(self.students, self.conditions):
+            if condition not in CONDITION_CODES:
+                raise ValidationError(f"unknown condition {condition!r}")
+            if arm.setdefault(student, condition) != condition:
+                crossed.add(student)
+        if crossed:
+            first = next(student for student in arm if student in crossed)
+            raise ValidationError(f"student {first} appears under multiple conditions")
 
     __post_init__ = validate
 
+    def rows(self):
+        """(student, occasion, condition, time, y) per observation."""
+        return zip(self.students, self.occasions, self.conditions, self.times, self.y)
+
     def records(self) -> list[dict]:
-        return [
-            {
-                "student": int(s),
-                "occasion": int(o),
-                "condition": str(c),
-                "time": float(t),
-                "y": float(v),
-            }
-            for s, o, c, t, v in zip(
-                self.students, self.occasions, self.conditions, self.times, self.y
-            )
-        ]
+        names = ("student", "occasion", "condition", "time", "y")
+        return [dict(zip(names, row)) for row in self.rows()]
 
 
 @dataclass(frozen=True)
@@ -153,8 +133,15 @@ def simulate_cohort(
         raise ValidationError("need at least one student per condition")
     if occasions < 1:
         raise ValidationError("need at least one occasion")
-    rng = make_rng(seed)
     n_students = 2 * n_per_condition
+    if n_students * occasions > _MAX_OBS:
+        raise ValidationError(
+            f"a simulated cohort holds at most {_MAX_OBS} observations, got "
+            f"{n_students * occasions} ({n_students} students x {occasions} occasions)"
+        )
+    import numpy as np
+
+    rng = make_rng(seed)
     condition_codes = np.repeat([0.0, 1.0], n_per_condition)
     u = rng.normal(0.0, params.sigma_u, size=n_students)
     eps = rng.normal(0.0, params.sigma_e, size=(n_students, occasions))
@@ -166,15 +153,13 @@ def simulate_cohort(
         + u[:, None]
         + eps
     )
-    students = np.repeat(np.arange(n_students), occasions)
-    occasion_col = np.tile(np.arange(occasions), n_students)
-    labels = np.where(condition_codes == 1.0, "vibe", "trad")
     return CohortDataset(
-        students=students,
-        occasions=occasion_col,
-        conditions=np.repeat(labels, occasions),
-        times=occasion_col.astype(float),
-        y=outcome.ravel(),
+        students=tuple(s for s in range(n_students) for _ in range(occasions)),
+        occasions=tuple(range(occasions)) * n_students,
+        conditions=("trad",) * (n_per_condition * occasions)
+        + ("vibe",) * (n_per_condition * occasions),
+        times=tuple(time.tolist()) * n_students,
+        y=tuple(outcome.ravel().tolist()),
         truth=params,
     )
 
@@ -195,50 +180,48 @@ class _Sufficient:
     # Per distinct group size T: (T, number of students with that size,
     # sum_j (X_j' 1)(X_j' 1)', sum_j (X_j' 1)(1' y_j), sum_j (1' y_j)^2).
     groups: tuple[tuple[float, float, tuple[float, ...]], ...]
-    n: int
-    dof: int  # n minus the three fixed effects
+    dof: int  # observations minus the three fixed effects
+
+
+def _moments(rows) -> tuple[float, ...]:
+    """The six entries of sum a a', the three of sum a v and sum v v over rows
+    (a0, a1, a2, v), each added left to right."""
+    s00 = s01 = s02 = s11 = s12 = s22 = s0 = s1 = s2 = ss = 0.0
+    for a0, a1, a2, v in rows:
+        s00 += a0 * a0
+        s01 += a0 * a1
+        s02 += a0 * a2
+        s11 += a1 * a1
+        s12 += a1 * a2
+        s22 += a2 * a2
+        s0 += a0 * v
+        s1 += a1 * v
+        s2 += a2 * v
+        ss += v * v
+    return (s00, s01, s02, s11, s12, s22, s0, s1, s2, ss)
 
 
 def _prepare(data: CohortDataset) -> _Sufficient:
-    cond = (data.conditions == "vibe").astype(float)  # as in CONDITION_CODES
-    X = np.column_stack([np.ones(len(data)), cond, data.times])
-    y = np.asarray(data.y, dtype=float)
-    students = np.asarray(data.students)
-    order = np.argsort(students, kind="stable")
-    X, y, students = X[order], y[order], students[order]
-    _, starts, counts_per_student = np.unique(
-        students, return_index=True, return_counts=True
+    # Rows (student, occasion, 1, condition, time, y) in (student, occasion) order.
+    rows = sorted((s, o, 1.0, CONDITION_CODES[c], t, v) for s, o, c, t, v in data.rows())
+    # Per group size T: X_j' 1 and 1' y_j of each student j with T rows.
+    by_size: dict[int, list[tuple[float, ...]]] = {}
+    for _, run in groupby(rows, key=itemgetter(0)):
+        size, t0, t1, t2, tv = 0, 0.0, 0.0, 0.0, 0.0
+        for _, _, a0, a1, a2, v in run:
+            size, t0, t1, t2, tv = size + 1, t0 + a0, t1 + a1, t2 + a2, tv + v
+        by_size.setdefault(size, []).append((t0, t1, t2, tv))
+    groups = tuple(
+        (float(size), float(len(sums)), _moments(sums)) for size, sums in sorted(by_size.items())
     )
-    sums_x = np.add.reduceat(X, starts, axis=0)  # X_j' 1 per student
-    sums_y = np.add.reduceat(y, starts)  # 1' y_j per student
-    by_size: dict[int, list[int]] = {}
-    for idx, size in enumerate(counts_per_student.tolist()):
-        by_size.setdefault(size, []).append(idx)
-
-    def pack(outer: np.ndarray, cross: np.ndarray, square: float) -> tuple[float, ...]:
-        (o00, o01, o02), (_, o11, o12), (_, _, o22) = outer.tolist()
-        return (o00, o01, o02, o11, o12, o22, *cross.tolist(), float(square))
-
-    # Sums past the float range are refused below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        groups = []
-        for size in sorted(by_size):
-            gx, gy = sums_x[by_size[size]], sums_y[by_size[size]]
-            sums = pack(np.einsum("jp,jq->pq", gx, gx), gx.T @ gy, np.sum(gy**2))
-            groups.append((float(size), float(len(by_size[size])), sums))
-        total = pack(X.T @ X, X.T @ y, y @ y)
-    every_sum = [total, *(sums for _, _, sums in groups)]
-    if not all(math.isfinite(v) for sums in every_sum for v in sums):
+    total = _moments(row[2:] for row in rows)
+    if not all(math.isfinite(v) for sums in (total, *(g[2] for g in groups)) for v in sums):
         raise FitError(
             "the cohort's sums of squares overflow a float: y spans "
-            f"[{y.min():.6g}, {y.max():.6g}] and time [{X[:, 2].min():.6g}, {X[:, 2].max():.6g}]"
+            f"[{min(data.y):.6g}, {max(data.y):.6g}] and time "
+            f"[{min(data.times):.6g}, {max(data.times):.6g}]"
         )
-    return _Sufficient(
-        total=total,
-        groups=tuple(groups),
-        n=len(y),
-        dof=len(y) - X.shape[1],
-    )
+    return _Sufficient(total=total, groups=groups, dof=len(rows) - 3)
 
 
 def _gls(stats: _Sufficient, theta: float):
@@ -323,17 +306,19 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 def fit_mixed(data: CohortDataset) -> MixedModelFit:
     """REML fit of the random-intercept model to a cohort dataset."""
     stats = _prepare(data)
-    vibe = data.conditions == "vibe"
-    arms = (~vibe, vibe)
-    students = [set(data.students[arm].tolist()) for arm in arms]
-    if min(len(group) for group in students) < 2:
+    students = {"trad": set(), "vibe": set()}
+    times = {"trad": set(), "vibe": set()}
+    for student, _, condition, time, _ in data.rows():
+        students[condition].add(student)
+        times[condition].add(time)
+    if min(len(arm) for arm in students.values()) < 2:
         raise ValidationError("need at least two students per condition")
-    if len(set(data.occasions.tolist())) < 2:
+    if len(set(data.occasions)) < 2:
         raise ValidationError("need at least two occasions")
     # X = [1, condition, time] loses rank exactly when time is constant within
     # each condition.  Rounding can leave the last pivot of such a design a
     # hair above zero, so the data are tested, not the pivot.
-    if all(np.ptp(data.times[arm]) == 0.0 for arm in arms):
+    if all(len(arm) == 1 for arm in times.values()):
         raise FitError(
             "singular fixed-effect design: time is constant within each condition"
         )
@@ -375,8 +360,8 @@ def fit_mixed(data: CohortDataset) -> MixedModelFit:
         ci95_beta1=(beta1 - z975 * se1, beta1 + z975 * se1),
         theta=float(theta),
         reml_loglik=reml_loglik,
-        n_obs=stats.n,
-        n_students=len(students[0]) + len(students[1]),
+        n_obs=len(data),
+        n_students=len(students["trad"]) + len(students["vibe"]),
     )
 
 
@@ -400,14 +385,8 @@ def _observation(rec: dict) -> tuple[int, int, str, float, float]:
 
 def read_cohort(path: Union[str, Path]) -> CohortDataset:
     rows = read_jsonl(path, _observation, "observation")
-    students, occasions, conditions, times, y = zip(*rows) if rows else ((),) * 5
+    columns = zip(*rows) if rows else ((),) * 5
     try:
-        return CohortDataset(
-            students=np.array(students, dtype=int),
-            occasions=np.array(occasions, dtype=int),
-            conditions=np.array(conditions),
-            times=np.array(times, dtype=float),
-            y=np.array(y, dtype=float),
-        )
-    except (OverflowError, ValidationError) as exc:  # OverflowError: an id past int64
+        return CohortDataset(*columns)
+    except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

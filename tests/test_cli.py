@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -721,6 +722,39 @@ def test_fit_of_an_overflowing_outcome_is_one_error_line(repo_root, tmp_path):
     assert line.startswith("vcp: computation error: the cohort's sums of squares overflow")
     assert "y spans [" in line
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "shape", [("1000000000", "1000"), ("3", "1000000000000")], ids=["students", "occasions"]
+)
+def test_simulate_too_large_to_draw_is_exit_1(repo_root, shape):
+    # Both runs used to end in a numpy _ArrayMemoryError traceback.
+    code = """
+        import contextlib, io, sys, tracemalloc
+        import vibecheck.stats.mixed
+        from vibecheck.cli import run
+        tracemalloc.start()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            exit_code = run(["simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2",
+                             "--sigma-u", "0.5", "--sigma-e", "0.5",
+                             "--n-per-condition", sys.argv[1], "--occasions", sys.argv[2]])
+        peak = tracemalloc.get_traced_memory()[1]
+        print(exit_code, "numpy" in sys.modules, peak < 1_000_000)
+        print(err.getvalue(), end="")
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *shape],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    verdict, *lines = proc.stdout.splitlines()
+    assert verdict == "1 False True"
+    [line] = lines
+    assert line.startswith("vcp: error: a simulated cohort holds at most 1000000 observations")
 
 
 def test_simulate_without_out_embeds_records(capsys):

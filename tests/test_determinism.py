@@ -10,6 +10,10 @@ file they write and everything they print must match byte for byte.
 Another pair of children runs ``vcp metrics`` and ``vcp traps generate`` over
 perfbench's corpus pool, large enough to fork workers; one of them first
 restricts itself to a single CPU, so it runs in process.
+
+Three more children run ``vcp fit`` on a 320-row cohort and on a shuffled copy
+of it, one with OpenBLAS's default kernel and two with ``OPENBLAS_CORETYPE``
+set to the ``Prescott`` and ``Haswell`` kernels, which any x86-64 CPU runs.
 """
 
 import os
@@ -81,13 +85,41 @@ for name, argv in commands.items():
 '''
 
 
+FIT_CHILD = r'''
+import contextlib
+import io
+import random
+from pathlib import Path
+
+from vibecheck import cli
+
+
+def vcp(*argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(list(argv))
+    print(f"== {argv[0]}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+
+
+vcp("simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2", "--sigma-u", "0.5",
+    "--sigma-e", "0.5", "--n-per-condition", "40", "--occasions", "4", "--seed", "7",
+    "--out", "cohort")
+lines = Path("cohort/cohort.jsonl").read_text().splitlines(keepends=True)
+random.Random(1).shuffle(lines)
+Path("shuffled.jsonl").write_text("".join(lines))
+vcp("fit", "--data", "cohort/cohort.jsonl", "--out", "out/fit")
+vcp("fit", "--data", "shuffled.jsonl", "--out", "out/shuffled")
+'''
+
+
 def _run_child(
-    repo_root: Path, work: Path, hash_seed: str, child: str = CHILD, mode: str = ""
+    repo_root: Path, work: Path, hash_seed: str, child: str = CHILD, mode: str = "",
+    **extra_env: str,
 ) -> tuple[str, dict]:
     work.mkdir()
     (work / "fixtures").symlink_to(repo_root / "fixtures", target_is_directory=True)
-    env = {k: v for k, v in os.environ.items() if k != "VCP_CONFIG"}
-    env["PYTHONHASHSEED"] = hash_seed
+    env = {k: v for k, v in os.environ.items() if k not in ("VCP_CONFIG", "OPENBLAS_CORETYPE")}
+    env.update(extra_env, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(repo_root / "src"), str(repo_root / "perfbench"),
                     env.get("PYTHONPATH")) if p
@@ -129,3 +161,17 @@ def test_corpus_outputs_do_not_depend_on_the_cpu_count(repo_root, tmp_path):
     for name in files1:
         assert files1[name] == filesn[name], name
     assert report1 == reportn
+
+
+def test_fit_does_not_depend_on_row_order_or_the_blas_kernel(repo_root, tmp_path):
+    out, files = _run_child(repo_root, tmp_path / "default", "0", FIT_CHILD)
+    assert out.count(": exit 0\n") == 3
+    fit = files["out/fit/mixed_fit.json"]
+    assert files["out/shuffled/mixed_fit.json"] == fit
+    assert files["shuffled.jsonl"] != files["cohort/cohort.jsonl"]
+    for kernel in ("Prescott", "Haswell"):
+        out_k, files_k = _run_child(
+            repo_root, tmp_path / kernel, "0", FIT_CHILD, OPENBLAS_CORETYPE=kernel
+        )
+        assert out_k == out
+        assert files_k == files, kernel

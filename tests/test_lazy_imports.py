@@ -1,9 +1,10 @@
 """numpy and the process pool load only for the commands that use them.
 
 The commands of the study path (metrics, sdt, traps generate, retention,
-egap, score), ``kappa`` and the study driver run without importing numpy; the
-other stats commands import it when they run.  The study's batches are far
-below ``pool.FORK_MIN_BYTES``, so they run in process and never import
+egap, score), ``kappa``, ``fit`` and the study driver run without importing
+numpy; the commands that draw random numbers (power, simulate, spearman)
+import it when they run.  The study's batches are far below
+``pool.FORK_MIN_BYTES``, so they run in process and never import
 ``multiprocessing`` or ``concurrent.futures.process`` either.  Each check runs
 in a fresh interpreter, since this test process has numpy loaded already.
 """
@@ -77,6 +78,24 @@ def test_kappa_leaves_numpy_unloaded(repo_root, tmp_path):
     assert proc.stdout.split() == ["0", "False"]
 
 
+def test_fit_and_the_mixed_module_leave_numpy_unloaded(repo_root, tmp_path):
+    from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
+
+    cohort = tmp_path / "cohort.jsonl"
+    write_cohort(simulate_cohort(GeneratingParams(1.0, 0.4, 0.2, 0.5, 0.5), 4, 2, 0), cohort)
+    code = """
+        import contextlib, io, sys
+        import vibecheck.stats.mixed
+        loaded = ["numpy" in sys.modules]
+        from vibecheck.cli import run
+        with contextlib.redirect_stdout(io.StringIO()):
+            exit_code = run(["fit", "--data", sys.argv[1]])
+        print(exit_code, *loaded, "numpy" in sys.modules)
+    """
+    proc = _python(repo_root, code, str(cohort))
+    assert proc.stdout.split() == ["0", "False", "False"]
+
+
 def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):
     code = """
         import runpy, sys
@@ -93,16 +112,13 @@ def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):
     "steps",
     [
         [["power", "--d", "0.8", "--replicates", "1000"]],
-        [
-            ["simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2",
-             "--sigma-u", "0.5", "--sigma-e", "0.5", "--n-per-condition", "4",
-             "--occasions", "2", "--out", "{tmp}"],
-            ["fit", "--data", "{tmp}/cohort.jsonl"],
-        ],
+        [["simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2",
+          "--sigma-u", "0.5", "--sigma-e", "0.5", "--n-per-condition", "4",
+          "--occasions", "2", "--out", "{tmp}"]],
         [["spearman", "--data", "fixtures/spearman/quiz_scores.csv",
           "--permutations", "1000"]],
     ],
-    ids=["power", "simulate-fit", "spearman"],
+    ids=["power", "simulate", "spearman"],
 )
 def test_stats_commands_import_numpy_on_demand(repo_root, tmp_path, steps):
     argvs = [[arg.replace("{tmp}", str(tmp_path)) for arg in argv] for argv in steps]

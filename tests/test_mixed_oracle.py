@@ -8,13 +8,15 @@ criterion is flat near its minimum and last-bit differences flip
 golden-section comparisons.  The criterion value at the new theta must
 then be as good as at the old one.
 
-``CohortDataset.validate`` is checked against the set-and-dict version it
-replaced: the same cohorts pass, and the others fail with the same message.
-``CohortDataset`` runs ``validate`` when it is built, so the harness builds
-one from a dict of columns and hands the same columns to the reference.
+``CohortDataset.validate`` is checked against the set-and-dict version that
+the reference keeps: the same cohorts pass, and the others fail with the same
+message.  ``CohortDataset`` runs ``validate`` when it is built, so the harness
+builds one from a dict of tuple columns and hands numpy copies of the same
+columns to the reference, which reads them with ``tolist``.
 """
 
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,13 +33,14 @@ PARAMS = GeneratingParams(beta0=1.0, beta1=0.4, beta2=0.2, sigma_u=0.5, sigma_e=
 THETAS = (0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6)
 
 
-def _subset(data: CohortDataset, keep: np.ndarray) -> CohortDataset:
+def _arrays(data: CohortDataset) -> CohortDataset:
+    """The same cohort with numpy columns, as the reference reads it."""
+    return CohortDataset(*map(np.asarray, _columns(data).values()))
+
+
+def _subset(data: CohortDataset, keep: list[bool]) -> CohortDataset:
     return CohortDataset(
-        students=data.students[keep],
-        occasions=data.occasions[keep],
-        conditions=data.conditions[keep],
-        times=data.times[keep],
-        y=data.y[keep],
+        *(tuple(v for v, k in zip(column, keep) if k) for column in _columns(data).values())
     )
 
 
@@ -51,13 +54,9 @@ def _unbalanced() -> CohortDataset:
     # and no entry of the factorisation vanishes.
     data = simulate_cohort(PARAMS, 6, 4, seed=12)
     kept = {0: {0, 1}, 1: {0, 1, 2}, 7: {1, 2, 3}, 8: {2, 3}}
-    keep = np.array([
-        o in kept.get(s, {0, 1, 2, 3})
-        for s, o in zip(data.students.tolist(), data.occasions.tolist())
-    ])
+    keep = [o in kept.get(s, {0, 1, 2, 3}) for s, o in zip(data.students, data.occasions)]
     subset = _subset(data, keep)
-    sizes = np.unique(np.unique(subset.students, return_counts=True)[1])
-    assert sizes.tolist() == [2, 3, 4]
+    assert sorted(set(Counter(subset.students).values())) == [2, 3, 4]
     return subset
 
 
@@ -67,7 +66,7 @@ def _constant_time(value: float) -> CohortDataset:
         students=data.students,
         occasions=data.occasions,
         conditions=data.conditions,
-        times=np.full(len(data), value),
+        times=(value,) * len(data),
         y=data.y,
     )
 
@@ -77,14 +76,14 @@ def _constant_time(value: float) -> CohortDataset:
 def test_criterion_matches_reference(make, theta):
     data = make()
     new = mixed._reml_criterion(mixed._prepare(data), theta)
-    old = ref._reml_criterion(ref._prepare(data), theta)
+    old = ref._reml_criterion(ref._prepare(_arrays(data)), theta)
     assert new == pytest.approx(old, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("make", [_balanced, _unbalanced], ids=["balanced", "unbalanced"])
 def test_gls_pieces_match_reference(make):
     data = make()
-    stats, ref_stats = mixed._prepare(data), ref._prepare(data)
+    stats, ref_stats = mixed._prepare(data), ref._prepare(_arrays(data))
     for theta in THETAS:
         beta, sigma2, logdet_w, logdet_a, ainv11 = mixed._gls(stats, theta)
         ref_beta, ref_sigma2, ref_a, ref_logdet_w, ref_logdet_a = ref._gls(ref_stats, theta)
@@ -100,7 +99,7 @@ def test_gls_pieces_match_reference(make):
 def test_fits_match_reference_over_seeds():
     for seed in range(100):
         data = simulate_cohort(PARAMS, 40, 4, seed=seed)
-        new, old = mixed.fit_mixed(data), ref.fit_mixed(data)
+        new, old = mixed.fit_mixed(data), ref.fit_mixed(_arrays(data))
         for field in ("beta0", "beta1", "beta2", "reml_loglik"):
             assert getattr(new, field) == pytest.approx(getattr(old, field), rel=1e-9), (
                 seed, field)
@@ -109,7 +108,7 @@ def test_fits_match_reference_over_seeds():
                 seed, field)
         assert (new.n_obs, new.n_students) == (old.n_obs, old.n_students)
         # Where theta moved, it moved along the flat bottom of the criterion.
-        ref_stats = ref._prepare(data)
+        ref_stats = ref._prepare(_arrays(data))
         at_new = ref._reml_criterion(ref_stats, new.theta)
         at_old = ref._reml_criterion(ref_stats, old.theta)
         assert at_new == pytest.approx(at_old, rel=1e-10), seed
@@ -121,7 +120,7 @@ def test_constant_time_is_a_fit_error_on_both_paths(value, tmp_path, capsys):
     with pytest.raises(FitError, match="time is constant within each condition"):
         mixed.fit_mixed(data)
     with pytest.raises(FitError):
-        ref.fit_mixed(data)
+        ref.fit_mixed(_arrays(data))
     # The factorisation refuses the singular system on its own, too.
     with pytest.raises(FitError, match="not positive definite"):
         mixed._gls(mixed._prepare(data), 0.5)
@@ -138,7 +137,7 @@ def test_time_confounded_with_condition_is_refused_where_rounding_hides_it():
         with pytest.raises(FitError, match="time is constant within each condition"):
             mixed.fit_mixed(_constant_time(value))
     data = _constant_time(0.0)
-    per_condition = np.where(data.conditions == "vibe", 2.5, 0.5)
+    per_condition = tuple(2.5 if c == "vibe" else 0.5 for c in data.conditions)
     confounded = CohortDataset(
         data.students, data.occasions, data.conditions, per_condition, data.y
     )
@@ -153,13 +152,15 @@ def _new(columns: dict) -> None:
     CohortDataset(**columns)
 
 
-def _ref(columns: dict) -> None:
-    ref.validate(types.SimpleNamespace(**columns))
+def _ref(columns: dict, conditions_dtype=None) -> None:
+    arrays = {name: np.asarray(column) for name, column in columns.items()}
+    arrays["conditions"] = np.asarray(columns["conditions"], dtype=conditions_dtype)
+    ref.validate(types.SimpleNamespace(**arrays))
 
 
-def _verdict(check, columns: dict):
+def _verdict(check, columns: dict, *args):
     try:
-        check(columns)
+        check(columns, *args)
     except ValidationError as exc:
         return str(exc)
     return None
@@ -170,14 +171,14 @@ def _columns(data: CohortDataset) -> dict:
     return {name: getattr(data, name) for name in names}
 
 
-def _cohort(rows, conditions_dtype=None) -> dict:
+def _cohort(rows) -> dict:
     n = len(rows)
     return dict(
-        students=np.array([r[0] for r in rows]),
-        occasions=np.array([r[1] for r in rows]),
-        conditions=np.array([r[2] for r in rows], dtype=conditions_dtype),
-        times=np.arange(n, dtype=float),
-        y=np.zeros(n),
+        students=tuple(r[0] for r in rows),
+        occasions=tuple(r[1] for r in rows),
+        conditions=tuple(r[2] for r in rows),
+        times=tuple(float(i) for i in range(n)),
+        y=(0.0,) * n,
     )
 
 
@@ -213,8 +214,9 @@ _INVALID = {
 @pytest.mark.parametrize("rows", _INVALID.values(), ids=_INVALID.keys())
 @pytest.mark.parametrize("conditions_dtype", [None, object], ids=["str", "object"])
 def test_validate_refuses_what_the_reference_refuses(rows, conditions_dtype):
-    columns = _cohort(rows, conditions_dtype)
-    expected = _verdict(_ref, columns)
+    # The reference's verdict must not depend on the dtype of its numpy copy.
+    columns = _cohort(rows)
+    expected = _verdict(_ref, columns, conditions_dtype)
     assert expected is not None
     assert _verdict(_new, columns) == expected
 

@@ -9,7 +9,6 @@ by hand.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from vibecheck.codemetrics import metrics, parse
@@ -26,8 +25,8 @@ UNIT = parse("x = 1\n", name="unit.vcp")
 
 
 def _cohort(**columns) -> CohortDataset:
-    base = dict(students=np.array([0, 1]), occasions=np.array([0, 0]),
-                conditions=np.array(["trad", "vibe"]), times=np.zeros(2), y=np.ones(2))
+    base = dict(students=(0, 1), occasions=(0, 0), conditions=("trad", "vibe"),
+                times=(0.0, 0.0), y=(1.0, 1.0))
     return CohortDataset(**{**base, **columns})
 
 
@@ -64,7 +63,7 @@ CASES = {
     ),
     CohortDataset: (
         lambda: _cohort(),
-        lambda: _cohort(conditions=np.array(["trad", "control"])),
+        lambda: _cohort(conditions=("trad", "control")),
         "unknown condition 'control'",
     ),
     PowerSpec: (
@@ -131,7 +130,7 @@ def test_dump_cfg_cannot_get_an_edge_into_entry(tmp_path):
 def test_write_cohort_cannot_get_a_duplicate_observation(tmp_path):
     path = tmp_path / "cohort.jsonl"
     with pytest.raises(ValidationError, match="duplicate"):
-        write_cohort(_cohort(students=np.array([0, 0])), path)
+        write_cohort(_cohort(students=(0, 0)), path)
     assert not path.exists()
 
 

@@ -1,5 +1,7 @@
 """Cohort simulator and random-intercept REML fit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,13 +28,7 @@ _TINY_ROWS = [
 
 
 def _dataset(rows):
-    return CohortDataset(
-        students=np.array([r[0] for r in rows]),
-        occasions=np.array([r[1] for r in rows]),
-        conditions=np.array([r[2] for r in rows]),
-        times=np.array([r[3] for r in rows], dtype=float),
-        y=np.array([r[4] for r in rows], dtype=float),
-    )
+    return CohortDataset(*zip(*rows)) if rows else CohortDataset((), (), (), (), ())
 
 
 # --- simulator ----------------------------------------------------------------
@@ -41,9 +37,9 @@ def _dataset(rows):
 def test_simulated_cohort_shape():
     data = simulate_cohort(PARAMS, n_per_condition=6, occasions=4, seed=0)
     assert len(data) == 48
-    assert sorted(set(data.conditions.tolist())) == ["trad", "vibe"]
-    assert set(data.occasions.tolist()) == {0, 1, 2, 3}
-    assert len(set(data.students.tolist())) == 12
+    assert sorted(set(data.conditions)) == ["trad", "vibe"]
+    assert set(data.occasions) == {0, 1, 2, 3}
+    assert len(set(data.students)) == 12
     assert data.truth == PARAMS
     data.validate()
 
@@ -51,7 +47,7 @@ def test_simulated_cohort_shape():
 def test_simulated_cohort_is_balanced():
     data = simulate_cohort(PARAMS, n_per_condition=5, occasions=3, seed=0)
     per_condition = {"trad": set(), "vibe": set()}
-    for student, cond in zip(data.students.tolist(), data.conditions.tolist()):
+    for student, cond in zip(data.students, data.conditions):
         per_condition[cond].add(student)
     assert len(per_condition["trad"]) == len(per_condition["vibe"]) == 5
 
@@ -60,8 +56,8 @@ def test_simulator_deterministic_per_seed():
     a = simulate_cohort(PARAMS, 6, 4, seed=42)
     b = simulate_cohort(PARAMS, 6, 4, seed=42)
     c = simulate_cohort(PARAMS, 6, 4, seed=43)
-    assert np.array_equal(a.y, b.y)
-    assert not np.array_equal(a.y, c.y)
+    assert a.y == b.y
+    assert a.y != c.y
 
 
 def test_noiseless_simulation_is_pure_fixed_effects():
@@ -118,7 +114,7 @@ def test_fit_estimates_are_in_range():
     assert 0.3 < fit.sigma_u < 0.7
     assert 0.3 < fit.sigma_e < 0.7
     # Per-student mean variance 0.5^2 + 0.5^2/4 over 40 students per arm.
-    assert fit.se_beta1 == pytest.approx(np.sqrt(2.0 * 0.3125 / 40.0), rel=0.3)
+    assert fit.se_beta1 == pytest.approx(math.sqrt(2.0 * 0.3125 / 40.0), rel=0.3)
 
 
 def test_confidence_interval_is_symmetric_about_estimate():
@@ -189,13 +185,32 @@ def test_cohort_round_trip(tmp_path):
     path = tmp_path / "cohort.jsonl"
     write_cohort(data, path)
     loaded = read_cohort(path)
-    assert np.array_equal(loaded.students, data.students)
-    assert np.array_equal(loaded.occasions, data.occasions)
-    assert loaded.conditions.tolist() == data.conditions.tolist()
-    assert np.array_equal(loaded.times, data.times)
-    assert np.array_equal(loaded.y, data.y)
+    assert loaded.students == data.students
+    assert loaded.occasions == data.occasions
+    assert loaded.conditions == data.conditions
+    assert loaded.times == data.times
+    assert loaded.y == data.y
     assert loaded.truth is None
     assert fit_mixed(loaded) == fit_mixed(data)
+
+
+def test_student_ids_past_int64_fit_and_round_trip(tmp_path):
+    # Such an id used to be refused only because it overflowed a numpy int64.
+    # Student 3 becomes 2**70 and still sorts last, so the sums are the same.
+    rows = [(2**70 if s == 3 else s, o, c, t, v) for s, o, c, t, v in _TINY_ROWS]
+    data = _dataset(rows)
+    path = tmp_path / "cohort.jsonl"
+    write_cohort(data, path)
+    assert '"student": 1180591620717411303424' in path.read_text()
+    loaded = read_cohort(path)
+    assert loaded == data
+    assert fit_mixed(loaded) == fit_mixed(_dataset(_TINY_ROWS))
+
+
+def test_simulator_refuses_a_cohort_too_large_to_draw():
+    # 2 x 500,001 students x 1 occasion is two observations past the cap.
+    with pytest.raises(ValidationError, match="at most 1000000 observations, got 1000002"):
+        simulate_cohort(PARAMS, 500_001, 1, seed=0)
 
 
 def test_read_cohort_reports_bad_line(tmp_path):
