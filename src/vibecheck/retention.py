@@ -15,9 +15,6 @@ by its structural complexity (natural log; ``cc >= 1`` always, and cc = 1
 with beta = 0 makes omega exactly 0, which is reported as degenerate).  The
 weights come from an expert calibration chosen so that experts who rebuild
 unassisted at their assisted pace score 1.
-
-numpy is imported inside the calibration and decay fits, not with this
-module, so scoring a student pair runs without it.
 """
 
 from __future__ import annotations
@@ -215,8 +212,6 @@ def calibrate_omega(
     inconsistent rank-deficient system is a calibration error naming the
     collinear rows.
     """
-    import numpy as np
-
     if len(pairs) < 2:
         raise ValidationError("calibration needs at least two expert pairs")
     rows = []
@@ -225,23 +220,14 @@ def calibrate_omega(
         ratio = velocity(refactor, idle_gap=idle_gap) / velocity(build, idle_gap=idle_gap)
         m = metrics(refactor.final_unit)
         rows.append((ratio * math.log(m.cc), ratio * m.halstead.volume_v))
-    design = np.array(rows, dtype=float)
-    target = np.ones(len(rows))
-    solution, residual_list, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    fitted = design @ solution
-    residual = float(np.linalg.norm(fitted - target))
+    alpha, beta, rank, residual = _lstsq2(*zip(*rows), [1.0] * len(rows))
     if rank < 2 and residual > 1e-9 * math.sqrt(len(rows)):
         detail = ", ".join(f"({a:.6g}, {b:.6g})" for a, b in rows)
         raise CalibrationError(
             "calibration design is rank-deficient and inconsistent; "
             f"collinear (ln cc, volume) rows: {detail}"
         )
-    return OmegaCalibration(
-        alpha=float(solution[0]),
-        beta=float(solution[1]),
-        baseline_source=baseline_source,
-        degenerate=bool(rank < 2),
-    )
+    return OmegaCalibration(alpha, beta, baseline_source, degenerate=rank < 2)
 
 
 def calibration_mean_score(
@@ -250,13 +236,11 @@ def calibration_mean_score(
     idle_gap: float = RunConfig.idle_gap,
 ) -> float:
     """Mean retention score of the calibration's own baseline pairs."""
-    import numpy as np
-
     scores = [
         m_csr(build, refactor, calibration, idle_gap=idle_gap).m_csr
         for build, refactor in pairs
     ]
-    return float(np.mean(scores))
+    return math.fsum(scores) / len(scores)  # exact sum: the same in any pair order
 
 
 def _check_pair(build: SessionLog, refactor: SessionLog) -> None:
@@ -320,27 +304,58 @@ def fit_decay(observations: Sequence[tuple[float, float]]) -> DecayFit:
     Fitted in log space (``ln s = ln s0 - lam * t``); observations with
     ``s <= 0`` cannot enter the log fit and are excluded but counted.
     """
-    import numpy as np
-
     usable = [(t, s) for t, s in observations if s > 0.0]
     excluded = len(observations) - len(usable)
     if len(usable) < 2:
         raise FitError("decay fit needs at least two observations with s > 0")
-    times = np.array([t for t, _ in usable], dtype=float)
-    if np.ptp(times) == 0.0:
+    times = [t for t, _ in usable]
+    if min(times) == max(times):
         raise FitError("decay fit needs observations at two distinct times")
-    log_scores = np.log(np.array([s for _, s in usable], dtype=float))
-    design = np.column_stack([np.ones_like(times), -times])
-    coeffs, _, _, _ = np.linalg.lstsq(design, log_scores, rcond=None)
-    fitted = design @ coeffs
-    rms = float(np.sqrt(np.mean((fitted - log_scores) ** 2)))
+    spread = f"t spans [{min(times)!r}, {max(times)!r}]"
+    try:
+        ln_s0, lam, rank, residual = _lstsq2(*zip(*((1.0, -t, math.log(s)) for t, s in usable)))
+    except OverflowError:
+        raise FitError(f"decay fit overflows a float: {spread}") from None
+    if rank < 2:
+        raise FitError(f"decay fit cannot tell the times apart at their magnitude: {spread}")
     return DecayFit(
-        s0=float(math.exp(coeffs[0])),
-        lam=float(coeffs[1]),
-        rms_residual=rms,
+        s0=math.exp(ln_s0),
+        lam=lam,
+        rms_residual=residual / math.sqrt(len(usable)),
         n_used=len(usable),
         n_excluded=excluded,
     )
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return math.fsum(x * y for x, y in zip(u, v))
+
+
+def _lstsq2(a: Sequence[float], b: Sequence[float], y: Sequence[float]) -> tuple:
+    """``(c0, c1, rank, residual_norm)`` minimizing ``|c0*a + c1*b - y|``: Gram-Schmidt, twice,
+    on exactly rounded inner products, so row order and BLAS kernel move no bit.  Rank < 2 (a,
+    or b's part off a, at most eps * max(m, 2) times the larger column norm) is minimum-norm."""
+    aa, bb = _dot(a, a), _dot(b, b)
+    if not math.isfinite(aa + bb + _dot(y, y)):  # past this, every product is finite
+        raise OverflowError("least-squares sums pass the float range")
+    cutoff = 2.0**-52 * max(len(y), 2) * math.sqrt(max(aa, bb))  # lstsq's default cutoff
+    rank = 1 if aa or bb else 0
+    if math.sqrt(aa) > cutoff:
+        t, p = _dot(a, b) / aa, _dot(a, y) / aa
+        b1 = [x - t * u for x, u in zip(b, a)]
+        t2 = _dot(a, b1) / aa  # the second pass leaves only rounding error along a
+        b1, t = [x - t2 * u for x, u in zip(b1, a)], t + t2
+        b1b1 = _dot(b1, b1)
+        if math.sqrt(b1b1) > cutoff:
+            c1 = _dot(b1, [w - p * u for w, u in zip(y, a)]) / b1b1
+            c0, rank = p - t * c1, 2
+    if rank < 2:
+        c0, c1 = (_dot(a, y) / (aa + bb), _dot(b, y) / (aa + bb)) if rank else (0.0, 0.0)
+    r = [c0 * u + c1 * v - w for u, v, w in zip(a, b, y)]
+    residual = math.sqrt(_dot(r, r))
+    if not math.isfinite(residual):
+        raise OverflowError("least-squares solution passes the float range")
+    return c0, c1, rank, residual
 
 
 # --- session-log files -----------------------------------------------------

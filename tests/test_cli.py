@@ -458,13 +458,28 @@ def test_non_finite_csv_cell_is_exit_1(tmp_path, capsys, command, header, flag, 
     assert not any(out.iterdir())
 
 
-def test_decay_fit_that_overflows_is_exit_2(tmp_path, capsys):
-    # The fitted curve s0 * exp(-lam * t) passes the float range at t = 1.
+@pytest.mark.parametrize(
+    "rows, prefix",
+    [
+        # The fitted curve s0 * exp(-lam * t) passes the float range at t = 1.
+        ("0,1e-300\n1,1e300", "numeric overflow"),
+        # Distinct times that a float cannot tell apart at their magnitude.
+        ("1e12,1\n1000000000000.0001,0.5",
+         "decay fit cannot tell the times apart at their magnitude: "
+         "t spans [1000000000000.0, 1000000000000.0001]"),
+        ("0,1\n1e-320,2",
+         "decay fit cannot tell the times apart at their magnitude: t spans [0.0, 1e-320]"),
+        # t squared passes the float range.
+        ("-1e308,1\n1e308,2", "decay fit overflows a float: t spans [-1e+308, 1e+308]"),
+    ],
+    ids=["curve", "close-times", "subnormal-spread", "t-squared"],
+)
+def test_decay_fit_that_overflows_is_exit_2(tmp_path, capsys, rows, prefix):
     path = tmp_path / "decay.csv"
-    path.write_text("t,s\n0,1e-300\n1,1e300\n")
+    path.write_text(f"t,s\n{rows}\n")
     assert run(["retention", "--decay", str(path)]) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("vcp: computation error: numeric overflow")
+    assert line.startswith(f"vcp: computation error: {prefix}")
 
 
 def test_calibrate_reproduces_stored_weights(fixtures, tmp_path):

@@ -14,6 +14,8 @@ restricts itself to a single CPU, so it runs in process.
 Three more children run ``vcp fit`` on a 320-row cohort and on a shuffled copy
 of it, one with OpenBLAS's default kernel and two with ``OPENBLAS_CORETYPE``
 set to the ``Prescott`` and ``Haswell`` kernels, which any x86-64 CPU runs.
+Three children do the same for the two least-squares fits, ``vcp calibrate``
+and ``vcp retention --decay``, each on its fixture and on a shuffled copy.
 """
 
 import os
@@ -85,9 +87,10 @@ for name, argv in commands.items():
 '''
 
 
-FIT_CHILD = r'''
+_VCP = r'''
 import contextlib
 import io
+import json
 import random
 from pathlib import Path
 
@@ -99,8 +102,10 @@ def vcp(*argv):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.run(list(argv))
     print(f"== {argv[0]}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+'''
 
 
+FIT_CHILD = _VCP + r'''
 vcp("simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2", "--sigma-u", "0.5",
     "--sigma-e", "0.5", "--n-per-condition", "40", "--occasions", "4", "--seed", "7",
     "--out", "cohort")
@@ -109,6 +114,22 @@ random.Random(1).shuffle(lines)
 Path("shuffled.jsonl").write_text("".join(lines))
 vcp("fit", "--data", "cohort/cohort.jsonl", "--out", "out/fit")
 vcp("fit", "--data", "shuffled.jsonl", "--out", "out/shuffled")
+'''
+
+
+LSTSQ_CHILD = _VCP + r'''
+pairs = [json.loads(line) for line in Path("fixtures/calibration/pairs.jsonl").open()]
+random.Random(1).shuffle(pairs)
+Path("pairs.jsonl").write_text("".join(
+    json.dumps({k: f"fixtures/calibration/{v}" for k, v in rec.items()}) + "\n" for rec in pairs
+))
+header, *rows = Path("fixtures/decay/noisy_decay.csv").read_text().splitlines(keepends=True)
+random.Random(1).shuffle(rows)
+Path("decay.csv").write_text(header + "".join(rows))
+vcp("calibrate", "--pairs", "fixtures/calibration/pairs.jsonl", "--out", "out/calibrate")
+vcp("calibrate", "--pairs", "pairs.jsonl", "--out", "shuffled/calibrate")
+vcp("retention", "--decay", "fixtures/decay/noisy_decay.csv", "--out", "out/decay")
+vcp("retention", "--decay", "decay.csv", "--out", "shuffled/decay")
 '''
 
 
@@ -172,6 +193,27 @@ def test_fit_does_not_depend_on_row_order_or_the_blas_kernel(repo_root, tmp_path
     for kernel in ("Prescott", "Haswell"):
         out_k, files_k = _run_child(
             repo_root, tmp_path / kernel, "0", FIT_CHILD, OPENBLAS_CORETYPE=kernel
+        )
+        assert out_k == out
+        assert files_k == files, kernel
+
+
+def test_least_squares_fits_do_not_depend_on_row_order_or_the_blas_kernel(repo_root, tmp_path):
+    out, files = _run_child(repo_root, tmp_path / "default", "0", LSTSQ_CHILD)
+    assert out.count(": exit 0\n") == 4
+    # The shuffled runs write the same reports; the decay curve keeps each
+    # input row, in input order, beside its fitted value.
+    outputs = {name[4:]: data for name, data in files.items() if name.startswith("out/")}
+    assert len(outputs) == 6
+    for name, data in outputs.items():
+        shuffled = files[f"shuffled/{name}"]
+        if name == "decay/decay_curve.tsv":
+            assert shuffled != data
+            data, shuffled = sorted(data.splitlines()), sorted(shuffled.splitlines())
+        assert shuffled == data, name
+    for kernel in ("Prescott", "Haswell"):
+        out_k, files_k = _run_child(
+            repo_root, tmp_path / kernel, "0", LSTSQ_CHILD, OPENBLAS_CORETYPE=kernel
         )
         assert out_k == out
         assert files_k == files, kernel

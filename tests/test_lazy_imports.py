@@ -1,9 +1,9 @@
 """numpy and the process pool load only for the commands that use them.
 
 The commands of the study path (metrics, sdt, traps generate, retention,
-egap, score), ``kappa``, ``fit`` and the study driver run without importing
-numpy; the commands that draw random numbers (power, simulate, spearman)
-import it when they run.  The study's batches are far below
+egap, score), ``calibrate``, ``retention --decay``, ``kappa``, ``fit`` and the
+study driver run without importing numpy; only the commands that draw random
+numbers (power, simulate, spearman) import it, when they run.  The study's batches are far below
 ``pool.FORK_MIN_BYTES``, so they run in process and never import
 ``multiprocessing`` or ``concurrent.futures.process`` either.  Each check runs
 in a fresh interpreter, since this test process has numpy loaded already.
@@ -48,6 +48,8 @@ def test_study_path_commands_leave_numpy_unloaded(repo_root, tmp_path):
         ["egap", "--transcript", "fixtures/study/transcripts/s01.txt",
          "--ontology", "fixtures/study/ontology.json", "--code", "fixtures/study/target.vcp"],
         ["score", "--records", "fixtures/zones/boundary_records.jsonl"],
+        ["calibrate", "--pairs", "fixtures/calibration/pairs.jsonl"],
+        ["retention", "--decay", "fixtures/decay/noisy_decay.csv"],
     ]
     code = """
         import contextlib, io, json, sys

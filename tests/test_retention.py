@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vibecheck.codemetrics.halstead import HalsteadCounts
@@ -23,6 +23,7 @@ from vibecheck.retention import (
     OmegaCalibration,
     SessionEvent,
     SessionLog,
+    _lstsq2,
     active_minutes,
     calibrate_omega,
     calibration_mean_score,
@@ -369,6 +370,63 @@ def test_decay_fit_inverts_its_own_model(s0, lam):
     fit = fit_decay(obs)
     assert fit.s0 == pytest.approx(s0, rel=1e-9)
     assert fit.lam == pytest.approx(lam, rel=1e-9, abs=1e-12)
+
+
+# --- two-column least squares -------------------------------------------------
+
+# Three-decimal values: no product of two of them leaves the normal float range.
+_VALUES = st.integers(-10**6, 10**6).map(lambda n: n / 1000)
+
+
+@st.composite
+def _designs(draw, scales):
+    """Columns ``a``, ``b = k*a + scale*d`` and ``y``; ``scale`` 0 makes them collinear
+    (for ``k = 3``, up to the rounding of ``3*a``)."""
+    m = draw(st.integers(2, 8))
+    a, d, y = (draw(st.lists(_VALUES, min_size=m, max_size=m)) for _ in range(3))
+    k, scale = draw(st.integers(-3, 3)), draw(st.sampled_from(scales))
+    return a, [k * x + scale * e for x, e in zip(a, d)], y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_designs([1.0, 1e-3, 1e-6]))
+def test_lstsq2_matches_numpy_on_full_rank_designs(design):
+    # A least-squares solution moves with its data by up to
+    # cond / cos(theta) + cond**2 * tan(theta) relative, theta the angle between
+    # y and the fit (Golub and Van Loan, Matrix Computations, 5.3); lstsq's own
+    # error follows it (off by 3e-9 from exact rational solutions at cond 1e3).  So
+    # the solutions agree to 1e-12 times that factor, and the residuals to
+    # 1e-12 * cond * |y|.
+    a, b, y = design
+    matrix = np.column_stack([a, b])
+    cond = np.linalg.cond(matrix)
+    assume(cond < 1e8)
+    expected, _, rank, _ = np.linalg.lstsq(matrix, y, rcond=None)
+    c0, c1, helper_rank, residual = _lstsq2(a, b, y)
+    assert (helper_rank, rank) == (2, 2)
+    fit = np.linalg.norm(matrix @ expected)
+    assume(fit > 0)  # y orthogonal to both columns: x = 0 has no relative scale
+    y_norm, expected_residual = np.linalg.norm(y), np.linalg.norm(matrix @ expected - y)
+    sensitivity = (cond * y_norm + cond**2 * expected_residual) / fit
+    assert math.dist((c0, c1), expected) <= 1e-12 * sensitivity * np.linalg.norm(expected)
+    assert abs(residual - expected_residual) <= 1e-12 * cond * y_norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_designs([0.0]), st.booleans(), st.booleans())
+def test_lstsq2_matches_numpy_on_collinear_designs(design, swap, zero):
+    a, b, y = design
+    if zero:
+        a = b = [0.0] * len(y)
+    if swap:
+        a, b = b, a
+    matrix = np.column_stack([a, b])
+    expected, _, rank, _ = np.linalg.lstsq(matrix, y, rcond=None)
+    c0, c1, helper_rank, _ = _lstsq2(a, b, y)
+    assert helper_rank == rank < 2
+    # The minimum-norm solution has the scale of |y| / |A|.
+    scale = np.linalg.norm(y) / np.linalg.norm(matrix) if rank else 0.0
+    assert math.dist((c0, c1), expected) <= 1e-12 * scale
 
 
 # --- session-log files --------------------------------------------------------
