@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vibecheck import retention, sdt, trapforge
+from vibecheck import cli, retention, sdt, trapforge
 from vibecheck.codemetrics import metrics, parse, random_program
 from vibecheck.io import read_json
 from vibecheck.reporting import write_json, write_jsonl
@@ -381,6 +381,29 @@ def make_zones(root: Path) -> None:
     write_jsonl(root / "zones" / "boundary_records.jsonl", records)
 
 
+# --- reports drawn from numpy's generator ---------------------------------
+
+
+def draw_commands(root: Path) -> dict[str, list[str]]:
+    """Small fixed-seed runs of the commands whose reports numpy draws, through
+    ``normal``, ``chisquare`` and ``permuted``, which NEP 19 lets numpy change
+    between feature releases."""
+    return {
+        "power": ["power", "--d", "0.8", "--replicates", "1000"],
+        "simulate": ["simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2",
+                     "--sigma-u", "0.5", "--sigma-e", "0.5", "--n-per-condition", "4",
+                     "--occasions", "2"],
+        "spearman": ["spearman", "--data", str(root / "spearman" / "quiz_scores.csv"),
+                     "--permutations", "1000"],
+    }
+
+
+def make_draws(root: Path) -> None:
+    for name, argv in draw_commands(root).items():
+        if cli.run([*argv, "--out", str(root / "draws" / name)]) != 0:
+            raise RuntimeError(f"vcp {name} failed")
+
+
 # --- the end-to-end study bundle -------------------------------------------
 
 ONTOLOGY = {
@@ -545,6 +568,7 @@ def main() -> None:
     make_decay(root)
     make_spearman(root)
     make_zones(root)
+    make_draws(root)
     study = make_study(root, cal)
     make_golden(study)
     print("fixtures rebuilt")

@@ -11,7 +11,8 @@ plot-ready column files are written under DIR and the summary is printed;
 without it the machine JSON goes to stdout and the summary to stderr.
 
 The stats handlers (power, simulate, fit, spearman, kappa) import the stats
-layer when they run, so the other subcommands start without numpy.
+layer when they run.  Only the commands that draw random numbers load numpy:
+power, simulate and spearman with --permutations.
 """
 
 from __future__ import annotations

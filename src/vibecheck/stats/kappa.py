@@ -8,6 +8,7 @@ of ratings.  ``pair_counts`` builds the table from two rating sequences.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Hashable, Mapping, Sequence
 
@@ -43,10 +44,11 @@ def cohens_kappa(counts: Mapping[tuple[Hashable, Hashable], int]) -> float:
         freq_a[a] += count
         freq_b[b] += count
     observed = agreements / n
-    # Summed in sorted order: a set's order follows string hashing, which
-    # changes from process to process and would move the last bits.
-    categories = sorted(freq_a.keys() | freq_b.keys())
-    expected = sum((freq_a[cat] / n) * (freq_b[cat] / n) for cat in categories)
+    # fsum is exactly rounded, so neither the set's hash order nor the
+    # Python version (``sum`` compensates floats from 3.12 on) moves a bit.
+    expected = math.fsum(
+        (freq_a[cat] / n) * (freq_b[cat] / n) for cat in freq_a.keys() | freq_b.keys()
+    )
     if expected >= 1.0:
         raise DegenerateAgreementError(
             "both raters used one identical category; chance agreement is 1 "

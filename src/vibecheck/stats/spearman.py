@@ -1,11 +1,12 @@
 """Spearman rank correlation with a t-approximation and permutation p.
 
 rho is the Pearson correlation of the two rank vectors, with tied values
-receiving the average of the ranks they span.  The analytic two-sided p
-uses ``t = rho * sqrt((n - 2) / (1 - rho^2))`` on n - 2 degrees of
-freedom.  An optional seeded Monte-Carlo permutation test (at least 1e5
-permutations recommended) gives a distribution-free cross-check:
-``p = (1 + #extreme) / (1 + B)``.  It takes at most 10,000,000
+receiving the average of the ranks they span, from exact integer sums that
+are rounded once, so it depends on neither the row order nor a BLAS kernel.
+The analytic two-sided p uses ``t = rho * sqrt((n - 2) / (1 - rho^2))`` on
+n - 2 degrees of freedom.  An optional seeded Monte-Carlo permutation test
+(at least 1e5 permutations recommended, and the only user of numpy here)
+gives ``p = (1 + #extreme) / (1 + B)``.  It takes at most 10,000,000
 permutations, and samples of at most 200,000 pairs, the largest for which
 its integer statistic stays exact.
 """
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from vibecheck.errors import ConstantInputError, ValidationError
 from vibecheck.pool import available_cpus
@@ -42,19 +43,21 @@ class SpearmanResult:
     seed: Optional[int]
 
 
-def rank_average(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks; ties share the average of the ranks they occupy."""
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=float)
+def centred_ranks(values: Sequence[float]) -> list[int]:
+    """Twice the centred average rank of each value, ``2*rank - (n + 1)``.
+
+    Tied values share the average of the 1-based ranks they span, so the
+    result holds integers: ranks ``i+1 .. j`` average to ``(i + j + 1) / 2``.
+    """
+    n = len(values)
+    ranks = [0] * n
     i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        # Ranks i+1 .. j+1 average to (i + j) / 2 + 1.
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    for _, tied in groupby(sorted(range(n), key=values.__getitem__), values.__getitem__):
+        tied = list(tied)
+        j = i + len(tied)
+        for k in tied:
+            ranks[k] = i + j - n
+        i = j
     return ranks
 
 
@@ -84,51 +87,47 @@ def spearman(
             f"the permutation test takes at most {_MAX_PERMUTATION_N} paired "
             f"observations, got {n}"
         )
-    rx = rank_average(x)
-    ry = rank_average(y)
-    cx = rx - rx.mean()
-    cy = ry - ry.mean()
-    sxx = float(cx @ cx)
-    syy = float(cy @ cy)
-    if sxx == 0.0 or syy == 0.0:
-        raise ConstantInputError(
-            "correlation is undefined for a constant input vector"
-        )
-    rho = float((cx @ cy) / math.sqrt(sxx * syy))
-    rho = max(-1.0, min(1.0, rho))
+    if not all(map(math.isfinite, x)) or not all(map(math.isfinite, y)):
+        raise ValidationError("samples must hold finite numbers, not nan or inf")
+    rx = centred_ranks(x)
+    ry = centred_ranks(y)
+    sxx = sum(map(mul, rx, rx))
+    syy = sum(map(mul, ry, ry))
+    if sxx == 0 or syy == 0:
+        raise ConstantInputError("correlation is undefined for a constant input vector")
+    sxy = sum(map(mul, rx, ry))
+    # The one rounding: each sum, divided by 4 to the sum over the centred
+    # ranks themselves, becomes the nearest float.
+    rho = max(-1.0, min(1.0, (sxy / 4) / math.sqrt((sxx / 4) * (syy / 4))))
     if abs(rho) == 1.0:
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = 2.0 * tdist.sf(abs(t), n - 2)
-    p_perm = None
-    if permutations:
-        p_perm = _permutation_p(2.0 * cx, 2.0 * cy, permutations, seed)
-    return SpearmanResult(
-        rho=rho,
-        p_two_sided=p,
-        n=n,
-        p_permutation=p_perm,
-        permutations=permutations,
-        seed=seed,
-    )
+    p_perm = _permutation_p(rx, ry, abs(sxy), permutations, seed) if permutations else None
+    return SpearmanResult(rho=rho, p_two_sided=p, n=n, p_permutation=p_perm,
+                          permutations=permutations, seed=seed)
 
 
-def _permutation_p(ix: np.ndarray, iy: np.ndarray, permutations: int, seed: int) -> float:
+def _permutation_p(
+    ix: Sequence[int], iy: Sequence[int], observed: int, permutations: int, seed: int
+) -> float:
     """Two-sided permutation p with the add-one estimator.
 
-    ``ix`` and ``iy`` are twice the centred ranks, so they hold integers
-    and ``|perm(iy) @ ix| >= |iy @ ix|`` compares exact statistics.  Chunk k
-    of 100k permutations draws from ``make_rng(seed, k)`` and shuffles one
-    buffer of about 2 MB at a time; the generator consumes its draws row by
-    row, so the rows are those of the whole chunk shuffled at once.  Chunks
-    are counted on parallel threads and their integer counts summed, so p
-    does not depend on the number of CPUs.
+    ``ix`` and ``iy`` are twice the centred ranks and ``observed`` is
+    ``|iy @ ix|``, so ``|perm(iy) @ ix| >= observed`` compares exact
+    statistics.  Chunk k of 100k permutations draws from
+    ``make_rng(seed, k)`` and shuffles one ~2 MB buffer of rows at a time,
+    as the generator would shuffle the whole chunk.  Chunks are counted on
+    parallel threads and their integer counts summed, so p does not depend
+    on the CPU count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    import numpy as np
+
     n = len(iy)
-    observed = abs(float(iy @ ix))
+    ix, iy = np.array(ix, dtype=float), np.array(iy, dtype=float)
     rows = max(1, _BLOCK_BYTES // (8 * n))
 
     def count(chunk_index: int) -> int:

@@ -5,7 +5,9 @@ A child interpreter runs every ``vcp`` subcommand on committed fixtures, each
 with ``--out``, and then the study driver, all in process and inside its own
 working directory.  The argv lists are perfbench's ``cold_commands``.  One
 child runs with ``PYTHONHASHSEED=0`` and one with ``PYTHONHASHSEED=1``; every
-file they write and everything they print must match byte for byte.
+file they write and everything they print must match byte for byte.  A third
+child replaces the builtin ``sum`` with one that compensates float terms, as
+``sum`` does from Python 3.12 on, and must write the same bytes again.
 
 Another pair of children runs ``vcp metrics`` and ``vcp traps generate`` over
 perfbench's corpus pool, large enough to fork workers; one of them first
@@ -15,7 +17,8 @@ Three more children run ``vcp fit`` on a 320-row cohort and on a shuffled copy
 of it, one with OpenBLAS's default kernel and two with ``OPENBLAS_CORETYPE``
 set to the ``Prescott`` and ``Haswell`` kernels, which any x86-64 CPU runs.
 Three children do the same for the two least-squares fits, ``vcp calibrate``
-and ``vcp retention --decay``, each on its fixture and on a shuffled copy.
+and ``vcp retention --decay``, each on its fixture and on a shuffled copy, and
+three for Spearman's rho on 378,000 rows and on a shuffled copy of them.
 """
 
 import os
@@ -24,20 +27,39 @@ import sys
 from pathlib import Path
 
 CHILD = r'''
+import builtins
 import contextlib
 import importlib.util
 import io
+import math
 import sys
 from pathlib import Path
 
 import workloads
 from vibecheck import cli
 
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 adds floats: Neumaier-compensated float terms."""
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + c if c and math.isfinite(c) else total
+
+
+if sys.argv[2] == "compensated-sum":
+    builtins.sum = compensated_sum
 root = Path(sys.argv[1])
 tmp = Path("tmp")
 tmp.mkdir()
 # String labels.  Summed in set order, chance agreement on this table ends in
-# ...575 under one of the two hash seeds and ...57 under the other.
+# ...575 under one of the two hash seeds and ...57 under the other.  Summed
+# in sorted order, kappa moved in its last digit under 3.12's ``sum``.
 (tmp / "ratings.csv").write_text(
     "a,b\nmajor,none\nnone,clean\ntrap,major\ncritical,major\ntrap,critical\nmajor,trap\n"
 )
@@ -133,6 +155,25 @@ vcp("retention", "--decay", "decay.csv", "--out", "shuffled/decay")
 '''
 
 
+SPEARMAN_CHILD = r'''
+import random
+
+from vibecheck.stats.spearman import spearman
+
+# The fewest rows, in steps of 500 from 340,000, on which the rho that summed
+# its ranks with BLAS moved with the kernel: the default's ended in ...462 and
+# Prescott's in ...459.
+n = 378_000
+rng = random.Random(n)
+xs = [rng.random() for _ in range(n)]
+ys = [x + rng.random() for x in xs]
+pairs = list(zip(xs, ys))
+random.Random(1).shuffle(pairs)
+print(repr(spearman(xs, ys).rho))
+print(repr(spearman(*zip(*pairs)).rho))
+'''
+
+
 def _run_child(
     repo_root: Path, work: Path, hash_seed: str, child: str = CHILD, mode: str = "",
     **extra_env: str,
@@ -168,6 +209,16 @@ def test_outputs_do_not_depend_on_the_hash_seed(repo_root, tmp_path):
     for name in files0:
         assert files0[name] == files1[name], name
     assert out0 == out1
+
+
+def test_outputs_do_not_depend_on_how_sum_adds_floats(repo_root, tmp_path):
+    out, files = _run_child(repo_root, tmp_path / "builtin", "0", mode="builtin-sum")
+    out_c, files_c = _run_child(repo_root, tmp_path / "compensated", "0", mode="compensated-sum")
+    assert out.count(": exit 0\n") == 12 and out.endswith("== study complete\n")
+    assert sorted(files) == sorted(files_c)
+    for name in files:
+        assert files[name] == files_c[name], name
+    assert out == out_c
 
 
 def test_corpus_outputs_do_not_depend_on_the_cpu_count(repo_root, tmp_path):
@@ -217,3 +268,14 @@ def test_least_squares_fits_do_not_depend_on_row_order_or_the_blas_kernel(repo_r
         )
         assert out_k == out
         assert files_k == files, kernel
+
+
+def test_spearman_rho_does_not_depend_on_row_order_or_the_blas_kernel(repo_root, tmp_path):
+    out, _ = _run_child(repo_root, tmp_path / "default", "0", SPEARMAN_CHILD)
+    rho, shuffled = out.splitlines()
+    assert shuffled == rho
+    for kernel in ("Prescott", "Haswell"):
+        out_k, _ = _run_child(
+            repo_root, tmp_path / kernel, "0", SPEARMAN_CHILD, OPENBLAS_CORETYPE=kernel
+        )
+        assert out_k == out, kernel

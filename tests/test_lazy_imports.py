@@ -1,10 +1,11 @@
 """numpy and the process pool load only for the commands that use them.
 
 The commands of the study path (metrics, sdt, traps generate, retention,
-egap, score), ``calibrate``, ``retention --decay``, ``kappa``, ``fit`` and the
-study driver run without importing numpy; only the commands that draw random
-numbers (power, simulate, spearman) import it, when they run.  The study's batches are far below
-``pool.FORK_MIN_BYTES``, so they run in process and never import
+egap, score), ``calibrate``, ``retention --decay``, ``kappa``, ``fit``,
+``spearman`` without ``--permutations`` and the study driver run without
+importing numpy; only the commands that draw random numbers (power, simulate,
+spearman ``--permutations``) import it, when they run.  The study's batches
+are far below ``pool.FORK_MIN_BYTES``, so they run in process and never import
 ``multiprocessing`` or ``concurrent.futures.process`` either.  Each check runs
 in a fresh interpreter, since this test process has numpy loaded already.
 """
@@ -50,6 +51,7 @@ def test_study_path_commands_leave_numpy_unloaded(repo_root, tmp_path):
         ["score", "--records", "fixtures/zones/boundary_records.jsonl"],
         ["calibrate", "--pairs", "fixtures/calibration/pairs.jsonl"],
         ["retention", "--decay", "fixtures/decay/noisy_decay.csv"],
+        ["spearman", "--data", "fixtures/spearman/quiz_scores.csv"],
     ]
     code = """
         import contextlib, io, json, sys

@@ -42,10 +42,8 @@ def test_frozen_draws():
     # Pin the generator family itself: a silent change to the bit stream
     # would break every seeded fixture downstream.
     draws = make_rng(0).integers(0, 2**32, size=4)
-    assert draws.tolist() == make_rng(0).integers(0, 2**32, size=4).tolist()
-    first = float(make_rng(2026).uniform())
-    assert first == float(make_rng(2026).uniform())
-    assert 0.0 <= first < 1.0
+    assert draws.tolist() == [1807797818, 286912445, 746180478, 339358175]
+    assert float(make_rng(2026).uniform()) == 0.048181906614709336
 
 
 def test_streams_are_statistically_disjoint():

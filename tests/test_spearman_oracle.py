@@ -1,10 +1,15 @@
-"""The Spearman permutation kernel against ``reference_spearman``.
+"""The Spearman permutation kernel against ``reference_spearman``, and rho
+against the numpy formula it replaced.
 
 The reference is the kernel that the bounded-block one replaced: it tiles the
 centred y ranks into one (100k x n) array per chunk, shuffles it at once and
 compares float correlations with a 1e-12 slack.  The production kernel
 shuffles about 2 MB of rows at a time on parallel threads and compares exact
 integer statistics; its p must be the same float, bit for bit.
+
+rho once came from BLAS sums over float ranks; it now comes from exact integer
+sums, rounded once.  Below 200,000 rows the BLAS sums were exact too, so rho,
+and the p values that follow from it, must be the same floats, bit for bit.
 """
 
 import importlib
@@ -14,11 +19,13 @@ import random
 import tracemalloc
 
 import pytest
+from scipy.stats import rankdata
 
 import reference_spearman as R
 from vibecheck.errors import ValidationError
 from vibecheck.io import read_csv
-from vibecheck.stats.spearman import rank_average, spearman
+from vibecheck.stats import tdist
+from vibecheck.stats.spearman import spearman
 
 S = importlib.import_module("vibecheck.stats.spearman")
 
@@ -27,15 +34,18 @@ S = importlib.import_module("vibecheck.stats.spearman")
 COUNTS = (1, 4_999, 5_001, 100_000, 100_001, 250_001)
 
 
+def _numpy_path(xs, ys):
+    """The centred ranks, their sums and rho as the numpy path computed them:
+    BLAS sums over scipy's average ranks, centred by their mean."""
+    rx, ry = rankdata(xs), rankdata(ys)
+    cx, cy = rx - rx.mean(), ry - ry.mean()
+    sxx, syy = float(cx @ cx), float(cy @ cy)
+    return cx, cy, sxx, syy, max(-1.0, min(1.0, float((cx @ cy) / math.sqrt(sxx * syy))))
+
+
 def _reference_p(xs, ys, permutations, seed):
     """The p that ``spearman`` returned with the reference kernel."""
-    rx = rank_average(xs)
-    ry = rank_average(ys)
-    cx = rx - rx.mean()
-    cy = ry - ry.mean()
-    sxx = float(cx @ cx)
-    syy = float(cy @ cy)
-    rho = max(-1.0, min(1.0, float((cx @ cy) / math.sqrt(sxx * syy))))
+    cx, cy, sxx, syy, rho = _numpy_path(xs, ys)
     return R._permutation_p(cx, cy, sxx, syy, abs(rho), permutations, seed)
 
 
@@ -63,6 +73,53 @@ def test_p_is_bit_identical_to_the_reference(kind, n, seed, count):
     xs, ys = _sample(kind, n, seed)
     expected = _reference_p(xs, ys, count, seed)
     assert spearman(xs, ys, permutations=count, seed=seed).p_permutation == expected
+
+
+def _design_xy(seed):
+    """The 50 (x, y) pairs the benchmark's design workload writes for ``seed``."""
+    rng = random.Random(seed)
+    xs = [round(rng.gauss(0.0, 1.0), 2) for _ in range(50)]
+    return xs, [round(0.4 * x + rng.gauss(0.0, 1.0), 2) for x in xs]
+
+
+def _assert_matches_the_numpy_path(xs, ys, permutations=0, seed=None):
+    result = spearman(xs, ys, permutations=permutations, seed=seed)
+    rho, n = _numpy_path(xs, ys)[-1], len(xs)
+    assert result.rho == rho
+    if abs(rho) == 1.0:
+        assert result.p_two_sided == 0.0
+    else:
+        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+        assert result.p_two_sided == 2.0 * tdist.sf(abs(t), n - 2)
+    if permutations:
+        assert result.p_permutation == _reference_p(xs, ys, permutations, seed)
+
+
+def test_fixture_and_design_inputs_match_the_numpy_path(fixtures):
+    data = read_csv(fixtures / "spearman" / "quiz_scores.csv", ("x", "y"), float)
+    _assert_matches_the_numpy_path(data["x"], data["y"], 1_000, 0)
+    for seed in (1, 2):
+        _assert_matches_the_numpy_path(*_design_xy(seed), 1_000, seed)
+
+
+def test_random_samples_match_the_numpy_path():
+    rng = random.Random(21)
+    for k in range(600):
+        n = rng.randrange(4, 401)
+        levels = rng.choice((2, 3, 5, 10, 50, 10**9))  # ties, from many to none
+        xs = [rng.randrange(levels) for _ in range(n)]
+        ys = [rng.randrange(levels) + x // 2 for x in xs]
+        if len(set(xs)) > 1 and len(set(ys)) > 1:
+            _assert_matches_the_numpy_path(xs, ys, 200 if k % 60 == 0 else 0, k)
+
+
+@pytest.mark.parametrize("n, digits", [(150_000, 2), (199_998, 6)])
+def test_large_samples_match_the_numpy_path(n, digits):
+    # Even n: the centred ranks are half-integers, the harder case for floats.
+    rng = random.Random(n)
+    xs = [round(rng.gauss(0.0, 1.0), digits) for _ in range(n)]
+    ys = [round(0.27 * x + rng.gauss(0.0, 1.0), digits) for x in xs]
+    _assert_matches_the_numpy_path(xs, ys)
 
 
 @pytest.mark.parametrize("count", (1, 4_999, 5_001))

@@ -15,7 +15,7 @@ from vibecheck.errors import (
 )
 from vibecheck.rng import make_rng
 from vibecheck.stats.kappa import cohens_kappa, pair_counts
-from vibecheck.stats.spearman import rank_average, spearman
+from vibecheck.stats.spearman import centred_ranks, spearman
 
 # Sum of squared rank differences in the quiz fixture is 558, so
 # rho = 1 - 6*558 / (20 * 399) exactly.
@@ -35,7 +35,10 @@ def _load_quiz(fixtures):
 
 
 def test_rank_average_handles_ties():
-    assert list(rank_average([10.0, 20.0, 20.0, 30.0])) == [1.0, 2.5, 2.5, 4.0]
+    # Twice the centred average rank, 2*rank - (n + 1), is an exact integer.
+    ranks = centred_ranks([10.0, 20.0, 20.0, 30.0])
+    assert ranks == [-3, 0, 0, 3] and all(type(r) is int for r in ranks)
+    assert [(r + 5) / 2 for r in ranks] == [1.0, 2.5, 2.5, 4.0]
 
 
 def test_fixture_rho_is_exact(fixtures):
@@ -119,6 +122,16 @@ def test_constant_input_rejected():
         spearman([3, 3, 3, 3], [1, 2, 3, 4])
     with pytest.raises(ConstantInputError):
         spearman([1, 2, 3, 4], [7, 7, 7, 7])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    # With a nan present, sorting has no total order and the ranks are
+    # arbitrary; the CSV boundary refuses such cells, and so does spearman.
+    with pytest.raises(ValidationError, match="finite"):
+        spearman([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValidationError, match="finite"):
+        spearman([1.0, 2.0, 3.0, 4.0], [bad, 2.0, 3.0, 4.0])
 
 
 def test_small_samples_rejected():
