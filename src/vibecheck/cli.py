@@ -4,7 +4,8 @@ Subcommands: metrics, sdt, traps generate, retention, calibrate, egap,
 score, power, simulate, fit, spearman, kappa.  Flags beat the config file
 (``--config`` or ``$VCP_CONFIG``), which beats defaults; every machine
 report embeds the resolved configuration and the seeds used.  Exit codes:
-0 success, 1 validation error, 2 computation error.
+0 success, 1 validation error, 2 computation error; a successful command
+writes each distinct warning it raised as one ``vcp: warning:`` line.
 
 With ``--out DIR`` the machine report(s), a human summary, and any
 plot-ready column files are written under DIR and the summary is printed;
@@ -22,6 +23,7 @@ import dataclasses
 import functools
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
@@ -538,24 +540,29 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv``, resolve the config (every option named after a config
     key overrides that key), open the output sink and run the command."""
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        command = f"traps {args.traps_command}" if args.command == "traps" else args.command
-        overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
-        config = resolve_config(args.config, overrides)
-        return _COMMANDS[command](args, config, _Sink(args.out, command, config))
-    except ValidationError as exc:
-        sys.stderr.write(f"vcp: error: {exc}\n")
-        return 1
-    except ComputationError as exc:
-        sys.stderr.write(f"vcp: computation error: {exc}\n")
-        return 2
-    except OverflowError as exc:  # a result past the range of a float
-        sys.stderr.write(f"vcp: computation error: numeric overflow: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"vcp: error: {exc}\n")
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = parser.parse_args(argv)
+            command = f"traps {args.traps_command}" if args.command == "traps" else args.command
+            overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+            config = resolve_config(args.config, overrides)
+            code = _COMMANDS[command](args, config, _Sink(args.out, command, config))
+        except ValidationError as exc:
+            sys.stderr.write(f"vcp: error: {exc}\n")
+            code = 1
+        except ComputationError as exc:
+            sys.stderr.write(f"vcp: computation error: {exc}\n")
+            code = 2
+        except OverflowError as exc:  # a result past the range of a float
+            sys.stderr.write(f"vcp: computation error: numeric overflow: {exc}\n")
+            code = 2
+        except OSError as exc:
+            sys.stderr.write(f"vcp: error: {exc}\n")
+            code = 1
+    if code == 0:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            sys.stderr.write(f"vcp: warning: {message}\n")
+    return code
 
 
 def main() -> None:

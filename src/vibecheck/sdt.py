@@ -3,7 +3,8 @@
 A reviewer's flag decisions over a corpus of trap and clean items reduce to
 a hit rate H (flagged traps / traps) and a false-alarm rate F (flagged
 cleans / cleans).  Sensitivity is ``d' = Z(H) - Z(F)`` with Z the standard
-normal quantile, and the bounded trap-detection score is the logistic map
+normal quantile, the standard library's ``statistics.NormalDist().inv_cdf``
+(Wichura's AS241), and the bounded trap-detection score is the logistic map
 ``1 / (1 + exp(-k * (d' - delta)))``.
 
 ``k`` and ``delta`` are reported defaults of this toolkit's configuration,
@@ -14,68 +15,15 @@ empirical constants, and every scoring record echoes the values used.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from vibecheck.config import CORRECTIONS, RunConfig
 from vibecheck.errors import DomainError, ValidationError
-from vibecheck.io import as_str, read_jsonl
+from vibecheck.io import as_bool, as_str, read_jsonl
 from vibecheck.rng import make_rng
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# Rational approximation coefficients from Acklam's inverse-normal algorithm.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc (accurate in both tails)."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
-
-
-def inverse_normal_cdf(p: float) -> float:
-    """Standard normal quantile, |CDF(result) - p| <= 1e-12.
-
-    Acklam's rational approximation gives ~1e-9 accuracy; two Newton
-    corrections against the erfc-based CDF push the residual to machine
-    precision wherever the density is representable.
-    """
-    if not (0.0 < p < 1.0) or math.isnan(p):
-        raise DomainError(f"quantile argument must lie strictly in (0, 1), got {p!r}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    for _ in range(2):
-        density = _normal_pdf(x)
-        if density <= 0.0:
-            break
-        x -= (normal_cdf(x) - p) / density
-    return x
-
 
 # --- trap responses --------------------------------------------------------
 
@@ -118,18 +66,6 @@ class SdtResult:
     criterion_c: float  # optional diagnostic: -(Z(H) + Z(F)) / 2
 
 
-def _validate_responses(responses: Sequence[TrapResponse]) -> None:
-    seen: set[str] = set()
-    for resp in responses:
-        if resp.ground_truth not in GROUND_TRUTHS:
-            raise ValidationError(
-                f"ground_truth must be 'trap' or 'clean', got {resp.ground_truth!r}"
-            )
-        if resp.item_id in seen:
-            raise ValidationError(f"duplicate item_id {resp.item_id!r} for one reviewer")
-        seen.add(resp.item_id)
-
-
 def rates(responses: Sequence[TrapResponse], correction: str = RunConfig.correction) -> Rates:
     """Hit and false-alarm rates, with the half-count extreme-rate correction.
 
@@ -139,28 +75,29 @@ def rates(responses: Sequence[TrapResponse], correction: str = RunConfig.correct
     """
     if correction not in CORRECTIONS:
         raise ValidationError(f"unknown correction {correction!r}")
-    _validate_responses(responses)
-    n_trap = sum(1 for r in responses if r.ground_truth == "trap")
-    n_clean = sum(1 for r in responses if r.ground_truth == "clean")
+    items, flags = Counter(), Counter()
+    seen: set[str] = set()
+    for resp in responses:
+        if resp.ground_truth not in GROUND_TRUTHS:
+            raise ValidationError(
+                f"ground_truth must be 'trap' or 'clean', got {resp.ground_truth!r}"
+            )
+        if resp.item_id in seen:
+            raise ValidationError(f"duplicate item_id {resp.item_id!r} for one reviewer")
+        seen.add(resp.item_id)
+        items[resp.ground_truth] += 1
+        flags[resp.ground_truth] += bool(resp.flagged)
+    n_trap, n_clean = items["trap"], items["clean"]
     if n_trap < 1 or n_clean < 1:
         raise ValidationError(
             f"need at least one trap and one clean item, got {n_trap} traps / {n_clean} clean"
         )
-    hits = sum(1 for r in responses if r.ground_truth == "trap" and r.flagged)
-    fas = sum(1 for r in responses if r.ground_truth == "clean" and r.flagged)
-    hit_rate = hits / n_trap
-    fa_rate = fas / n_clean
+    hit_rate = flags["trap"] / n_trap
+    fa_rate = flags["clean"] / n_clean
     corrected_h, corrected_f = hit_rate, fa_rate
-    applied = False
     if correction == "half-count":
-        if hit_rate == 0.0:
-            corrected_h, applied = 1.0 / (2 * n_trap), True
-        elif hit_rate == 1.0:
-            corrected_h, applied = 1.0 - 1.0 / (2 * n_trap), True
-        if fa_rate == 0.0:
-            corrected_f, applied = 1.0 / (2 * n_clean), True
-        elif fa_rate == 1.0:
-            corrected_f, applied = 1.0 - 1.0 / (2 * n_clean), True
+        corrected_h, corrected_f = _half_count(hit_rate, n_trap), _half_count(fa_rate, n_clean)
+    applied = (corrected_h, corrected_f) != (hit_rate, fa_rate)
     return Rates(
         hit_rate=hit_rate,
         fa_rate=fa_rate,
@@ -173,17 +110,29 @@ def rates(responses: Sequence[TrapResponse], correction: str = RunConfig.correct
     )
 
 
-def d_prime(hit_rate: float, fa_rate: float) -> float:
-    """Sensitivity ``Z(H) - Z(F)``; identical rates give exactly 0.0."""
+def _half_count(rate: float, n: int) -> float:
+    """``1/(2n)`` for a rate of 0, ``1 - 1/(2n)`` for a rate of 1, else ``rate``."""
+    return {0.0: 1.0 / (2 * n), 1.0: 1.0 - 1.0 / (2 * n)}.get(rate, rate)
+
+
+def _z_rates(hit_rate: float, fa_rate: float) -> tuple[float, float]:
+    """``(Z(H), Z(F))``, refusing a rate outside (0, 1) with the correction hint."""
+    from statistics import NormalDist
+
     for label, value in (("hit rate", hit_rate), ("false-alarm rate", fa_rate)):
         if not (0.0 < value < 1.0):
             raise DomainError(
                 f"{label} {value!r} is outside (0, 1); apply the half-count "
                 "extreme-rate correction before computing sensitivity"
             )
-    if hit_rate == fa_rate:
-        return 0.0
-    return inverse_normal_cdf(hit_rate) - inverse_normal_cdf(fa_rate)
+    z = NormalDist().inv_cdf
+    return z(hit_rate), z(fa_rate)
+
+
+def d_prime(hit_rate: float, fa_rate: float) -> float:
+    """Sensitivity ``Z(H) - Z(F)``; identical rates give exactly 0.0."""
+    z_h, z_f = _z_rates(hit_rate, fa_rate)
+    return z_h - z_f
 
 
 def m_ht(d_prime_value: float, k: float = RunConfig.k, delta: float = RunConfig.delta) -> float:
@@ -206,9 +155,8 @@ def score_responses(
 ) -> SdtResult:
     """Full per-reviewer pipeline: rates -> correction -> d' -> score."""
     r = rates(responses, correction=correction)
-    d = d_prime(r.hit_rate_corrected, r.fa_rate_corrected)
-    z_h = inverse_normal_cdf(r.hit_rate_corrected)
-    z_f = inverse_normal_cdf(r.fa_rate_corrected)
+    z_h, z_f = _z_rates(r.hit_rate_corrected, r.fa_rate_corrected)
+    d = z_h - z_f
     return SdtResult(
         reviewer=reviewer,
         hit_rate=r.hit_rate,
@@ -242,9 +190,10 @@ def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
 
 
 def _response(rec: dict) -> tuple[str, TrapResponse]:
-    flagged = rec["flagged"]
-    if not isinstance(flagged, bool):
-        raise TypeError(f"'flagged' must be true or false, got {flagged!r}")
+    try:
+        flagged = as_bool(rec["flagged"])
+    except TypeError as exc:
+        raise TypeError(f"'flagged': {exc}") from None
     resp = TrapResponse(
         item_id=as_str(rec["item_id"]), ground_truth=as_str(rec["ground_truth"]), flagged=flagged
     )

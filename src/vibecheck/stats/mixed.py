@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
+from statistics import NormalDist
 from typing import Optional, Union
 
 from vibecheck.errors import FitError, ValidationError
 from vibecheck.io import as_finite, as_int, as_str, read_jsonl
 from vibecheck.reporting import write_jsonl
 from vibecheck.rng import make_rng
-from vibecheck.sdt import inverse_normal_cdf
 
 CONDITION_CODES = {"trad": 0.0, "vibe": 1.0}
 
@@ -346,7 +346,7 @@ def fit_mixed(data: CohortDataset) -> MixedModelFit:
             "residual variance is zero: the fixed effects fit every observation exactly"
         )
     se1 = math.sqrt(sigma2 * ainv11)
-    z975 = inverse_normal_cdf(0.975)
+    z975 = NormalDist().inv_cdf(0.975)
     reml_loglik = -0.5 * (
         stats.dof * math.log(2.0 * math.pi * sigma2) + logdet_w + logdet_a + stats.dof
     )

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from vibecheck.config import RunConfig
-from vibecheck.errors import SearchError, ValidationError
+from vibecheck.errors import DomainError, SearchError, ValidationError
 from vibecheck.rng import make_rng
-from vibecheck.sdt import inverse_normal_cdf
 from vibecheck.stats import tdist
 
 DESIGNS = ("two_sample", "paired")
@@ -94,7 +94,11 @@ class AttritionTarget:
 
 def analytic_n(spec: PowerSpec) -> int:
     """Normal-approximation sample size (the closed-form cross-check)."""
-    z = inverse_normal_cdf(1.0 - spec.alpha / 2.0) + inverse_normal_cdf(spec.target_power)
+    upper = 1.0 - spec.alpha / 2.0
+    if upper == 1.0:
+        raise DomainError(f"alpha {spec.alpha!r} is too small: 1 - alpha/2 rounds to 1")
+    normal = NormalDist()
+    z = normal.inv_cdf(upper) + normal.inv_cdf(spec.target_power)
     per_group = (z / spec.effect_size_d) ** 2
     if spec.design == "two_sample":
         per_group *= 2.0

@@ -3,7 +3,8 @@ sufficient statistics, GLS pieces from ``np.linalg.solve`` and
 ``np.linalg.slogdet`` at each theta, and the fixed-effect covariance from
 ``np.linalg.inv`` at the optimum.  Test-only reference:
 ``tests/test_mixed_oracle.py`` checks the production fit against it.  Kept
-verbatim; do not edit.
+verbatim but for one line: z(0.975) comes from scipy, not from the toolkit,
+so the oracle does not take the quantile from the code it checks.
 
 ``validate`` is ``CohortDataset.validate`` as it stood before it moved to
 sorted array work: a set of (student, occasion) pairs and a dict of each
@@ -17,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import norm
 
 from vibecheck.errors import FitError, ValidationError
-from vibecheck.sdt import inverse_normal_cdf
 from vibecheck.stats.mixed import (
     CONDITION_CODES,
     CohortDataset,
@@ -170,7 +171,7 @@ def fit_mixed(data: CohortDataset) -> MixedModelFit:
     dof = stats.n - stats.p
     covariance = sigma2 * np.linalg.inv(A)
     se1 = float(math.sqrt(covariance[1, 1]))
-    z975 = inverse_normal_cdf(0.975)
+    z975 = float(norm.ppf(0.975))
     reml_loglik = -0.5 * (
         dof * math.log(2.0 * math.pi * sigma2) + logdet_w + logdet_a + dof
     )

@@ -409,6 +409,23 @@ def test_retention_allow_uncalibrated(fixtures, capsys):
     assert code == 0
 
 
+def test_degenerate_weight_is_one_warning_line_and_only_on_success(fixtures, tmp_path, capsys):
+    # Both final units have omega = 0: two warnings with one message.
+    session = fixtures / "session"
+    argv = ["retention", "--build", str(session / "build.log"),
+            "--refactor", str(session / "refactor.log"), "--allow-uncalibrated"]
+    assert run([*argv, "--out", str(tmp_path / "retention")]) == 0
+    assert capsys.readouterr().err == (
+        "vcp: warning: complexity weight is exactly 0 (cc = 1 and no volume term); "
+        "retention ratios built on it collapse to 0\n"
+    )
+    # The report cannot be written after the weights warned: one error line.
+    (tmp_path / "blocked" / "retention.json").mkdir(parents=True)
+    assert run([*argv, "--out", str(tmp_path / "blocked")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("vcp: error: ") and "retention.json" in line
+
+
 def test_retention_rejects_non_finite_idle_gap(fixtures, tmp_path, capsys):
     logs = fixtures / "study" / "logs"
     out = tmp_path / "retention"

@@ -19,12 +19,30 @@ set to the ``Prescott`` and ``Haswell`` kernels, which any x86-64 CPU runs.
 Three children do the same for the two least-squares fits, ``vcp calibrate``
 and ``vcp retention --decay``, each on its fixture and on a shuffled copy, and
 three for Spearman's rho on 378,000 rows and on a shuffled copy of them.
+
+Last, every other CPython 3.10 or later found here (pyenv's versions and
+``python3.1x`` on ``PATH``) runs the commands that load no numpy, and then the
+study driver, and must write and print what this interpreter does.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+# The study driver, in the child's working directory, after its commands.
+_STUDY = r'''
+spec = importlib.util.spec_from_file_location(
+    "run_study", Path(sys.argv[1]) / "scripts" / "run_study.py"
+)
+run_study = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run_study)
+run_study.run_study(Path("fixtures/study"), Path("study"))
+print("== study complete")
+'''
+
 
 CHILD = r'''
 import builtins
@@ -54,7 +72,6 @@ def compensated_sum(iterable, /, start=0):
 
 if sys.argv[2] == "compensated-sum":
     builtins.sum = compensated_sum
-root = Path(sys.argv[1])
 tmp = Path("tmp")
 tmp.mkdir()
 # String labels.  Summed in set order, chance agreement on this table ends in
@@ -72,13 +89,7 @@ for name, argv in commands.items():
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.run(argv)
     print(f"== {name}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
-
-spec = importlib.util.spec_from_file_location("run_study", root / "scripts" / "run_study.py")
-run_study = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(run_study)
-run_study.run_study(Path("fixtures/study"), Path("study"))
-print("== study complete")
-'''
+''' + _STUDY
 
 
 CORPUS_CHILD = r'''
@@ -174,9 +185,60 @@ print(repr(spearman(*zip(*pairs)).rho))
 '''
 
 
+NUMPY_FREE_CHILD = _VCP + r'''
+import importlib.util
+import sys
+
+Path("ratings.csv").write_text(
+    "a,b\nmajor,none\nnone,clean\ntrap,major\ncritical,major\ntrap,critical\nmajor,trap\n"
+)
+vcp("metrics", "fixtures/ifelse.vcp", "--out", "out/metrics")
+vcp("sdt", "--responses", "fixtures/study/responses.jsonl", "--out", "out/sdt")
+vcp("traps", "generate", "--origins", "fixtures/origins", "--out", "out/traps")
+vcp("retention", "--build", "fixtures/session/build.log", "--refactor",
+    "fixtures/session/refactor.log", "--allow-uncalibrated", "--out", "out/retention")
+vcp("calibrate", "--pairs", "fixtures/calibration/pairs.jsonl", "--out", "out/calibrate")
+vcp("retention", "--decay", "fixtures/decay/noisy_decay.csv", "--out", "out/decay")
+vcp("egap", "--transcript", "fixtures/study/transcripts/s01.txt", "--ontology",
+    "fixtures/study/ontology.json", "--code", "fixtures/study/target.vcp", "--out", "out/egap")
+vcp("score", "--records", "fixtures/zones/boundary_records.jsonl", "--out", "out/score")
+vcp("fit", "--data", "fixtures/draws/simulate/cohort.jsonl", "--out", "out/fit")
+vcp("kappa", "--data", "ratings.csv", "--out", "out/kappa")
+vcp("spearman", "--data", "fixtures/spearman/quiz_scores.csv", "--out", "out/spearman")
+''' + _STUDY
+
+
+_PROBE = (
+    "import os, sys; assert sys.version_info >= (3, 10); print(os.path.realpath(sys.executable))"
+)
+
+
+def _other_pythons() -> list[str]:
+    """Each CPython >= 3.10 under ``$PYENV_ROOT/versions`` or named
+    ``python3.1x`` on ``PATH``, once, other than the one running the tests.
+    A candidate that does not start (a pyenv shim with no version selected)
+    is passed over."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = sorted(root.glob("versions/*/bin/python3"))
+    for directory in filter(None, os.environ.get("PATH", "").split(os.pathsep)):
+        candidates += sorted(Path(directory).glob("python3.1[0-9]"))
+    seen, found = {os.path.realpath(sys.executable)}, []
+    for exe in candidates:
+        try:
+            proc = subprocess.run([str(exe), "-c", _PROBE], capture_output=True, text=True,
+                                  timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        real = proc.stdout.strip()
+        if proc.returncode == 0 and real not in seen:
+            seen.add(real)
+            found.append(str(exe))
+    return found
+
+
 def _run_child(
     repo_root: Path, work: Path, hash_seed: str, child: str = CHILD, mode: str = "",
-    **extra_env: str,
+    python: str = sys.executable, **extra_env: str,
 ) -> tuple[str, dict]:
     work.mkdir()
     (work / "fixtures").symlink_to(repo_root / "fixtures", target_is_directory=True)
@@ -187,7 +249,7 @@ def _run_child(
                     env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", child, str(repo_root), mode],
+        [python, "-c", child, str(repo_root), mode],
         cwd=work, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
@@ -279,3 +341,20 @@ def test_spearman_rho_does_not_depend_on_row_order_or_the_blas_kernel(repo_root,
             repo_root, tmp_path / kernel, "0", SPEARMAN_CHILD, OPENBLAS_CORETYPE=kernel
         )
         assert out_k == out, kernel
+
+
+def test_numpy_free_commands_write_the_same_bytes_on_every_python(repo_root, tmp_path):
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 under $PYENV_ROOT/versions or on PATH")
+    out, files = _run_child(repo_root, tmp_path / "this", "0", NUMPY_FREE_CHILD,
+                            PYTHONDONTWRITEBYTECODE="1")
+    assert out.count(": exit 0\n") == 11 and out.endswith("== study complete\n")
+    assert any(name.startswith("study/") for name in files)
+    for i, python in enumerate(pythons):
+        out_p, files_p = _run_child(repo_root, tmp_path / f"python{i}", "0", NUMPY_FREE_CHILD,
+                                    python=python, PYTHONDONTWRITEBYTECODE="1")
+        assert out_p == out, python
+        assert sorted(files_p) == sorted(files), python
+        for name in files:
+            assert files_p[name] == files[name], (python, name)

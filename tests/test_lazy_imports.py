@@ -39,6 +39,12 @@ def test_cli_import_leaves_numpy_unloaded(repo_root):
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_statistics_unloaded(repo_root):
+    # The normal quantile's module loads with the commands that take one.
+    proc = _python(repo_root, "import sys, vibecheck.cli; print('statistics' in sys.modules)")
+    assert proc.stdout.strip() == "False"
+
+
 def test_study_path_commands_leave_numpy_unloaded(repo_root, tmp_path):
     commands = [
         ["metrics", "fixtures/ifelse.vcp"],

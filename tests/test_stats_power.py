@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vibecheck.errors import SearchError, ValidationError
+from vibecheck.errors import DomainError, SearchError, ValidationError
 from vibecheck.rng import make_rng
 from vibecheck.stats import power, tdist
 from vibecheck.stats.power import (
@@ -40,6 +40,12 @@ def test_analytic_n_two_sample():
 
 def test_analytic_n_paired():
     assert analytic_n(PAIRED) == 32
+
+
+def test_analytic_n_refuses_an_alpha_whose_quantile_rounds_to_one():
+    # statistics.NormalDist().inv_cdf(1.0) raises a StatisticsError, not a DomainError.
+    with pytest.raises(DomainError, match="1 - alpha/2 rounds to 1"):
+        analytic_n(PowerSpec(effect_size_d=0.5, alpha=1e-17))
 
 
 def test_exact_power_reference_values():
