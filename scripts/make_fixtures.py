@@ -491,10 +491,7 @@ def make_study(root: Path, calibration_path: Path) -> Path:
         study / "calibration.json", retention.OmegaCalibration.from_dict, "calibration"
     )
     target_metrics = metrics(parse(TARGET, name="target.vcp"))
-    omega_target = (
-        calibration.alpha * math.log(target_metrics.cc)
-        + calibration.beta * target_metrics.halstead.volume_v
-    )
+    omega_target = retention.omega(target_metrics, calibration)
     print(f"study target: cc={target_metrics.cc} V={target_metrics.halstead.volume_v:.4f} "
           f"h_c={target_metrics.h_c} omega={omega_target:.6f}")
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from vibecheck import cli
 from vibecheck.errors import ValidationError, VcpError
-from vibecheck.io import as_finite, as_int, as_str, read_json, read_jsonl
+from vibecheck.io import as_finite, as_int, as_list, as_str, read_json, read_jsonl
 from vibecheck.reporting import write_jsonl
 
 
@@ -45,13 +45,13 @@ def _study(meta: dict) -> dict:
     """study.json: the corpus seed and trap fraction, and each student's id,
     condition and development hours."""
     students = [
-        {"student": as_str(s["student"]), "condition": as_str(s["condition"]),
-         "t_dev": as_finite(s["t_dev"])}
-        for s in meta["students"]
+        {"student": as_str(s, "student"), "condition": as_str(s, "condition"),
+         "t_dev": as_finite(s, "t_dev")}
+        for s in as_list(meta, "students")
     ]
     return {
-        "seed": as_int(meta["seed"]),
-        "trap_fraction": as_finite(meta["trap_fraction"]),
+        "seed": as_int(meta, "seed"),
+        "trap_fraction": as_finite(meta, "trap_fraction"),
         "students": students,
     }
 

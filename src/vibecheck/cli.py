@@ -33,7 +33,7 @@ from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse_file
 from vibecheck.config import CORRECTIONS, VELOCITY_UNITS, RunConfig, resolve_config
 from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.explainability import E_GAP_DEFINITION, e_gap, load_ontology
-from vibecheck.io import as_finite, csv_rows, read_csv, read_json, read_jsonl, read_text
+from vibecheck.io import as_str, csv_rows, read_csv, read_json, read_jsonl, read_text
 from vibecheck.pool import ordered_map, path_bytes
 from vibecheck.reporting import (
     dumps_record,
@@ -51,7 +51,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _finite(text: str) -> float:
     """A numeric option or CSV cell: a float that is neither nan nor inf."""
-    return as_finite(float(text))
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(f"{value!r} is not finite")
 
 
 def _finite_float(text: str) -> float:
@@ -125,7 +127,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--attrition", type=_finite_float, default=None,
                    help="expected attrition rate")
     p.add_argument("--stated-target", type=int, default=None,
-                   help="flag a stated recruitment figure against the formula")
+                   help="flag a stated recruitment figure against the formula (needs --attrition)")
     p.add_argument("--cohort-rounding", action="store_true", default=None,
                    help="round recruitment targets up to the next multiple of 10")
 
@@ -304,7 +306,7 @@ def _cmd_calibrate(args, config: RunConfig, sink: _Sink) -> int:
     manifest = Path(args.pairs)
 
     def pair(rec: dict) -> tuple:
-        build, refactor = (manifest.parent / rec[k] for k in ("build", "refactor"))
+        build, refactor = (manifest.parent / as_str(rec, k) for k in ("build", "refactor"))
         return retention.read_session_log(build), retention.read_session_log(refactor)
 
     pairs = read_jsonl(manifest, pair, "pair record")
@@ -407,6 +409,8 @@ def _cmd_power(args, config: RunConfig, sink: _Sink) -> int:
         stated_target_exceeds,
     )
 
+    if args.stated_target is not None and args.attrition is None:
+        raise ValidationError("--stated-target needs --attrition")
     spec = PowerSpec(effect_size_d=args.d, alpha=args.alpha, target_power=args.target_power,
                      design=args.design, replicates=config.replicates, seed=config.seed)
     result = required_n(spec)

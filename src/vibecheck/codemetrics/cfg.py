@@ -28,7 +28,7 @@ from typing import Iterable, Union
 
 from vibecheck.codemetrics import nodes as N
 from vibecheck.errors import ValidationError
-from vibecheck.io import as_int, as_list, as_str, read_json
+from vibecheck.io import as_int, as_list, as_str, as_strings, read_json
 from vibecheck.reporting import write_json
 
 EDGE_LABELS = frozenset({"seq", "true", "false", "loop-back", "loop-exit"})
@@ -102,15 +102,16 @@ class ControlFlowGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlFlowGraph":
-        """Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed dict."""
+        """Raises ``TypeError`` or ``ValueError`` on a malformed dict."""
         blocks = tuple(
-            BasicBlock(as_int(node["id"]), tuple(map(as_str, as_list(node.get("stmts", [])))))
-            for node in data["nodes"]
+            BasicBlock(as_int(node, "id"), as_strings(node, "stmts", ()))
+            for node in as_list(data, "nodes")
         )
         edges = tuple(
-            Edge(as_int(e["from"]), as_int(e["to"]), as_str(e["label"])) for e in data["edges"]
+            Edge(as_int(e, "from"), as_int(e, "to"), as_str(e, "label"))
+            for e in as_list(data, "edges")
         )
-        return cls(blocks, edges, as_int(data["entry"]), as_int(data["exit"]))
+        return cls(blocks, edges, as_int(data, "entry"), as_int(data, "exit"))
 
 
 def _reachable(start: int, adjacency: dict[int, list[int]]) -> set[int]:

@@ -211,12 +211,12 @@ def classify_zone(
 
 def _student_record(rec: dict) -> StudentRecord:
     return StudentRecord(
-        student=as_str(rec["student"]),
-        m_csr=as_finite(rec["m_csr"]),
-        m_ht=as_finite(rec["m_ht"]),
-        e_gap=as_finite(rec["e_gap"]),
-        t_dev=as_finite(rec["t_dev"]),
-        condition=as_str(rec["condition"]) if "condition" in rec else None,
+        student=as_str(rec, "student"),
+        m_csr=as_finite(rec, "m_csr"),
+        m_ht=as_finite(rec, "m_ht"),
+        e_gap=as_finite(rec, "e_gap"),
+        t_dev=as_finite(rec, "t_dev"),
+        condition=as_str(rec, "condition", None),
     )
 
 

@@ -71,7 +71,7 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-# Each field's value from a config file goes through the helper for its
+# Each field of a config file is read by the ``io`` field reader for its
 # annotation (a string under ``from __future__ import annotations``).
 _CAST_BY_TYPE = {"float": as_finite, "int": as_int, "bool": as_bool, "str": as_str}
 _FIELDS = {f.name: _CAST_BY_TYPE[f.type] for f in dataclasses.fields(RunConfig)}
@@ -84,13 +84,7 @@ def _cast_fields(data: dict) -> dict[str, Any]:
             f"unknown config keys: {', '.join(unknown)}; known keys: "
             + ", ".join(sorted(_FIELDS))
         )
-    out: dict[str, Any] = {}
-    for key, value in data.items():
-        try:
-            out[key] = _FIELDS[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad value for {key!r}: {exc}") from exc
-    return out
+    return {key: _FIELDS[key](data, key) for key in data}
 
 
 def resolve_config(

@@ -25,7 +25,7 @@ from typing import Union
 from vibecheck.codemetrics import CodeMetrics
 from vibecheck.config import RunConfig
 from vibecheck.errors import DegenerateEntropyWarning, ValidationError
-from vibecheck.io import as_finite, as_list, as_str, read_json
+from vibecheck.io import as_finite, as_list, as_str, as_strings, read_json
 
 PROPORTION_TOLERANCE = 1e-9
 
@@ -157,15 +157,15 @@ def e_gap(
 
 def _ontology_from_dict(data: dict) -> ConceptOntology:
     return ConceptOntology(
-        unit=as_str(data["unit"]),
-        version=as_str(data["version"]),
+        unit=as_str(data, "unit"),
+        version=as_str(data, "version"),
         concepts=tuple(
             Concept(
-                concept_id=as_str(c["concept_id"]),
-                proportion=as_finite(c["proportion"]),
-                phrases=tuple(map(as_str, as_list(c["phrases"]))),
+                concept_id=as_str(c, "concept_id"),
+                proportion=as_finite(c, "proportion"),
+                phrases=as_strings(c, "phrases"),
             )
-            for c in data["concepts"]
+            for c in as_list(data, "concepts")
         ),
     )
 

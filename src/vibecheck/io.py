@@ -4,7 +4,8 @@ Text is UTF-8; JSON refuses ``NaN``, ``Infinity`` and numbers that overflow
 to inf, and each JSON document or JSONL line must be an object.  Failing to
 read, decode, parse, convert or check an input raises a ``ValidationError``
 naming the path (and line), so bad input ends in exit code 1, never a traceback.
-The scalar helpers convert JSON values without coercion.
+The field readers ``as_*(obj, key)`` never coerce: a bad value is refused as ``bad
+value for 'k': expected ..., got ...``, an absent key as ``missing field 'k'``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import sys
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, TypeVar, Union
@@ -150,45 +152,51 @@ def read_csv(
     return dict(zip(columns, map(list, zip(*csv_rows(path, columns, cast)))))
 
 
-def as_bool(value: Any) -> bool:
+_REQUIRED: Any = object()
+_MAX = sys.float_info.max
+
+
+def _field(obj: Any, key: str, default: Any, ok: Callable[[Any], bool], expected: str) -> Any:
+    """``obj[key]`` if ``ok`` of it; ``default`` only if the key is absent."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {obj!r}")
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"missing field {key!r}")
+    if key in obj and not ok(value):
+        raise TypeError(f"bad value for {key!r}: expected {expected}, got {value!r}")
+    return value
+
+
+def as_bool(obj: Any, key: str, default: Any = _REQUIRED) -> bool:
     """A JSON boolean only: ``"false"``, 0 and null are not coerced."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+    return _field(obj, key, default, lambda v: isinstance(v, bool), "true or false")
 
 
-def as_str(value: Any) -> str:
+def as_str(obj: Any, key: str, default: Any = _REQUIRED) -> str:
     """A JSON string only: null and numbers are not coerced."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+    return _field(obj, key, default, lambda v: isinstance(v, str), "a string")
 
 
-def as_list(value: Any) -> list:
+def as_list(obj: Any, key: str, default: Any = _REQUIRED) -> list:
     """A JSON array only: a string is not split into characters."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected an array, got {value!r}")
-    return value
+    return _field(obj, key, default, lambda v: isinstance(v, list), "an array")
 
 
-def as_int(value: Any) -> int:
-    """An integral number (``3`` or ``3.0``); booleans, strings and fractions
-    are refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def as_strings(obj: Any, key: str, default: Any = _REQUIRED) -> tuple[str, ...]:
+    """A JSON array of strings, as a tuple; each element is judged as ``as_str``."""
+    return tuple(as_str({key: value}, key) for value in as_list(obj, key, default))
 
 
-def as_finite(value: Any) -> float:
-    """A finite number as a float; booleans and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError("number is out of range") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not finite")
-    return number
+def as_int(obj: Any, key: str) -> int:
+    """An integral number (``3`` or ``3.0``); fractions are refused, not truncated."""
+    return int(_field(
+        obj, key, _REQUIRED, lambda v: type(v) in (int, float) and v % 1 == 0, "an integer"
+    ))
+
+
+def as_finite(obj: Any, key: str) -> float:
+    """A number within the float range, as a float; booleans and strings are refused."""
+    return float(_field(
+        obj, key, _REQUIRED, lambda v: type(v) in (int, float) and abs(v) <= _MAX, "a finite number"
+    ))

@@ -88,12 +88,12 @@ class OmegaCalibration:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OmegaCalibration":
-        """Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed dict."""
+        """Raises ``TypeError`` or ``ValueError`` on a malformed dict."""
         return cls(
-            alpha=as_finite(data["alpha"]),
-            beta=as_finite(data["beta"]),
-            baseline_source=as_str(data["baseline_source"]),
-            degenerate=as_bool(data.get("degenerate", False)),
+            alpha=as_finite(data, "alpha"),
+            beta=as_finite(data, "beta"),
+            baseline_source=as_str(data, "baseline_source"),
+            degenerate=as_bool(data, "degenerate", False),
         )
 
 
@@ -364,14 +364,13 @@ def _lstsq2(a: Sequence[float], b: Sequence[float], y: Sequence[float]) -> tuple
 def _session_record(rec: dict):
     """A trailer, header or event record, told apart by their keys."""
     if "final_unit" in rec:
-        return as_str(rec["final_unit"])
+        return as_str(rec, "final_unit")
     if "phase" in rec:
-        return as_str(rec["student"]), as_str(rec["phase"])
-    payload = rec.get("payload")
+        return as_str(rec, "student"), as_str(rec, "phase")
     return SessionEvent(
-        t=as_finite(rec["t"]),
-        kind=as_str(rec["kind"]),
-        payload=None if payload is None else as_str(payload),
+        t=as_finite(rec, "t"),
+        kind=as_str(rec, "kind"),
+        payload=None if rec.get("payload") is None else as_str(rec, "payload"),
     )
 
 

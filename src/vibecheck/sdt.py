@@ -190,14 +190,8 @@ def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
 
 
 def _response(rec: dict) -> tuple[str, TrapResponse]:
-    try:
-        flagged = as_bool(rec["flagged"])
-    except TypeError as exc:
-        raise TypeError(f"'flagged': {exc}") from None
-    resp = TrapResponse(
-        item_id=as_str(rec["item_id"]), ground_truth=as_str(rec["ground_truth"]), flagged=flagged
-    )
-    return as_str(rec["reviewer"]), resp
+    fields = as_str(rec, "item_id"), as_str(rec, "ground_truth"), as_bool(rec, "flagged")
+    return as_str(rec, "reviewer"), TrapResponse(*fields)
 
 
 def simulate_reviewer(

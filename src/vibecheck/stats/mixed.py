@@ -375,11 +375,11 @@ def write_cohort(data: CohortDataset, path: Union[str, Path]) -> None:
 
 def _observation(rec: dict) -> tuple[int, int, str, float, float]:
     return (
-        as_int(rec["student"]),
-        as_int(rec["occasion"]),
-        as_str(rec["condition"]),
-        as_finite(rec["time"]),
-        as_finite(rec["y"]),
+        as_int(rec, "student"),
+        as_int(rec, "occasion"),
+        as_str(rec, "condition"),
+        as_finite(rec, "time"),
+        as_finite(rec, "y"),
     )
 
 

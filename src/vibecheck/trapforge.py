@@ -344,7 +344,7 @@ def read_answer_key(path: Union[str, Path]) -> dict[str, str]:
     return dict(
         read_jsonl(
             path,
-            lambda rec: (as_str(rec["item_id"]), as_str(rec["ground_truth"])),
+            lambda rec: (as_str(rec, "item_id"), as_str(rec, "ground_truth")),
             "answer-key record",
         )
     )

@@ -617,7 +617,9 @@ def test_score_non_string_student_or_condition_is_exit_1(tmp_path, capsys, field
     path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
     assert run(["score", "--records", str(path)]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"vcp: error: {path}:2: bad student record: expected a string")
+    assert line.startswith(
+        f"vcp: error: {path}:2: bad student record: bad value for '{field}': expected a string"
+    )
 
 
 # --- power / simulate / fit ---------------------------------------------------
@@ -637,6 +639,15 @@ def test_power_report_and_curve(tmp_path, capsys):
     curve = (out / "power_curve.tsv").read_text().splitlines()
     assert curve[0] == "n\tmc_power"
     assert len(curve) >= 2
+
+
+def test_power_stated_target_without_attrition_is_exit_1(capsys):
+    # A stated target is compared with the attrition target; alone it was dropped.
+    assert run(["power", "--d", "2.0", "--replicates", "1000", "--stated-target", "100"]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line == "vcp: error: --stated-target needs --attrition"
+    assert captured.out == ""
 
 
 def test_power_paired_design(capsys):

@@ -22,6 +22,7 @@ from vibecheck.io import (
     as_int,
     as_list,
     as_str,
+    as_strings,
     csv_rows,
     read_csv,
     read_json,
@@ -249,57 +250,57 @@ def test_csv_rows_yields_one_tuple_per_row_as_it_reads(tmp_path):
     assert list(csv_rows(one, ("a",), str.upper)) == [("X",), ("Y",)]
 
 
-# --- scalar helpers ----------------------------------------------------------
+# --- field readers -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("value", [True, False])
 def test_as_bool_accepts_json_booleans(value):
-    assert as_bool(value) is value
+    assert as_bool({"k": value}, "k") is value
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], 0.0])
 def test_as_bool_refuses_everything_else(value):
-    with pytest.raises(TypeError, match="expected true or false"):
-        as_bool(value)
+    with pytest.raises(TypeError, match="bad value for 'k': expected true or false"):
+        as_bool({"k": value}, "k")
 
 
 @pytest.mark.parametrize("value", ["", "s01", "None", "3"])
 def test_as_str_accepts_json_strings(value):
-    assert as_str(value) is value
+    assert as_str({"k": value}, "k") is value
 
 
 @pytest.mark.parametrize("value", [None, 3, 3.0, True, ["s"], {"s": 1}])
 def test_as_str_refuses_everything_else(value):
-    with pytest.raises(TypeError, match="expected a string"):
-        as_str(value)
+    with pytest.raises(TypeError, match="bad value for 'k': expected a string"):
+        as_str({"k": value}, "k")
 
 
 def test_as_list_accepts_json_arrays():
     value = ["a", 1]
-    assert as_list(value) is value and as_list([]) == []
+    assert as_list({"k": value}, "k") is value and as_list({"k": []}, "k") == []
 
 
 @pytest.mark.parametrize("value", ["loop", None, 3, ("a",), {"a": 1}])
 def test_as_list_refuses_everything_else(value):
-    with pytest.raises(TypeError, match="expected an array"):
-        as_list(value)
+    with pytest.raises(TypeError, match="bad value for 'k': expected an array"):
+        as_list({"k": value}, "k")
 
 
 @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2, -2), (10**30, 10**30)])
 def test_as_int_accepts_integral_numbers(value, expected):
-    result = as_int(value)
+    result = as_int({"k": value}, "k")
     assert result == expected and type(result) is int
 
 
 @pytest.mark.parametrize("value", [2.9, float("nan"), float("inf"), True, "7", None, [1]])
 def test_as_int_refuses_fractions_and_non_numbers(value):
-    with pytest.raises((TypeError, ValueError)):
-        as_int(value)
+    with pytest.raises(TypeError, match="bad value for 'k': expected an integer"):
+        as_int({"k": value}, "k")
 
 
 @pytest.mark.parametrize("value, expected", [(2, 2.0), (0.5, 0.5), (-1e300, -1e300)])
 def test_as_finite_accepts_finite_numbers(value, expected):
-    result = as_finite(value)
+    result = as_finite({"k": value}, "k")
     assert result == expected and type(result) is float
 
 
@@ -307,8 +308,31 @@ def test_as_finite_accepts_finite_numbers(value, expected):
     "value", [float("nan"), float("inf"), -float("inf"), 10**400, True, "1.5", None]
 )
 def test_as_finite_refuses_non_finite_and_non_numbers(value):
-    with pytest.raises((TypeError, ValueError)):
-        as_finite(value)
+    with pytest.raises(TypeError, match="bad value for 'k': expected a finite number"):
+        as_finite({"k": value}, "k")
+
+
+def test_as_strings_reads_an_array_of_strings_as_a_tuple():
+    assert as_strings({"k": ["a", "b"]}, "k") == ("a", "b")
+    assert as_strings({}, "k", ()) == ()
+    with pytest.raises(TypeError, match="bad value for 'k': expected a string, got None"):
+        as_strings({"k": ["a", None]}, "k")
+    with pytest.raises(TypeError, match="bad value for 'k': expected an array, got 'ab'"):
+        as_strings({"k": "ab"}, "k")
+
+
+@pytest.mark.parametrize("reader", [as_bool, as_str, as_list, as_strings, as_int, as_finite])
+def test_field_readers_name_a_missing_key_and_want_an_object(reader):
+    with pytest.raises(ValueError, match="^missing field 'k'$"):
+        reader({"j": 1}, "k")
+    with pytest.raises(TypeError, match="expected a JSON object, got 'k'"):
+        reader("k", "k")
+
+
+def test_a_default_stands_in_only_for_an_absent_key():
+    assert as_str({}, "k", None) is None and as_bool({}, "k", False) is False
+    with pytest.raises(TypeError, match="bad value for 'k': expected a string, got None"):
+        as_str({"k": None}, "k", None)
 
 
 # --- regressions: each input that used to end in a traceback or a coercion ---
@@ -435,6 +459,8 @@ _VALID_DOCS = {
     "cohort": [{"student": 0, "occasion": 0, "condition": "trad", "time": 0.0, "y": 1.0}],
     "cfg": {"nodes": [{"id": 0, "stmts": ["x = 1"]}, {"id": 1}],
             "edges": [{"from": 0, "to": 1, "label": "seq"}], "entry": 0, "exit": 1},
+    "students": [{"student": "s", "m_csr": 0.8, "m_ht": 0.9, "e_gap": 0.1, "t_dev": 1.0}],
+    "pairs": [{"build": "build.log", "refactor": "refactor.log"}],
 }
 # Each text field and list field a reader takes: its kind and its place in the
 # document (for JSONL, the record index first).
@@ -479,17 +505,19 @@ def _field_argv(kind, path, fixtures):
         "ontology": ["egap", "--check-ontology", path],
         "cohort": ["fit", "--data", path],
         "cfg": ["metrics", path],
+        "students": ["score", "--records", path],
+        "pairs": ["calibrate", "--pairs", path],
     }[kind]
 
 
-@pytest.mark.parametrize("field, value", _CASES, ids=[f"{f}={v!r}" for f, v in _CASES])
-def test_text_and_list_fields_are_not_coerced(fixtures, tmp_path, field, value):
-    kind, place = _FIELDS[field]
+def _read_edited(fixtures, tmp_path, kind, place, edit):
+    """Exit code, stderr and expected error prefix of reading the valid
+    ``kind`` document after ``edit(container, key)`` at ``place``."""
     doc = copy.deepcopy(_VALID_DOCS[kind])
     target = doc
     for key in place[:-1]:
         target = target[key]
-    target[place[-1]] = value
+    edit(target, place[-1])
     path = tmp_path / ("input.json" if kind == "cfg" else "input.dat")
     if isinstance(doc, list):
         path.write_text("".join(json.dumps(rec) + "\n" for rec in doc))
@@ -501,12 +529,68 @@ def test_text_and_list_fields_are_not_coerced(fixtures, tmp_path, field, value):
     if kind == "answer_key":  # no command reads an answer key
         with pytest.raises(ValidationError) as caught:
             read_answer_key(path)
-        code, err = 1, f"vcp: error: {caught.value}\n"
-    else:
-        code, err = _vcp(_field_argv(kind, path, fixtures))
+        return 1, f"vcp: error: {caught.value}\n", where
+    return *_vcp(_field_argv(kind, path, fixtures)), where
+
+
+@pytest.mark.parametrize("field, value", _CASES, ids=[f"{f}={v!r}" for f, v in _CASES])
+def test_text_and_list_fields_are_not_coerced(fixtures, tmp_path, field, value):
+    kind, place = _FIELDS[field]
+    code, err, where = _read_edited(
+        fixtures, tmp_path, kind, place, lambda target, key: target.__setitem__(key, value)
+    )
     assert code == 1
     assert err.startswith(f"vcp: error: {where}") and len(err.splitlines()) == 1
     assert ("expected an array" if field in _LIST_FIELDS else "expected a string") in err
+    key = [k for k in place if isinstance(k, str)][-1]  # a phrase is judged as 'phrases'
+    assert f"bad value for {key!r}: " in err
+
+
+# One required field per reader, and the key its absence is reported under.
+_MISSING = {
+    "response": ("responses", (0, "flagged"), "flagged"),
+    "answer_key": ("answer_key", (0, "ground_truth"), "ground_truth"),
+    "session.header": ("session", (0, "student"), "student"),
+    "session.event": ("session", (1, "kind"), "kind"),
+    # A record with neither ``final_unit`` nor ``phase`` is read as an event.
+    "session.trailer": ("session", (2, "final_unit"), "t"),
+    "calibration": ("calibration", ("alpha",), "alpha"),
+    "ontology": ("ontology", ("version",), "version"),
+    "ontology.concept": ("ontology", ("concepts", 0, "proportion"), "proportion"),
+    "cohort": ("cohort", (0, "y"), "y"),
+    "cfg": ("cfg", ("entry",), "entry"),
+    "cfg.edge": ("cfg", ("edges", 0, "label"), "label"),
+    "students": ("students", (0, "m_ht"), "m_ht"),
+    "pairs": ("pairs", (0, "refactor"), "refactor"),
+}
+
+
+@pytest.mark.parametrize("reader", list(_MISSING))
+def test_a_missing_field_is_named(fixtures, tmp_path, reader):
+    kind, place, key = _MISSING[reader]
+    code, err, where = _read_edited(fixtures, tmp_path, kind, place, dict.__delitem__)
+    assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith(f"vcp: error: {where}") and err.endswith(f"missing field {key!r}\n")
+
+
+# Container fields and a number given as a string: each refusal names its key.
+_NAMED = {
+    "concepts": ("ontology", ("concepts",), "abc", "expected an array, got 'abc'"),
+    "nodes": ("cfg", ("nodes",), {"id": 0}, "expected an array, got {'id': 0}"),
+    "build": ("pairs", (0, "build"), 7, "expected a string, got 7"),
+    "m_ht": ("students", (0, "m_ht"), "0.5", "expected a finite number, got '0.5'"),
+}
+
+
+@pytest.mark.parametrize("key", list(_NAMED))
+def test_a_bad_container_or_number_is_named(fixtures, tmp_path, key):
+    kind, place, value, detail = _NAMED[key]
+    code, err, where = _read_edited(
+        fixtures, tmp_path, kind, place, lambda target, k: target.__setitem__(k, value)
+    )
+    assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith(f"vcp: error: {where}")
+    assert err.endswith(f"bad value for {key!r}: {detail}\n")
 
 
 # --- fuzz: arbitrary bytes as every file input --------------------------------
