@@ -23,7 +23,7 @@ from pathlib import Path
 
 from vibecheck import cli
 from vibecheck.errors import ValidationError, VcpError
-from vibecheck.io import as_finite, as_int, as_list, as_str, read_json, read_jsonl
+from vibecheck.io import as_finite, as_int, as_list, as_str, fields, read_json, read_jsonl
 from vibecheck.reporting import write_jsonl
 
 
@@ -41,23 +41,22 @@ def _vcp(*args: str) -> None:
         )
 
 
-def _study(meta: dict) -> dict:
+_STUDENT_FIELDS = {"student": as_str, "condition": as_str, "t_dev": as_finite}
+_STUDY_FIELDS = {
+    "seed": as_int,
+    "trap_fraction": as_finite,
+    "students": lambda o, k: [fields(s, _STUDENT_FIELDS) for s in as_list(o, k)],
+}
+
+
+def read_study(path: Path) -> dict:
     """study.json: the corpus seed and trap fraction, and each student's id,
     condition and development hours."""
-    students = [
-        {"student": as_str(s, "student"), "condition": as_str(s, "condition"),
-         "t_dev": as_finite(s, "t_dev")}
-        for s in as_list(meta, "students")
-    ]
-    return {
-        "seed": as_int(meta, "seed"),
-        "trap_fraction": as_finite(meta, "trap_fraction"),
-        "students": students,
-    }
+    return read_json(path, lambda data: fields(data, _STUDY_FIELDS), "study description")
 
 
 def run_study(fixtures: Path, out: Path) -> None:
-    meta = read_json(fixtures / "study.json", _study, "study description")
+    meta = read_study(fixtures / "study.json")
     out.mkdir(parents=True, exist_ok=True)
 
     _vcp(
@@ -93,7 +92,9 @@ def run_study(fixtures: Path, out: Path) -> None:
 
     sdt_path = out / "sdt" / "sdt.jsonl"
     m_ht_by_reviewer = dict(
-        read_jsonl(sdt_path, lambda rec: (rec["reviewer"], rec["m_ht"]), "sdt record")
+        read_jsonl(
+            sdt_path, lambda rec: (as_str(rec, "reviewer"), as_finite(rec, "m_ht")), "sdt record"
+        )
     )
     records = []
     for rec in sorted(students, key=lambda r: r["student"]):
@@ -105,12 +106,14 @@ def run_study(fixtures: Path, out: Path) -> None:
             "condition": rec["condition"],
             "m_csr": read_json(
                 out / "retention" / sid / "retention.json",
-                lambda report: report["m_csr"],
+                lambda report: as_finite(report, "m_csr"),
                 "retention report",
             ),
             "m_ht": m_ht_by_reviewer[sid],
             "e_gap": read_json(
-                out / "egap" / sid / "egap.json", lambda report: report["e_gap"], "egap report"
+                out / "egap" / sid / "egap.json",
+                lambda report: as_finite(report, "e_gap"),
+                "egap report",
             ),
             "t_dev": rec["t_dev"],
         })

@@ -33,7 +33,7 @@ from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse_file
 from vibecheck.config import CORRECTIONS, VELOCITY_UNITS, RunConfig, resolve_config
 from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.explainability import E_GAP_DEFINITION, e_gap, load_ontology
-from vibecheck.io import as_str, csv_rows, read_csv, read_json, read_jsonl, read_text
+from vibecheck.io import csv_rows, read_csv, read_json, read_text
 from vibecheck.pool import ordered_map, path_bytes
 from vibecheck.reporting import (
     dumps_record,
@@ -303,13 +303,7 @@ def _cmd_retention(args, config: RunConfig, sink: _Sink) -> int:
 
 
 def _cmd_calibrate(args, config: RunConfig, sink: _Sink) -> int:
-    manifest = Path(args.pairs)
-
-    def pair(rec: dict) -> tuple:
-        build, refactor = (manifest.parent / as_str(rec, k) for k in ("build", "refactor"))
-        return retention.read_session_log(build), retention.read_session_log(refactor)
-
-    pairs = read_jsonl(manifest, pair, "pair record")
+    pairs = retention.read_pairs(args.pairs)
     calibration = retention.calibrate_omega(
         pairs, idle_gap=config.idle_gap, baseline_source=args.baseline_id
     )

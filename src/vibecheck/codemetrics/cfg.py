@@ -28,7 +28,7 @@ from typing import Iterable, Union
 
 from vibecheck.codemetrics import nodes as N
 from vibecheck.errors import ValidationError
-from vibecheck.io import as_int, as_list, as_str, as_strings, read_json
+from vibecheck.io import as_int, as_list, as_str, as_strings, fields, read_json
 from vibecheck.reporting import write_json
 
 EDGE_LABELS = frozenset({"seq", "true", "false", "loop-back", "loop-exit"})
@@ -37,7 +37,7 @@ EDGE_LABELS = frozenset({"seq", "true", "false", "loop-back", "loop-exit"})
 @dataclass(frozen=True)
 class BasicBlock:
     id: int
-    stmts: tuple[str, ...]
+    stmts: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -100,18 +100,17 @@ class ControlFlowGraph:
             "exit": self.exit,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ControlFlowGraph":
-        """Raises ``TypeError`` or ``ValueError`` on a malformed dict."""
-        blocks = tuple(
-            BasicBlock(as_int(node, "id"), as_strings(node, "stmts", ()))
-            for node in as_list(data, "nodes")
-        )
-        edges = tuple(
-            Edge(as_int(e, "from"), as_int(e, "to"), as_str(e, "label"))
-            for e in as_list(data, "edges")
-        )
-        return cls(blocks, edges, as_int(data, "entry"), as_int(data, "exit"))
+
+# The interchange form's tables, each in the order of its record's fields.
+_NODE_FIELDS = {"id": as_int, "stmts": as_strings}
+_EDGE_FIELDS = {"from": as_int, "to": as_int, "label": as_str}
+_GRAPH_FIELDS = {
+    "nodes": lambda o, k: tuple(
+        BasicBlock(**fields(n, _NODE_FIELDS, optional=("stmts",))) for n in as_list(o, k)
+    ),
+    "edges": lambda o, k: tuple(Edge(*fields(e, _EDGE_FIELDS).values()) for e in as_list(o, k)),
+    "entry": as_int, "exit": as_int,
+}
 
 
 def _reachable(start: int, adjacency: dict[int, list[int]]) -> set[int]:
@@ -128,7 +127,9 @@ def _reachable(start: int, adjacency: dict[int, list[int]]) -> set[int]:
 
 def load_cfg(path: Union[str, Path]) -> ControlFlowGraph:
     """Read a control-flow graph from its JSON interchange file."""
-    return read_json(path, ControlFlowGraph.from_dict, "control-flow graph")
+    return read_json(
+        path, lambda d: ControlFlowGraph(*fields(d, _GRAPH_FIELDS).values()), "control-flow graph"
+    )
 
 
 def dump_cfg(cfg: ControlFlowGraph, path: Union[str, Path]) -> None:

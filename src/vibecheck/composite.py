@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 from vibecheck.config import RunConfig
 from vibecheck.errors import ComputationError, ValidationError
-from vibecheck.io import as_finite, as_str, read_jsonl
+from vibecheck.io import as_finite, as_str, fields, read_jsonl
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -209,20 +209,19 @@ def classify_zone(
     return ZoneResult(ZONE_ARCHITECTURAL, _CONTROL_METRICS[ZONE_ARCHITECTURAL], ())
 
 
-def _student_record(rec: dict) -> StudentRecord:
-    return StudentRecord(
-        student=as_str(rec, "student"),
-        m_csr=as_finite(rec, "m_csr"),
-        m_ht=as_finite(rec, "m_ht"),
-        e_gap=as_finite(rec, "e_gap"),
-        t_dev=as_finite(rec, "t_dev"),
-        condition=as_str(rec, "condition", None),
-    )
+_STUDENT_FIELDS = {
+    "student": as_str, "m_csr": as_finite, "m_ht": as_finite, "e_gap": as_finite,
+    "t_dev": as_finite, "condition": as_str,
+}
 
 
 def read_student_records(path: Union[str, Path]) -> list[StudentRecord]:
     """JSONL of ``{"student", "m_csr", "m_ht", "e_gap", "t_dev", "condition"?}``."""
-    students = read_jsonl(path, _student_record, "student record")
+    students = read_jsonl(
+        path,
+        lambda rec: StudentRecord(**fields(rec, _STUDENT_FIELDS, optional=("condition",))),
+        "student record",
+    )
     if not students:
         raise ValidationError(f"{path}: no student records")
     return students

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from vibecheck.errors import ValidationError
-from vibecheck.io import as_bool, as_finite, as_int, as_str, read_json
+from vibecheck.io import as_bool, as_finite, as_int, as_str, fields, read_json
 
 ENV_CONFIG = "VCP_CONFIG"
 CORRECTIONS = ("half-count", "none")
@@ -77,16 +77,6 @@ _CAST_BY_TYPE = {"float": as_finite, "int": as_int, "bool": as_bool, "str": as_s
 _FIELDS = {f.name: _CAST_BY_TYPE[f.type] for f in dataclasses.fields(RunConfig)}
 
 
-def _cast_fields(data: dict) -> dict[str, Any]:
-    unknown = sorted(set(data) - set(_FIELDS))
-    if unknown:
-        raise ValueError(
-            f"unknown config keys: {', '.join(unknown)}; known keys: "
-            + ", ".join(sorted(_FIELDS))
-        )
-    return {key: _FIELDS[key](data, key) for key in data}
-
-
 def resolve_config(
     config_path: Optional[str], overrides: dict[str, Any]
 ) -> RunConfig:
@@ -94,7 +84,7 @@ def resolve_config(
     layered: dict[str, Any] = {}
     path = config_path or os.environ.get(ENV_CONFIG)
     if path:
-        layered.update(read_json(path, _cast_fields, "config file"))
+        layered.update(read_json(path, lambda d: fields(d, _FIELDS, _FIELDS), "config file"))
     for key, value in overrides.items():
         if value is not None:
             if key not in _FIELDS:

@@ -25,7 +25,7 @@ from typing import Union
 from vibecheck.codemetrics import CodeMetrics
 from vibecheck.config import RunConfig
 from vibecheck.errors import DegenerateEntropyWarning, ValidationError
-from vibecheck.io import as_finite, as_list, as_str, as_strings, read_json
+from vibecheck.io import as_finite, as_list, as_str, as_strings, fields, read_json
 
 PROPORTION_TOLERANCE = 1e-9
 
@@ -155,21 +155,13 @@ def e_gap(
     )
 
 
-def _ontology_from_dict(data: dict) -> ConceptOntology:
-    return ConceptOntology(
-        unit=as_str(data, "unit"),
-        version=as_str(data, "version"),
-        concepts=tuple(
-            Concept(
-                concept_id=as_str(c, "concept_id"),
-                proportion=as_finite(c, "proportion"),
-                phrases=as_strings(c, "phrases"),
-            )
-            for c in as_list(data, "concepts")
-        ),
-    )
+_CONCEPT_FIELDS = {"concept_id": as_str, "proportion": as_finite, "phrases": as_strings}
+_ONTOLOGY_FIELDS = {
+    "unit": as_str, "version": as_str,
+    "concepts": lambda o, k: tuple(Concept(**fields(c, _CONCEPT_FIELDS)) for c in as_list(o, k)),
+}
 
 
 def load_ontology(path: Union[str, Path]) -> ConceptOntology:
     """Read an ontology JSON file."""
-    return read_json(path, _ontology_from_dict, "ontology")
+    return read_json(path, lambda d: ConceptOntology(**fields(d, _ONTOLOGY_FIELDS)), "ontology")

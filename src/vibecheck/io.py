@@ -6,6 +6,9 @@ read, decode, parse, convert or check an input raises a ``ValidationError``
 naming the path (and line), so bad input ends in exit code 1, never a traceback.
 The field readers ``as_*(obj, key)`` never coerce: a bad value is refused as ``bad
 value for 'k': expected ..., got ...``, an absent key as ``missing field 'k'``.
+The record reader ``fields(obj, spec)`` reads a whole record from a table of
+its keys, each with its field reader; a key the table does not name is refused
+as ``unknown field 'k'; known fields: ...``, so a misspelt key is never dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import sys
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, TypeVar, Union
+from typing import Any, Callable, Collection, Iterator, Optional, TypeVar, Union
 
 from vibecheck.errors import ValidationError
 
@@ -152,51 +155,60 @@ def read_csv(
     return dict(zip(columns, map(list, zip(*csv_rows(path, columns, cast)))))
 
 
-_REQUIRED: Any = object()
 _MAX = sys.float_info.max
+_MISSING: Any = object()
 
 
-def _field(obj: Any, key: str, default: Any, ok: Callable[[Any], bool], expected: str) -> Any:
-    """``obj[key]`` if ``ok`` of it; ``default`` only if the key is absent."""
+def _field(obj: Any, key: str, ok: Callable[[Any], bool], expected: str) -> Any:
+    """``obj[key]`` if ``ok`` of it."""
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {obj!r}")
-    value = obj.get(key, default)
-    if value is _REQUIRED:
+    if (value := obj.get(key, _MISSING)) is _MISSING:
         raise ValueError(f"missing field {key!r}")
-    if key in obj and not ok(value):
+    if not ok(value):
         raise TypeError(f"bad value for {key!r}: expected {expected}, got {value!r}")
     return value
 
 
-def as_bool(obj: Any, key: str, default: Any = _REQUIRED) -> bool:
+def as_bool(obj: Any, key: str) -> bool:
     """A JSON boolean only: ``"false"``, 0 and null are not coerced."""
-    return _field(obj, key, default, lambda v: isinstance(v, bool), "true or false")
+    return _field(obj, key, lambda v: isinstance(v, bool), "true or false")
 
 
-def as_str(obj: Any, key: str, default: Any = _REQUIRED) -> str:
+def as_str(obj: Any, key: str) -> str:
     """A JSON string only: null and numbers are not coerced."""
-    return _field(obj, key, default, lambda v: isinstance(v, str), "a string")
+    return _field(obj, key, lambda v: isinstance(v, str), "a string")
 
 
-def as_list(obj: Any, key: str, default: Any = _REQUIRED) -> list:
+def as_list(obj: Any, key: str) -> list:
     """A JSON array only: a string is not split into characters."""
-    return _field(obj, key, default, lambda v: isinstance(v, list), "an array")
+    return _field(obj, key, lambda v: isinstance(v, list), "an array")
 
 
-def as_strings(obj: Any, key: str, default: Any = _REQUIRED) -> tuple[str, ...]:
+def as_strings(obj: Any, key: str) -> tuple[str, ...]:
     """A JSON array of strings, as a tuple; each element is judged as ``as_str``."""
-    return tuple(as_str({key: value}, key) for value in as_list(obj, key, default))
+    return tuple(as_str({key: value}, key) for value in as_list(obj, key))
 
 
 def as_int(obj: Any, key: str) -> int:
     """An integral number (``3`` or ``3.0``); fractions are refused, not truncated."""
-    return int(_field(
-        obj, key, _REQUIRED, lambda v: type(v) in (int, float) and v % 1 == 0, "an integer"
-    ))
+    return int(_field(obj, key, lambda v: type(v) in (int, float) and v % 1 == 0, "an integer"))
 
 
 def as_finite(obj: Any, key: str) -> float:
     """A number within the float range, as a float; booleans and strings are refused."""
     return float(_field(
-        obj, key, _REQUIRED, lambda v: type(v) in (int, float) and abs(v) <= _MAX, "a finite number"
+        obj, key, lambda v: type(v) in (int, float) and abs(v) <= _MAX, "a finite number"
     ))
+
+
+def fields(obj: Any, spec: dict[str, Callable], optional: Collection[str] = ()) -> dict:
+    """Each key of ``spec`` read from ``obj`` by its field reader, in the table's
+    order.  A key ``spec`` does not name is refused; a key in ``optional`` may be
+    absent and is then left out, so the record's own default applies."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in spec:
+            raise ValueError(f"unknown field {key!r}; known fields: {', '.join(sorted(spec))}")
+    return {k: read(obj, k) for k, read in spec.items() if k in obj or k not in optional}

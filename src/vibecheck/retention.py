@@ -36,7 +36,7 @@ from vibecheck.errors import (
     UndefinedVelocityError,
     ValidationError,
 )
-from vibecheck.io import as_bool, as_finite, as_str, read_jsonl
+from vibecheck.io import as_bool, as_finite, as_str, fields, read_jsonl
 from vibecheck.reporting import write_jsonl
 
 EVENT_KINDS = frozenset({"edit", "prompt", "paste", "run", "test_pass", "test_fail"})
@@ -89,12 +89,12 @@ class OmegaCalibration:
     @classmethod
     def from_dict(cls, data: dict) -> "OmegaCalibration":
         """Raises ``TypeError`` or ``ValueError`` on a malformed dict."""
-        return cls(
-            alpha=as_finite(data, "alpha"),
-            beta=as_finite(data, "beta"),
-            baseline_source=as_str(data, "baseline_source"),
-            degenerate=as_bool(data, "degenerate", False),
-        )
+        return cls(**fields(data, _CALIBRATION_FIELDS, optional=("degenerate",)))
+
+
+_CALIBRATION_FIELDS = {
+    "alpha": as_finite, "beta": as_finite, "baseline_source": as_str, "degenerate": as_bool,
+}
 
 
 UNCALIBRATED = OmegaCalibration(alpha=1.0, beta=0.0, baseline_source="uncalibrated")
@@ -361,17 +361,19 @@ def _lstsq2(a: Sequence[float], b: Sequence[float], y: Sequence[float]) -> tuple
 # --- session-log files -----------------------------------------------------
 
 
+# An event's payload may be absent or a present null.
+_EVENT_FIELDS = {
+    "t": as_finite, "kind": as_str, "payload": lambda o, k: None if o[k] is None else as_str(o, k)
+}
+
+
 def _session_record(rec: dict):
     """A trailer, header or event record, told apart by their keys."""
     if "final_unit" in rec:
-        return as_str(rec, "final_unit")
+        return fields(rec, {"final_unit": as_str})["final_unit"]
     if "phase" in rec:
-        return as_str(rec, "student"), as_str(rec, "phase")
-    return SessionEvent(
-        t=as_finite(rec, "t"),
-        kind=as_str(rec, "kind"),
-        payload=None if rec.get("payload") is None else as_str(rec, "payload"),
-    )
+        return tuple(fields(rec, {"student": as_str, "phase": as_str}).values())
+    return SessionEvent(**fields(rec, _EVENT_FIELDS, optional=("payload",)))
 
 
 def read_session_log(path: Union[str, Path]) -> SessionLog:
@@ -393,6 +395,15 @@ def read_session_log(path: Union[str, Path]) -> SessionLog:
         return SessionLog(student, phase, tuple(records[1:-1]), unit)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def read_pairs(path: Union[str, Path]) -> list[tuple[SessionLog, SessionLog]]:
+    """Per manifest line, its ``build`` and ``refactor`` logs, relative to the manifest."""
+    def pair(rec: dict) -> tuple:
+        logs = fields(rec, {"build": as_str, "refactor": as_str}).values()
+        return tuple(read_session_log(Path(path).parent / log) for log in logs)
+
+    return read_jsonl(path, pair, "pair record")
 
 
 def write_session_log(log: SessionLog, path: Union[str, Path], unit_rel: str) -> None:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from vibecheck.config import CORRECTIONS, RunConfig
 from vibecheck.errors import DomainError, ValidationError
-from vibecheck.io import as_bool, as_str, read_jsonl
+from vibecheck.io import as_bool, as_str, fields, read_jsonl
 from vibecheck.rng import make_rng
 
 # --- trap responses --------------------------------------------------------
@@ -182,16 +182,17 @@ def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
     coerced by truthiness).
     """
     by_reviewer: dict[str, list[TrapResponse]] = {}
-    for reviewer, resp in read_jsonl(path, _response, "response record"):
-        by_reviewer.setdefault(reviewer, []).append(resp)
+    rows = read_jsonl(path, lambda rec: fields(rec, _RESPONSE_FIELDS).values(), "response record")
+    for reviewer, *response in rows:
+        by_reviewer.setdefault(reviewer, []).append(TrapResponse(*response))
     if not by_reviewer:
         raise ValidationError(f"{path}: no response records")
     return by_reviewer
 
 
-def _response(rec: dict) -> tuple[str, TrapResponse]:
-    fields = as_str(rec, "item_id"), as_str(rec, "ground_truth"), as_bool(rec, "flagged")
-    return as_str(rec, "reviewer"), TrapResponse(*fields)
+_RESPONSE_FIELDS = {
+    "reviewer": as_str, "item_id": as_str, "ground_truth": as_str, "flagged": as_bool,
+}
 
 
 def simulate_reviewer(

@@ -37,7 +37,7 @@ from statistics import NormalDist
 from typing import Optional, Union
 
 from vibecheck.errors import FitError, ValidationError
-from vibecheck.io import as_finite, as_int, as_str, read_jsonl
+from vibecheck.io import as_finite, as_int, as_str, fields, read_jsonl
 from vibecheck.reporting import write_jsonl
 from vibecheck.rng import make_rng
 
@@ -373,18 +373,15 @@ def write_cohort(data: CohortDataset, path: Union[str, Path]) -> None:
     write_jsonl(path, data.records())
 
 
-def _observation(rec: dict) -> tuple[int, int, str, float, float]:
-    return (
-        as_int(rec, "student"),
-        as_int(rec, "occasion"),
-        as_str(rec, "condition"),
-        as_finite(rec, "time"),
-        as_finite(rec, "y"),
-    )
+_OBSERVATION_FIELDS = {
+    "student": as_int, "occasion": as_int, "condition": as_str, "time": as_finite, "y": as_finite,
+}
 
 
 def read_cohort(path: Union[str, Path]) -> CohortDataset:
-    rows = read_jsonl(path, _observation, "observation")
+    rows = read_jsonl(
+        path, lambda rec: tuple(fields(rec, _OBSERVATION_FIELDS).values()), "observation"
+    )
     columns = zip(*rows) if rows else ((),) * 5
     try:
         return CohortDataset(*columns)

@@ -25,7 +25,7 @@ from vibecheck.rng import make_rng
 from vibecheck.stats import tdist
 
 _PERMUTATION_CHUNK = 100_000  # permutations per seeded stream
-_BLOCK_BYTES = 2 << 20  # size of one chunk's shuffle buffer, whatever n is
+_BLOCK_BYTES = 256 << 10  # size of one chunk's shuffle buffer, whatever n is
 _MAX_PERMUTATIONS = 10_000_000
 # Twice the centred ranks are integers of magnitude below n, so every
 # permutation statistic is an integer sum bounded by n**3, exact in float64
@@ -117,7 +117,7 @@ def _permutation_p(
     ``ix`` and ``iy`` are twice the centred ranks and ``observed`` is
     ``|iy @ ix|``, so ``|perm(iy) @ ix| >= observed`` compares exact
     statistics.  Chunk k of 100k permutations draws from
-    ``make_rng(seed, k)`` and shuffles one ~2 MB buffer of rows at a time,
+    ``make_rng(seed, k)`` and shuffles one ~256 KB buffer of rows at a time,
     as the generator would shuffle the whole chunk.  Chunks are counted on
     parallel threads and their integer counts summed, so p does not depend
     on the CPU count.

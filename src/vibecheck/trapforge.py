@@ -34,7 +34,7 @@ from vibecheck.codemetrics import nodes as N
 from vibecheck.codemetrics.lexer import line_col
 from vibecheck.codemetrics.parser import parse, parse_file
 from vibecheck.errors import NotApplicableError, ValidationError
-from vibecheck.io import as_str, read_jsonl
+from vibecheck.io import as_str, fields, read_jsonl
 from vibecheck.pool import ordered_map, path_bytes
 from vibecheck.reporting import write_json, write_jsonl
 from vibecheck.rng import PhiloxStream
@@ -339,12 +339,14 @@ def _key_record(item: TrapItem) -> dict:
     }
 
 
+# The other keys of ``_key_record`` may be absent and are taken as written.
+_KEY_DETAILS = dict.fromkeys(("defect_kind", "mutation_site", "origin"), dict.get)
+_ANSWER_KEY_FIELDS = {"item_id": as_str, "ground_truth": as_str, **_KEY_DETAILS}
+
+
 def read_answer_key(path: Union[str, Path]) -> dict[str, str]:
     """Map item_id -> ground_truth from an answer-key file."""
-    return dict(
-        read_jsonl(
-            path,
-            lambda rec: (as_str(rec, "item_id"), as_str(rec, "ground_truth")),
-            "answer-key record",
-        )
+    rows = read_jsonl(
+        path, lambda rec: fields(rec, _ANSWER_KEY_FIELDS, _KEY_DETAILS), "answer-key record"
     )
+    return {row["item_id"]: row["ground_truth"] for row in rows}

@@ -176,7 +176,7 @@ def test_unknown_config_key_is_exit_1(fixtures, tmp_path, capsys):
     config.write_text(json.dumps({"granularity": 3}))
     code = run(["metrics", str(fixtures / "ifelse.vcp"), "--config", str(config)])
     assert code == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    assert "unknown field 'granularity'; known fields: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -74,9 +74,8 @@ def test_explicit_path_beats_env_var(tmp_path, monkeypatch):
 def test_unknown_file_key_rejected_listing_known_keys(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"kk": 2.0}))
-    with pytest.raises(ValidationError, match="unknown config keys: kk") as err:
+    with pytest.raises(ValidationError, match="unknown field 'kk'; known fields: ") as err:
         resolve_config(str(path), {})
-    assert "known keys" in str(err.value)
     assert "trap_fraction" in str(err.value)
 
 

@@ -24,11 +24,13 @@ from vibecheck.io import (
     as_str,
     as_strings,
     csv_rows,
+    fields,
     read_csv,
     read_json,
     read_jsonl,
     read_text,
 )
+from vibecheck.retention import read_session_log
 from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
 from vibecheck.trapforge import read_answer_key
 
@@ -314,7 +316,6 @@ def test_as_finite_refuses_non_finite_and_non_numbers(value):
 
 def test_as_strings_reads_an_array_of_strings_as_a_tuple():
     assert as_strings({"k": ["a", "b"]}, "k") == ("a", "b")
-    assert as_strings({}, "k", ()) == ()
     with pytest.raises(TypeError, match="bad value for 'k': expected a string, got None"):
         as_strings({"k": ["a", None]}, "k")
     with pytest.raises(TypeError, match="bad value for 'k': expected an array, got 'ab'"):
@@ -329,10 +330,29 @@ def test_field_readers_name_a_missing_key_and_want_an_object(reader):
         reader("k", "k")
 
 
-def test_a_default_stands_in_only_for_an_absent_key():
-    assert as_str({}, "k", None) is None and as_bool({}, "k", False) is False
-    with pytest.raises(TypeError, match="bad value for 'k': expected a string, got None"):
-        as_str({"k": None}, "k", None)
+_SPEC = {"b": as_str, "a": as_finite, "c": as_bool}
+
+
+def test_fields_reads_each_key_in_the_table_order():
+    assert list(fields({"c": True, "a": 1, "b": "x"}, _SPEC).items()) == [
+        ("b", "x"), ("a", 1.0), ("c", True)
+    ]
+
+
+def test_an_absent_optional_key_is_left_out():
+    assert fields({"b": "x", "a": 1}, _SPEC, optional=("c",)) == {"b": "x", "a": 1.0}
+    with pytest.raises(TypeError, match="bad value for 'c': expected true or false, got None"):
+        fields({"b": "x", "a": 1, "c": None}, _SPEC, optional=("c",))
+    with pytest.raises(ValueError, match="^missing field 'a'$"):
+        fields({"b": "x"}, _SPEC, optional=("c",))
+
+
+def test_fields_refuses_a_key_the_table_does_not_name():
+    # The unknown key is named before a required key is missed.
+    with pytest.raises(ValueError, match="^unknown field 'd'; known fields: a, b, c$"):
+        fields({"b": "x", "d": 1}, _SPEC)
+    with pytest.raises(TypeError, match="expected a JSON object, got \\['b'\\]"):
+        fields(["b"], _SPEC)
 
 
 # --- regressions: each input that used to end in a traceback or a coercion ---
@@ -461,6 +481,7 @@ _VALID_DOCS = {
             "edges": [{"from": 0, "to": 1, "label": "seq"}], "entry": 0, "exit": 1},
     "students": [{"student": "s", "m_csr": 0.8, "m_ht": 0.9, "e_gap": 0.1, "t_dev": 1.0}],
     "pairs": [{"build": "build.log", "refactor": "refactor.log"}],
+    "config": {"seed": 1},
 }
 # Each text field and list field a reader takes: its kind and its place in the
 # document (for JSONL, the record index first).
@@ -507,6 +528,7 @@ def _field_argv(kind, path, fixtures):
         "cfg": ["metrics", path],
         "students": ["score", "--records", path],
         "pairs": ["calibrate", "--pairs", path],
+        "config": ["metrics", fixtures / "ifelse.vcp", "--config", path],
     }[kind]
 
 
@@ -571,6 +593,76 @@ def test_a_missing_field_is_named(fixtures, tmp_path, reader):
     code, err, where = _read_edited(fixtures, tmp_path, kind, place, dict.__delitem__)
     assert code == 1 and len(err.splitlines()) == 1
     assert err.startswith(f"vcp: error: {where}") and err.endswith(f"missing field {key!r}\n")
+
+
+# One key per record shape that its table does not name, and the known fields.
+_UNKNOWN = {
+    "response": ("responses", (0, "flaged"), "flagged, ground_truth, item_id, reviewer"),
+    "answer_key": ("answer_key", (0, "orgin"),
+                   "defect_kind, ground_truth, item_id, mutation_site, origin"),
+    "session.header": ("session", (0, "name"), "phase, student"),
+    "session.event": ("session", (1, "paylod"), "kind, payload, t"),
+    "session.trailer": ("session", (2, "t"), "final_unit"),
+    "calibration": ("calibration", ("degenrate",), "alpha, baseline_source, beta, degenerate"),
+    "ontology": ("ontology", ("concept",), "concepts, unit, version"),
+    "ontology.concept": ("ontology", ("concepts", 0, "phrase"),
+                         "concept_id, phrases, proportion"),
+    "cohort": ("cohort", (0, "students"), "condition, occasion, student, time, y"),
+    "cfg": ("cfg", ("entry_block",), "edges, entry, exit, nodes"),
+    "cfg.node": ("cfg", ("nodes", 1, "stmt"), "id, stmts"),
+    "cfg.edge": ("cfg", ("edges", 0, "src"), "from, label, to"),
+    "students": ("students", (0, "conditon"), "condition, e_gap, m_csr, m_ht, student, t_dev"),
+    "pairs": ("pairs", (0, "refractor"), "build, refactor"),
+    "config": ("config", ("granularity",), ", ".join(sorted(RunConfig().to_dict()))),
+}
+
+
+@pytest.mark.parametrize("reader", list(_UNKNOWN))
+def test_an_unknown_field_is_named(fixtures, tmp_path, reader):
+    kind, place, known = _UNKNOWN[reader]
+    code, err, where = _read_edited(
+        fixtures, tmp_path, kind, place, lambda target, key: target.__setitem__(key, 1)
+    )
+    assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith(f"vcp: error: {where}")
+    assert err.endswith(f"unknown field {place[-1]!r}; known fields: {known}\n")
+
+
+def test_a_misspelt_condition_is_refused_not_pooled(fixtures, tmp_path):
+    records = (fixtures / "zones" / "boundary_records.jsonl").read_text()
+    path = tmp_path / "records.jsonl"
+    path.write_text(records.replace('"condition"', '"conditon"'))
+    code, err = _vcp(["score", "--records", path])
+    assert code == 1
+    assert err == (
+        f"vcp: error: {path}:1: bad student record: unknown field 'conditon'; known fields: "
+        "condition, e_gap, m_csr, m_ht, student, t_dev\n"
+    )
+
+
+def test_a_misspelt_calibration_key_is_refused(fixtures, tmp_path):
+    calibration = json.loads((fixtures / "study" / "calibration.json").read_text())
+    calibration["degenrate"] = calibration.pop("degenerate")
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(calibration))
+    session = fixtures / "session"
+    code, err = _vcp(["retention", "--build", session / "build.log",
+                      "--refactor", session / "refactor.log", "--calibration", path])
+    assert code == 1
+    assert err == (
+        f"vcp: error: {path}: malformed calibration: unknown field 'degenrate'; "
+        "known fields: alpha, baseline_source, beta, degenerate\n"
+    )
+
+
+def test_a_present_null_payload_is_still_accepted(tmp_path):
+    records = copy.deepcopy(_VALID_DOCS["session"])
+    records[1]["payload"] = None
+    path = tmp_path / "build.log"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    (tmp_path / "unit.vcp").write_text("x = 1\n")
+    [event] = read_session_log(path).events
+    assert event.payload is None
 
 
 # Container fields and a number given as a string: each refusal names its key.

@@ -96,6 +96,33 @@ def test_malformed_study_json_is_one_error_line(repo_root, tmp_path, study_json)
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "edit, key, known",
+    [
+        (lambda meta: meta.update(sed=1), "sed", "seed, students, trap_fraction"),
+        (lambda meta: meta["students"][2].update(tdev=1.0), "tdev", "condition, student, t_dev"),
+    ],
+    ids=["study", "student"],
+)
+def test_an_unknown_study_key_is_named(
+    run_study_module, fixtures, tmp_path, monkeypatch, edit, key, known
+):
+    meta = json.loads((fixtures / "study" / "study.json").read_text())
+    edit(meta)
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(meta))
+    monkeypatch.setattr(
+        sys, "argv", ["run_study.py", "--fixtures", str(tmp_path), "--out", str(tmp_path / "out")]
+    )
+    with pytest.raises(SystemExit) as info:
+        run_study_module.main()
+    assert info.value.code == (
+        f"run_study: error: {path}: malformed study description: "
+        f"unknown field {key!r}; known fields: {known}"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_step_is_one_error_line(repo_root, fixtures, tmp_path):
     bundle = tmp_path / "study"
     shutil.copytree(fixtures / "study", bundle)
