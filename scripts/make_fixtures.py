@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from vibecheck import cli, retention, sdt, trapforge
-from vibecheck.codemetrics import metrics, parse, random_program
+from vibecheck.codemetrics.metrics import metrics
+from vibecheck.codemetrics.parser import parse
+from vibecheck.codemetrics.progen import random_program
 from vibecheck.io import read_json
 from vibecheck.reporting import write_json, write_jsonl
 from vibecheck.retention import SessionEvent, SessionLog, write_session_log

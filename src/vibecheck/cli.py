@@ -11,9 +11,12 @@ With ``--out DIR`` the machine report(s), a human summary, and any
 plot-ready column files are written under DIR and the summary is printed;
 without it the machine JSON goes to stdout and the summary to stderr.
 
-The stats handlers (power, simulate, fit, spearman, kappa) import the stats
-layer when they run.  Only the commands that draw random numbers load numpy:
-power, simulate and spearman with --permutations.
+Every layer but the stats layer loads with this module, because
+``perfbench/benchtrace.py`` wraps only the functions of the modules loaded
+once ``vibecheck.cli`` has run.  The stats handlers (power, simulate, fit,
+spearman, kappa) import the stats layer when they run, so only the commands
+that draw random numbers load numpy: power, simulate and spearman with
+--permutations.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from vibecheck import __version__, composite, retention, sdt, trapforge
-from vibecheck.codemetrics import load_cfg, metrics, metrics_record, parse_file
+from vibecheck.codemetrics.cfg import load_cfg
+from vibecheck.codemetrics.metrics import metrics, metrics_record
+from vibecheck.codemetrics.parser import parse_file
 from vibecheck.config import CORRECTIONS, VELOCITY_UNITS, RunConfig, resolve_config
 from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.explainability import E_GAP_DEFINITION, e_gap, load_ontology

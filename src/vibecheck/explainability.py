@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from vibecheck.codemetrics import CodeMetrics
+from vibecheck.codemetrics.metrics import CodeMetrics
 from vibecheck.config import RunConfig
 from vibecheck.errors import DegenerateEntropyWarning, ValidationError
 from vibecheck.io import as_finite, as_list, as_str, as_strings, fields, read_json

@@ -80,21 +80,26 @@ def read_json(path: PathLike, fn: Callable[[dict], T], what: str) -> T:
 
 
 def read_jsonl(path: PathLike, row_fn: Callable[[dict], T], what: str) -> list[T]:
-    """``row_fn`` of each JSON object line, blank lines skipped.  A line that
-    is not an object, or a ``KeyError``, ``TypeError``, ``ValueError`` or
-    ``ValidationError`` from ``row_fn``, names ``path:line``."""
-    rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = _loads(line)
-            if not isinstance(record, dict):
-                raise TypeError("expected a JSON object")
-            rows.append(row_fn(record))
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad {what}: {exc}") from exc
-    return rows
+    """``row_fn`` of each JSON object line, blank lines skipped."""
+    return [read_record(path, n, line, row_fn, what) for n, line in jsonl_lines(path)]
+
+
+def jsonl_lines(path: PathLike) -> list[tuple[int, str]]:
+    """Each line of the file that is not blank, with its 1-based number."""
+    return [(n, line) for n, line in enumerate(read_text(path).splitlines(), 1) if line.strip()]
+
+
+def read_record(path: PathLike, n: int, line: str, row_fn: Callable[[dict], T], what: str) -> T:
+    """``row_fn`` of the JSON object on line ``n``.  A line that is not an object,
+    or a ``KeyError``, ``TypeError``, ``ValueError`` or ``ValidationError`` from
+    ``row_fn``, names ``path:n``."""
+    try:
+        record = _loads(line)
+        if not isinstance(record, dict):
+            raise TypeError("expected a JSON object")
+        return row_fn(record)
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"{path}:{n}: bad {what}: {exc}") from exc
 
 
 def csv_rows(

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from vibecheck.codemetrics import CodeMetrics, metrics, parse_file
+from vibecheck.codemetrics.metrics import CodeMetrics, metrics
 from vibecheck.codemetrics.nodes import SourceUnit
+from vibecheck.codemetrics.parser import parse_file
 from vibecheck.config import VELOCITY_UNITS, RunConfig
 from vibecheck.errors import (
     CalibrationError,
@@ -36,7 +37,7 @@ from vibecheck.errors import (
     UndefinedVelocityError,
     ValidationError,
 )
-from vibecheck.io import as_bool, as_finite, as_str, fields, read_jsonl
+from vibecheck.io import as_bool, as_finite, as_str, fields, jsonl_lines, read_jsonl, read_record
 from vibecheck.reporting import write_jsonl
 
 EVENT_KINDS = frozenset({"edit", "prompt", "paste", "run", "test_pass", "test_fail"})
@@ -367,32 +368,40 @@ _EVENT_FIELDS = {
 }
 
 
-def _session_record(rec: dict):
-    """A trailer, header or event record, told apart by their keys."""
-    if "final_unit" in rec:
-        return fields(rec, {"final_unit": as_str})["final_unit"]
-    if "phase" in rec:
-        return tuple(fields(rec, {"student": as_str, "phase": as_str}).values())
+def _header(rec: dict) -> dict:
+    return fields(rec, {"student": as_str, "phase": as_str})
+
+
+def _event(rec: dict) -> SessionEvent:
     return SessionEvent(**fields(rec, _EVENT_FIELDS, optional=("payload",)))
 
 
+def _trailer(rec: dict) -> str:
+    return fields(rec, {"final_unit": as_str})["final_unit"]
+
+
 def read_session_log(path: Union[str, Path]) -> SessionLog:
-    """Read a session-log file.
+    """Read a session-log file, each record by the table of its position.
 
     Line 1 is a header ``{"student", "phase"}``; middle lines are events
     ``{"t", "kind", "payload"?}``; the last line is a trailer
     ``{"final_unit": <path relative to the log file>}``.
     """
     path = Path(path)
-    records = read_jsonl(path, _session_record, "session-log record")
-    if [type(r) for r in records] != [tuple] + [SessionEvent] * (len(records) - 2) + [str]:
+    lines = jsonl_lines(path)
+    if len(lines) < 2:
         raise ValidationError(
             f"{path}: a session log is a header, then events, then a final_unit trailer"
         )
-    (student, phase), unit_path = records[0], path.parent / records[-1]
+    readers = [_header] + [_event] * (len(lines) - 2) + [_trailer]
+    header, *events, unit_rel = (
+        read_record(path, n, line, read, "session-log record")
+        for (n, line), read in zip(lines, readers)
+    )
+    unit_path = path.parent / unit_rel
     unit = parse_file(unit_path, unit_path.name, "final unit")
     try:
-        return SessionLog(student, phase, tuple(records[1:-1]), unit)
+        return SessionLog(**header, events=tuple(events), final_unit=unit)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -17,16 +17,12 @@ from pathlib import Path
 import pytest
 
 from vibecheck import composite, retention, sdt
-from vibecheck.codemetrics import (
-    build_cfg,
-    cfg_entropy,
-    cyclomatic_complexity,
-    halstead,
-    metrics,
-    parse,
-    random_program,
-)
 from vibecheck.codemetrics import nodes as N
+from vibecheck.codemetrics.cfg import build_cfg, cfg_entropy, cyclomatic_complexity
+from vibecheck.codemetrics.halstead import halstead
+from vibecheck.codemetrics.metrics import metrics
+from vibecheck.codemetrics.parser import parse
+from vibecheck.codemetrics.progen import random_program
 from vibecheck.explainability import Concept, ConceptOntology, e_gap, load_ontology
 from vibecheck.rng import make_rng
 from vibecheck.stats.mixed import GeneratingParams, fit_mixed, simulate_cohort

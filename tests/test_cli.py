@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 from vibecheck.cli import run
-from vibecheck.codemetrics import parse
+from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import ValidationError
 
 VOL_ASSIGN = 11.60964047443681  # x = a + b: 5 tokens over a vocabulary of 5

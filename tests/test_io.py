@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vibecheck.cli import run
-from vibecheck.codemetrics import build_cfg, parse
-from vibecheck.codemetrics.cfg import dump_cfg
+from vibecheck.codemetrics.cfg import build_cfg, dump_cfg
+from vibecheck.codemetrics.parser import parse
 from vibecheck.config import RunConfig
 from vibecheck.errors import FitError, ValidationError
 from vibecheck.io import (
@@ -574,8 +574,7 @@ _MISSING = {
     "answer_key": ("answer_key", (0, "ground_truth"), "ground_truth"),
     "session.header": ("session", (0, "student"), "student"),
     "session.event": ("session", (1, "kind"), "kind"),
-    # A record with neither ``final_unit`` nor ``phase`` is read as an event.
-    "session.trailer": ("session", (2, "final_unit"), "t"),
+    "session.trailer": ("session", (2, "final_unit"), "final_unit"),
     "calibration": ("calibration", ("alpha",), "alpha"),
     "ontology": ("ontology", ("version",), "version"),
     "ontology.concept": ("ontology", ("concepts", 0, "proportion"), "proportion"),
@@ -626,6 +625,29 @@ def test_an_unknown_field_is_named(fixtures, tmp_path, reader):
     assert code == 1 and len(err.splitlines()) == 1
     assert err.startswith(f"vcp: error: {where}")
     assert err.endswith(f"unknown field {place[-1]!r}; known fields: {known}\n")
+
+
+# A session log's header and trailer keys, misspelt: a record's position, not
+# its keys, picks the table it is read by.
+_MISSPELT = {
+    "student": ((0, "student"), "studnt", "phase, student"),
+    "phase": ((0, "phase"), "phse", "phase, student"),
+    "final_unit": ((2, "final_unit"), "final_unt", "final_unit"),
+}
+
+
+@pytest.mark.parametrize("key", list(_MISSPELT))
+def test_a_misspelt_session_log_key_lists_its_own_records_fields(fixtures, tmp_path, key):
+    place, misspelt, known = _MISSPELT[key]
+    code, err, where = _read_edited(
+        fixtures, tmp_path, "session", place,
+        lambda target, k: target.__setitem__(misspelt, target.pop(k)),
+    )
+    assert code == 1
+    assert err == (
+        f"vcp: error: {where}bad session-log record: unknown field {misspelt!r}; "
+        f"known fields: {known}\n"
+    )
 
 
 def test_a_misspelt_condition_is_refused_not_pooled(fixtures, tmp_path):

@@ -1,13 +1,13 @@
-"""numpy and the process pool load only for the commands that use them.
+"""Each ``vcp`` command loads numpy and the process pool only when it uses them.
 
-The commands of the study path (metrics, sdt, traps generate, retention,
-egap, score), ``calibrate``, ``retention --decay``, ``kappa``, ``fit``,
-``spearman`` without ``--permutations`` and the study driver run without
-importing numpy; only the commands that draw random numbers (power, simulate,
-spearman ``--permutations``) import it, when they run.  The study's batches
-are far below ``pool.FORK_MIN_BYTES``, so they run in process and never import
-``multiprocessing`` or ``concurrent.futures.process`` either.  Each check runs
-in a fresh interpreter, since this test process has numpy loaded already.
+Only the commands that draw random numbers (power, simulate, spearman
+``--permutations``) load numpy; the stats handlers import the stats layer when
+they run.  The study's batches are far below ``pool.FORK_MIN_BYTES``, so they
+run in process and never import ``multiprocessing`` or
+``concurrent.futures.process`` either; a larger ``vcp metrics`` batch forks,
+with the front end loaded in the parent, so that the workers inherit it.
+Each check runs in a fresh interpreter, since this test process has numpy and
+every layer loaded already.
 """
 
 import json
@@ -15,8 +15,11 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
+
+from vibecheck.pool import FORK_MIN_BYTES
 
 
 def _python(repo_root, code: str, *args: str) -> subprocess.CompletedProcess:
@@ -45,67 +48,6 @@ def test_cli_import_leaves_statistics_unloaded(repo_root):
     assert proc.stdout.strip() == "False"
 
 
-def test_study_path_commands_leave_numpy_unloaded(repo_root, tmp_path):
-    commands = [
-        ["metrics", "fixtures/ifelse.vcp"],
-        ["sdt", "--responses", "fixtures/study/responses.jsonl"],
-        ["traps", "generate", "--origins", "fixtures/origins", "--out", str(tmp_path / "traps")],
-        ["retention", "--build", "fixtures/session/build.log",
-         "--refactor", "fixtures/session/refactor.log", "--allow-uncalibrated"],
-        ["egap", "--transcript", "fixtures/study/transcripts/s01.txt",
-         "--ontology", "fixtures/study/ontology.json", "--code", "fixtures/study/target.vcp"],
-        ["score", "--records", "fixtures/zones/boundary_records.jsonl"],
-        ["calibrate", "--pairs", "fixtures/calibration/pairs.jsonl"],
-        ["retention", "--decay", "fixtures/decay/noisy_decay.csv"],
-        ["spearman", "--data", "fixtures/spearman/quiz_scores.csv"],
-    ]
-    code = """
-        import contextlib, io, json, sys
-        from vibecheck.cli import run
-        result = []
-        for argv in json.loads(sys.argv[1]):
-            with contextlib.redirect_stdout(io.StringIO()), \\
-                    contextlib.redirect_stderr(io.StringIO()):
-                exit_code = run(argv)
-            result.append([argv[0], exit_code, LOADED])
-        print(json.dumps(result))
-    """.replace("LOADED", _LOADED)
-    proc = _python(repo_root, code, json.dumps(commands))
-    assert json.loads(proc.stdout) == [[argv[0], 0, []] for argv in commands]
-
-
-def test_kappa_leaves_numpy_unloaded(repo_root, tmp_path):
-    ratings = tmp_path / "ratings.csv"
-    ratings.write_text("a,b\nnone,minor\nminor,minor\nmajor,major\n")
-    code = """
-        import contextlib, io, sys
-        from vibecheck.cli import run
-        with contextlib.redirect_stdout(io.StringIO()):
-            exit_code = run(["kappa", "--data", sys.argv[1]])
-        print(exit_code, "numpy" in sys.modules)
-    """
-    proc = _python(repo_root, code, str(ratings))
-    assert proc.stdout.split() == ["0", "False"]
-
-
-def test_fit_and_the_mixed_module_leave_numpy_unloaded(repo_root, tmp_path):
-    from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
-
-    cohort = tmp_path / "cohort.jsonl"
-    write_cohort(simulate_cohort(GeneratingParams(1.0, 0.4, 0.2, 0.5, 0.5), 4, 2, 0), cohort)
-    code = """
-        import contextlib, io, sys
-        import vibecheck.stats.mixed
-        loaded = ["numpy" in sys.modules]
-        from vibecheck.cli import run
-        with contextlib.redirect_stdout(io.StringIO()):
-            exit_code = run(["fit", "--data", sys.argv[1]])
-        print(exit_code, *loaded, "numpy" in sys.modules)
-    """
-    proc = _python(repo_root, code, str(cohort))
-    assert proc.stdout.split() == ["0", "False", "False"]
-
-
 def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):
     code = """
         import runpy, sys
@@ -118,29 +60,63 @@ def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):
     assert (tmp_path / "study" / "score" / "score_report.json").is_file()
 
 
-@pytest.mark.parametrize(
-    "steps",
-    [
-        [["power", "--d", "0.8", "--replicates", "1000"]],
-        [["simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2",
-          "--sigma-u", "0.5", "--sigma-e", "0.5", "--n-per-condition", "4",
-          "--occasions", "2", "--out", "{tmp}"]],
-        [["spearman", "--data", "fixtures/spearman/quiz_scores.csv",
-          "--permutations", "1000"]],
-    ],
-    ids=["power", "simulate", "spearman"],
-)
-def test_stats_commands_import_numpy_on_demand(repo_root, tmp_path, steps):
-    argvs = [[arg.replace("{tmp}", str(tmp_path)) for arg in argv] for argv in steps]
+# --- one table: what each command may load ------------------------------------
+
+_DRAWS = ("multiprocessing", "concurrent.futures.process")
+# More source bytes than FORK_MIN_BYTES, so the batch forks.
+_UNIT = "fixtures/origins/prog_04.vcp"
+_UNIT_BYTES = (Path(__file__).resolve().parent.parent / _UNIT).stat().st_size
+_BATCH = [_UNIT] * (FORK_MIN_BYTES // _UNIT_BYTES + 1)
+
+
+# id: (vcp argv; modules, with their submodules, that must be unloaded
+# afterwards; modules that must be loaded).
+_TABLE = {
+    "metrics": (["metrics", "fixtures/ifelse.vcp"], _UNLOADED, ()),
+    "sdt": (["sdt", "--responses", "fixtures/study/responses.jsonl"], _UNLOADED, ()),
+    "traps-generate": (["traps", "generate", "--origins", "fixtures/origins", "--out", "{tmp}"],
+                       _UNLOADED, ()),
+    "retention": (["retention", "--build", "fixtures/session/build.log",
+                   "--refactor", "fixtures/session/refactor.log", "--allow-uncalibrated"],
+                  _UNLOADED, ()),
+    "retention-decay": (["retention", "--decay", "fixtures/decay/noisy_decay.csv"], _UNLOADED, ()),
+    "calibrate": (["calibrate", "--pairs", "fixtures/calibration/pairs.jsonl"], _UNLOADED, ()),
+    "egap": (["egap", "--transcript", "fixtures/study/transcripts/s01.txt", "--ontology",
+              "fixtures/study/ontology.json", "--code", "fixtures/study/target.vcp"],
+             _UNLOADED, ()),
+    "score": (["score", "--records", "fixtures/zones/boundary_records.jsonl"], _UNLOADED, ()),
+    "kappa": (["kappa", "--data", "{tmp}/ratings.csv"], _UNLOADED, ()),
+    "spearman": (["spearman", "--data", "fixtures/spearman/quiz_scores.csv"], _UNLOADED, ()),
+    "fit": (["fit", "--data", "fixtures/draws/simulate/cohort.jsonl"], _UNLOADED, ()),
+    "power": (["power", "--d", "0.8", "--replicates", "1000"], _DRAWS, ("numpy",)),
+    "simulate": (["simulate", "--beta0", "1", "--beta1", "0.4", "--beta2", "0.2",
+                  "--sigma-u", "0.5", "--sigma-e", "0.5", "--n-per-condition", "4",
+                  "--occasions", "2", "--out", "{tmp}"], _DRAWS, ("numpy",)),
+    "spearman-permutations": (["spearman", "--data", "fixtures/spearman/quiz_scores.csv",
+                               "--permutations", "1000"], _DRAWS, ("numpy",)),
+    # The batch forks (the process pool is loaded), and the parent has the
+    # front end loaded, so the workers inherit it.
+    "metrics-forked": (["metrics", *_BATCH], ("numpy",),
+                       ("concurrent.futures.process", "vibecheck.codemetrics.metrics")),
+}
+
+
+@pytest.mark.parametrize("case", list(_TABLE))
+def test_a_command_loads_only_what_it_uses(repo_root, tmp_path, case):
+    argv, unloaded, loaded = _TABLE[case]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    (tmp_path / "ratings.csv").write_text("a,b\nnone,minor\nminor,minor\nmajor,major\n")
     code = """
-        import contextlib, io, json, sys
+        import contextlib, io, json, os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, so a large batch forks
+        argv = json.loads(sys.argv[1])
         from vibecheck.cli import run
-        codes = []
-        for argv in json.loads(sys.argv[1]):
-            with contextlib.redirect_stdout(io.StringIO()), \\
-                    contextlib.redirect_stderr(io.StringIO()):
-                codes.append(run(argv))
-        print(json.dumps([codes, "numpy" in sys.modules]))
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            exit_code = run(argv)
+        print(json.dumps([exit_code, sorted(sys.modules)]))
     """
-    proc = _python(repo_root, code, json.dumps(argvs))
-    assert json.loads(proc.stdout) == [[0] * len(argvs), True]
+    exit_code, modules = json.loads(_python(repo_root, code, json.dumps(argv)).stdout)
+    assert exit_code == 0
+    assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unloaded)] == []
+    assert [m for m in loaded if m not in modules] == []

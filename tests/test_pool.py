@@ -19,8 +19,8 @@ import pytest
 
 from vibecheck import errors, pool
 from vibecheck.cli import run
-from vibecheck.codemetrics import random_program
 from vibecheck.codemetrics.parser import DEPTH_BUDGET
+from vibecheck.codemetrics.progen import random_program
 
 ONE_CPU, TWO_CPUS = {0}, {0, 1}
 

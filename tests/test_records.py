@@ -11,8 +11,9 @@ import dataclasses
 
 import pytest
 
-from vibecheck.codemetrics import metrics, parse
 from vibecheck.codemetrics.cfg import BasicBlock, ControlFlowGraph, Edge, dump_cfg
+from vibecheck.codemetrics.metrics import metrics
+from vibecheck.codemetrics.parser import parse
 from vibecheck.composite import StudentRecord, UtilityWeights
 from vibecheck.config import RunConfig
 from vibecheck.errors import ValidationError

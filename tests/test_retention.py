@@ -489,6 +489,21 @@ def test_read_session_log_reports_bad_event_line(tmp_path):
         read_session_log(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", '{"student": "s", "phase": "ai_build"}\n', '\n{"final_unit": "unit.vcp"}\n\n'],
+    ids=["empty", "header", "trailer"],
+)
+def test_a_log_too_short_for_a_header_and_a_trailer_is_refused(tmp_path, text):
+    path = tmp_path / "short.log"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as caught:
+        read_session_log(path)
+    assert str(caught.value) == (
+        f"{path}: a session log is a header, then events, then a final_unit trailer"
+    )
+
+
 def test_read_session_log_missing_unit_file(tmp_path):
     path = tmp_path / "orphan.log"
     path.write_text(
