@@ -39,7 +39,7 @@ from vibecheck.config import CORRECTIONS, VELOCITY_UNITS, RunConfig, resolve_con
 from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.explainability import E_GAP_DEFINITION, e_gap, load_ontology
 from vibecheck.io import csv_rows, read_csv, read_json, read_text
-from vibecheck.pool import ordered_map, path_bytes
+from vibecheck.pool import FORK_MIN_BYTES, ordered_map, path_bytes
 from vibecheck.reporting import (
     dumps_record,
     human_table,
@@ -218,7 +218,8 @@ def _file_metrics(path: str) -> dict:
 
 
 def _cmd_metrics(args, config: RunConfig, sink: _Sink) -> int:
-    records = ordered_map(_file_metrics, args.files, [path_bytes(f) for f in args.files])
+    sizes = [path_bytes(f) for f in args.files]
+    records = ordered_map(_file_metrics, args.files, sizes, FORK_MIN_BYTES)
     sink.emit_table("metrics", records, ["unit", "cc", "n1", "n2", "N1", "N2", "volume_v", "h_c"])
     return 0
 

@@ -167,8 +167,10 @@ def build_cfg(unit: N.SourceUnit) -> ControlFlowGraph:
         return current
 
     def fresh_after(current: int) -> int:
-        """A block to hold a guard: reuse ``current`` only if still empty."""
-        if not block_lines[current] and all(e[0] != current for e in links):
+        """A block to hold a guard: ``current`` itself if still empty.  It has no
+        out-edge yet: ``place`` gets only the first block or one just made (a then,
+        else, body, join, loop-exit or post-return block), whose edges come later."""
+        if not block_lines[current]:
             return current
         nxt = new_block()
         links.append((current, nxt, "seq"))

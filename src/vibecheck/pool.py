@@ -1,12 +1,14 @@
-"""An ordered map over a batch of source files, on forked workers when it pays.
+"""An ordered map over independent items, on forked workers when it pays.
 
-``ordered_map(fn, items, sizes)`` returns ``[fn(x) for x in items]``.  A
-batch of at least ``FORK_MIN_BYTES`` source bytes runs on a fork-context
-process pool, one worker per available CPU, when the platform can fork, more
-than one CPU is available and no other thread is alive (a fork copies only the
-calling thread, so a lock another thread holds would stay held in the child).
-Anything smaller runs in process, and ``multiprocessing`` is imported only
-when the pool is used.
+``ordered_map(fn, items, costs, min_cost)`` returns ``[fn(x) for x in
+items]``.  The caller gives each item's cost and the break-even in one unit:
+source bytes for the front end's files, permutations for Spearman's chunks.
+A batch of two or more items costing at least ``min_cost`` runs on a
+fork-context process pool, one worker per available CPU, when the platform
+can fork, more than one CPU is available and no other thread is alive (a fork
+copies only the calling thread, so a lock another thread holds would stay
+held in the child).  Anything else runs in process, and ``multiprocessing``
+is imported only when the pool is used.
 
 Either way the results come back in input order and the first failing item
 in input order raises its own error, so a command's output and its error line
@@ -31,8 +33,8 @@ R = TypeVar("R")
 # batch broke even at about 32 KB in a warm process and, with both CPUs free,
 # at about 60 KB in a fresh ``vcp`` process, which is how the command line runs.
 FORK_MIN_BYTES = 64_000
-# Chunks per worker.  Bytes predict a file's cost only roughly, so more chunks
-# than workers let a worker that finishes early take the next one.
+# Chunks per worker.  A cost predicts an item's time only roughly, so more
+# chunks than workers let a worker that finishes early take the next one.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -52,9 +54,10 @@ def path_bytes(path: os.PathLike | str) -> int:
         return 0
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], sizes: Sequence[int]) -> list[R]:
-    """``[fn(x) for x in items]``; ``sizes`` holds each item's source bytes."""
-    cpus = available_cpus() if sum(sizes) >= FORK_MIN_BYTES else 1
+def ordered_map(fn: Callable[[T], R], items: Sequence[T], costs: Sequence[int],
+                min_cost: int) -> list[R]:
+    """``[fn(x) for x in items]``; ``costs`` and ``min_cost`` are in one unit."""
+    cpus = available_cpus() if sum(costs) >= min_cost and len(items) > 1 else 1
     if cpus < 2 or threading.active_count() != 1:
         return [fn(x) for x in items]
     import multiprocessing
@@ -63,7 +66,7 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], sizes: Sequence[int]) 
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = _chunks(items, sizes, cpus * _CHUNKS_PER_WORKER)
+    chunks = _chunks(items, costs, cpus * _CHUNKS_PER_WORKER)
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(min(cpus, len(chunks)), mp_context=context) as pool:
         futures = [pool.submit(_map_chunk, fn, chunk) for chunk in chunks]
@@ -80,13 +83,13 @@ def _map_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> list[R]:
     return [fn(x) for x in chunk]
 
 
-def _chunks(items: Sequence[T], sizes: Sequence[int], n: int) -> list[list[T]]:
-    """At most ``n`` contiguous runs of ``items`` holding about equal bytes:
-    an item goes to the run its middle byte falls in."""
-    total = max(sum(sizes), 1)
+def _chunks(items: Sequence[T], costs: Sequence[int], n: int) -> list[list[T]]:
+    """At most ``n`` contiguous runs of ``items`` of about equal cost: an item
+    goes to the run its middle unit of cost falls in."""
+    total = max(sum(costs), 1)
     runs: dict[int, list[T]] = {}
     seen = 0
-    for item, size in zip(items, sizes):
-        runs.setdefault(min(n - 1, (2 * seen + size) * n // (2 * total)), []).append(item)
-        seen += size
+    for item, cost in zip(items, costs):
+        runs.setdefault(min(n - 1, (2 * seen + cost) * n // (2 * total)), []).append(item)
+        seen += cost
     return list(runs.values())

@@ -8,7 +8,9 @@ n - 2 degrees of freedom.  An optional seeded Monte-Carlo permutation test
 (at least 1e5 permutations recommended, and the only user of numpy here)
 gives ``p = (1 + #extreme) / (1 + B)``.  It takes at most 10,000,000
 permutations, and samples of at most 200,000 pairs, the largest for which
-its integer statistic stays exact.
+its integer statistic stays exact.  Its chunks of 100k permutations are
+counted through ``pool.ordered_map``: on forked workers, one per CPU, from
+``FORK_MIN_PERMUTATIONS`` on, and in process below that.
 """
 
 from __future__ import annotations
@@ -16,18 +18,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from operator import eq, mul
 from typing import Optional, Sequence
 
 from vibecheck.errors import ConstantInputError, ValidationError
-from vibecheck.pool import available_cpus
+from vibecheck.pool import ordered_map
 from vibecheck.rng import make_rng
 from vibecheck.stats import tdist
 
 _PERMUTATION_CHUNK = 100_000  # permutations per seeded stream
 _BLOCK_BYTES = 256 << 10  # size of one chunk's shuffle buffer, whatever n is
 _MAX_PERMUTATIONS = 10_000_000
+# Permutations from which the chunks are counted on forked workers.  With 50
+# rows on 2 vCPUs, forked chunks won from 200,000 (two full chunks) in a warm
+# process and from 175,000 in a fresh ``vcp`` one; one chunk never gains.
+FORK_MIN_PERMUTATIONS = 200_000
 # Twice the centred ranks are integers of magnitude below n, so every
 # permutation statistic is an integer sum bounded by n**3, exact in float64
 # while n**3 < 2**53.
@@ -121,33 +128,31 @@ def _permutation_p(
 
     ``ix`` and ``iy`` are twice the centred ranks and ``observed`` is
     ``|iy @ ix|``, so ``|perm(iy) @ ix| >= observed`` compares exact
-    statistics.  Chunk k of 100k permutations draws from
-    ``make_rng(seed, k)`` and shuffles one ~256 KB buffer of rows at a time,
-    as the generator would shuffle the whole chunk.  Chunks are counted on
-    parallel threads and their integer counts summed, so p does not depend
-    on the CPU count.
+    statistics.  Chunk k of 100k permutations draws from ``make_rng(seed,
+    k)`` and shuffles one ~256 KB buffer of rows at a time, as the generator
+    would shuffle the whole chunk.  The chunks' integer counts are summed, so
+    p does not depend on the CPU count or on where the chunks were counted.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    import numpy as np  # loaded before the pool forks, so that its workers inherit it
 
+    starts = range(0, permutations, _PERMUTATION_CHUNK)
+    sizes = [min(_PERMUTATION_CHUNK, permutations - start) for start in starts]
+    count = partial(_count_extreme, np.array(ix, float), np.array(iy, float), observed, seed)
+    extreme = sum(ordered_map(count, list(enumerate(sizes)), sizes, FORK_MIN_PERMUTATIONS))
+    return (1 + extreme) / (1 + permutations)
+
+
+def _count_extreme(ix, iy, observed: int, seed: int, chunk: tuple[int, int]) -> int:
+    """How many permutations of chunk ``(k, size)`` reach ``observed``."""
     import numpy as np
 
-    n = len(iy)
-    ix, iy = np.array(ix, dtype=float), np.array(iy, dtype=float)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-
-    def count(chunk_index: int) -> int:
-        size = min(_PERMUTATION_CHUNK, permutations - chunk_index * _PERMUTATION_CHUNK)
-        rng = make_rng(seed, chunk_index)
-        buffer = np.empty((min(rows, size), n))
-        extreme = 0
-        for start in range(0, size, len(buffer)):
-            block = buffer[: size - start]
-            block[:] = iy
-            rng.permuted(block, axis=1, out=block)
-            extreme += int(np.count_nonzero(np.abs(block @ ix) >= observed))
-        return extreme
-
-    chunks = -(-permutations // _PERMUTATION_CHUNK)
-    with ThreadPoolExecutor(min(chunks, available_cpus())) as pool:
-        extreme = sum(pool.map(count, range(chunks)))
-    return (1 + extreme) / (1 + permutations)
+    k, size = chunk
+    rng = make_rng(seed, k)
+    buffer = np.empty((min(max(1, _BLOCK_BYTES // (8 * len(iy))), size), len(iy)))
+    extreme = 0
+    for start in range(0, size, len(buffer)):
+        block = buffer[: size - start]
+        block[:] = iy
+        rng.permuted(block, axis=1, out=block)
+        extreme += int(np.count_nonzero(np.abs(block @ ix) >= observed))
+    return extreme

@@ -35,7 +35,7 @@ from vibecheck.codemetrics.lexer import line_col
 from vibecheck.codemetrics.parser import parse, parse_file
 from vibecheck.errors import NotApplicableError, ValidationError
 from vibecheck.io import as_str, fields, read_jsonl
-from vibecheck.pool import ordered_map, path_bytes
+from vibecheck.pool import FORK_MIN_BYTES, ordered_map, path_bytes
 from vibecheck.reporting import write_json, write_jsonl
 from vibecheck.rng import PhiloxStream
 
@@ -257,13 +257,11 @@ def generate_corpus(
     requested = int(math.floor(trap_fraction * n + 0.5))
     top_rng = PhiloxStream(seed)
     chosen = set(top_rng.sample(n, requested))
-    sizes = [
-        path_bytes(o) if isinstance(o, Path) else len(o.text.encode("utf-8")) for o in origins
-    ]
     drafts = ordered_map(
         functools.partial(_draft, seed=seed),
         [(index, origin, index in chosen) for index, origin in enumerate(origins)],
-        sizes,
+        [path_bytes(o) if isinstance(o, Path) else len(o.text.encode("utf-8")) for o in origins],
+        FORK_MIN_BYTES,
     )
     shortfall = sum(draft[3] for draft in drafts)
 

@@ -4,6 +4,9 @@ Neither ``vibecheck.codemetrics`` nor ``vibecheck.stats`` re-exports anything,
 so ``from <package> import <name>`` may name only a submodule.  The one
 exception is ``random_program``, which the benchmark's workloads import from
 ``vibecheck.codemetrics``.
+
+One way to run work in parallel: ``pool.ordered_map``'s forked workers.  No
+file under ``src/`` starts a thread of its own.
 """
 
 import ast
@@ -43,3 +46,17 @@ def test_a_package_binds_no_name_but_its_exception(repo_root, module):
         elif isinstance(node, ast.Assign):
             names.update(n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name))
     assert names == _EXCEPTIONS[module]
+
+
+_THREADS = {"Thread", "ThreadPool", "ThreadPoolExecutor"}
+
+
+def test_no_file_under_src_starts_a_thread(repo_root):
+    offences = []
+    for path in sorted((repo_root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            offences += [f"{path.relative_to(repo_root)}:{node.lineno}: {name}"
+                         for name in names if name in _THREADS]
+    assert offences == []

@@ -6,6 +6,8 @@ they run.  The study's batches are far below ``pool.FORK_MIN_BYTES``, so they
 run in process and never import ``multiprocessing`` or
 ``concurrent.futures.process`` either; a larger ``vcp metrics`` batch forks,
 with the front end loaded in the parent, so that the workers inherit it.
+Spearman's permutation chunks fork likewise from ``FORK_MIN_PERMUTATIONS``
+on, with numpy loaded in the parent.
 Each check runs in a fresh interpreter, since this test process has numpy and
 every layer loaded already.
 """
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from vibecheck.pool import FORK_MIN_BYTES
+from vibecheck.stats.spearman import FORK_MIN_PERMUTATIONS
 
 
 def _python(repo_root, code: str, *args: str) -> subprocess.CompletedProcess:
@@ -94,6 +97,9 @@ _TABLE = {
                   "--occasions", "2", "--out", "{tmp}"], _DRAWS, ("numpy",)),
     "spearman-permutations": (["spearman", "--data", "fixtures/spearman/quiz_scores.csv",
                                "--permutations", "1000"], _DRAWS, ("numpy",)),
+    "spearman-permutations-forked": (["spearman", "--data", "fixtures/spearman/quiz_scores.csv",
+                                      "--permutations", str(FORK_MIN_PERMUTATIONS)],
+                                     (), ("numpy", "concurrent.futures.process")),
     # The batch forks (the process pool is loaded), and the parent has the
     # front end loaded, so the workers inherit it.
     "metrics-forked": (["metrics", *_BATCH], ("numpy",),

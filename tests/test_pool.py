@@ -1,11 +1,12 @@
-"""The parallel front end: forked and in-process runs agree.
+"""The process pool: forked and in-process runs agree.
 
 ``vcp metrics`` and ``vcp traps generate`` map each file through
 ``pool.ordered_map``, which forks workers for a batch of at least
 ``FORK_MIN_BYTES`` source bytes when more than one CPU is available.  Each
 test runs the same batch with ``os.sched_getaffinity`` patched to one CPU (in
 process) and to two (forked), as the Spearman tests do, and compares every
-byte, exit code and error line.
+byte, exit code and error line.  The tests of when the pool forks call
+``ordered_map`` directly, with costs and a break-even in no particular unit.
 """
 
 import contextlib
@@ -210,13 +211,14 @@ def _pid(_item) -> int:
 
 def test_small_batch_runs_in_process(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: TWO_CPUS)
-    assert pool.ordered_map(_pid, [1, 2], [pool.FORK_MIN_BYTES // 2 - 1] * 2) == [os.getpid()] * 2
+    assert pool.ordered_map(_pid, [1, 2], [9, 0], 10) == [os.getpid()] * 2
+    assert pool.ordered_map(_pid, [1], [10], 10) == [os.getpid()]  # one item cannot gain
     assert forks == []
 
 
 def test_large_batch_runs_on_workers_that_are_gone_afterwards(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: TWO_CPUS)
-    pids = pool.ordered_map(_pid, list(range(8)), [pool.FORK_MIN_BYTES // 8] * 8)
+    pids = pool.ordered_map(_pid, list(range(8)), [1] * 8, 8)
     assert os.getpid() not in pids and set(pids) <= set(forks)
     assert multiprocessing.active_children() == []
 
@@ -227,7 +229,7 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch, forks):
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
     try:
-        pids = pool.ordered_map(_pid, list(range(8)), [pool.FORK_MIN_BYTES] * 8)
+        pids = pool.ordered_map(_pid, list(range(8)), [1] * 8, 8)
     finally:
         release.set()
         thread.join(timeout=60)
@@ -244,7 +246,7 @@ def _fail_on_odd(item: int) -> int:
 def test_first_failing_item_raises_and_no_worker_remains(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: TWO_CPUS)
     with pytest.raises(ValueError, match="^item 1$"):
-        pool.ordered_map(_fail_on_odd, list(range(16)), [pool.FORK_MIN_BYTES] * 16)
+        pool.ordered_map(_fail_on_odd, list(range(16)), [1] * 16, 16)
     assert forks and multiprocessing.active_children() == []
 
 
@@ -292,9 +294,9 @@ def test_nesting_at_the_budget_passes_every_command(monkeypatch, tmp_path, batch
                 "--code", str(origins / f"deep_{name}.vcp")]
         in_process = _captured_run(argv)
         assert in_process[0] == 0, in_process[2]
-        # ``egap`` reads one file; run it on a forked worker, whose stack is deeper.
+        # ``egap`` reads one file; run it on forked workers, whose stack is deeper.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: TWO_CPUS)
-        assert pool.ordered_map(_captured_run, [argv], [pool.FORK_MIN_BYTES]) == [in_process]
+        assert pool.ordered_map(_captured_run, [argv] * 2, [1] * 2, 2) == [in_process] * 2
     assert forks
 
 

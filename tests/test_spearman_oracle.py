@@ -4,8 +4,9 @@ against the numpy formula it replaced.
 The reference is the kernel that the bounded-block one replaced: it tiles the
 centred y ranks into one (100k x n) array per chunk, shuffles it at once and
 compares float correlations with a 1e-12 slack.  The production kernel
-shuffles about 2 MB of rows at a time on parallel threads and compares exact
-integer statistics; its p must be the same float, bit for bit.
+shuffles about 256 KB of rows at a time, counts its chunks on forked workers
+from ``FORK_MIN_PERMUTATIONS`` on, and compares exact integer statistics; its
+p must be the same float, bit for bit, on one CPU or two.
 
 rho once came from BLAS sums over float ranks; it now comes from exact integer
 sums, rounded once.  Below 200,000 rows the BLAS sums were exact too, so rho,
@@ -13,9 +14,12 @@ and the p values that follow from it, must be the same floats, bit for bit.
 """
 
 import importlib
+import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -150,9 +154,11 @@ def test_p_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
     assert spearman(xs, ys, permutations=250_001, seed=9).p_permutation == expected
 
 
-def test_permutation_memory_is_bounded():
+def test_permutation_memory_is_bounded(monkeypatch):
     # The reference's 100k x 50 tile per chunk, its shuffled copy and their
-    # product peak at about 116 MB here.
+    # product peak at about 116 MB here.  One CPU, so that the chunks are
+    # counted in this process, where tracemalloc sees their buffers.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     xs, ys = _sample("weak", 50, 10)
     tracemalloc.start()
     try:
@@ -161,6 +167,42 @@ def test_permutation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+_ENVS = {  # the variables each child sets; every other BLAS variable is unset
+    "one-blas-thread": {var: "1" for var in _BLAS_THREAD_VARS},
+    "blas-thread-vars-unset": {},
+    "prescott-kernel": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+_FORK_CHILD = """
+import json, os, sys
+os.sched_setaffinity(0, json.loads(sys.argv[1]))
+from vibecheck.stats.spearman import spearman
+xs, ys = json.loads(sys.argv[2])
+p = spearman(xs, ys, permutations=250_001, seed=9).p_permutation
+print(json.dumps([p, "concurrent.futures.process" in sys.modules]))
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs two CPUs and the affinity call")
+@pytest.mark.parametrize("env", list(_ENVS))
+def test_forked_p_is_the_in_process_p_in_a_fresh_interpreter(repo_root, env):
+    # numpy, and with it OpenBLAS's own threads, is loaded before the pool
+    # forks; the pool's thread check does not see those native threads.
+    xs, ys = _sample("weak", 20, 8)
+    expected = _reference_p(xs, ys, 250_001, 9)
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in (*_BLAS_THREAD_VARS, "OPENBLAS_CORETYPE")}
+    child_env.update(_ENVS[env], PYTHONPATH=str(repo_root / "src"))
+    for cpus, forked in ((sorted(os.sched_getaffinity(0))[:1], False),
+                         (sorted(os.sched_getaffinity(0))[:2], True)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FORK_CHILD, json.dumps(cpus), json.dumps([xs, ys])],
+            capture_output=True, text=True, env=child_env, timeout=120, check=True,
+        )
+        assert json.loads(proc.stdout) == [expected, forked], (cpus, proc.stderr)
 
 
 def test_n_past_the_exact_bound_is_refused():
