@@ -251,22 +251,19 @@ def _cmd_traps_generate(args, config: RunConfig, sink: _Sink) -> int:
         raise ValidationError(f"no .vcp origins found in {origins_dir}")
     corpus = trapforge.generate_corpus(paths, config.trap_fraction, config.seed)
     trapforge.write_corpus(corpus, out)
-    actual = sum(1 for i in corpus.items if i.ground_truth == "trap")
+    counts = corpus.counts()
     write_json(out / "report.json", sink.report({
         "n_origins": len(paths),
-        "n_items": len(corpus.items),
-        "requested_traps": corpus.requested_traps,
-        "actual_traps": actual,
-        "shortfall": corpus.shortfall,
+        **counts,
         "kinds": {
             kind: sum(1 for i in corpus.items if i.defect_kind == kind)
             for kind in trapforge.DEFECT_KINDS
         },
     }))
+    n_items, traps = counts["n_items"], counts["actual_traps"]
     sys.stdout.write(
-        f"corpus: {len(corpus.items)} items ({actual} traps, "
-        f"{len(corpus.items) - actual} clean), shortfall {corpus.shortfall}, "
-        f"seed {config.seed}\nanswer key: {out / 'answer_key.jsonl'}\n"
+        f"corpus: {n_items} items ({traps} traps, {n_items - traps} clean), shortfall "
+        f"{counts['shortfall']}, seed {config.seed}\nanswer key: {out / 'answer_key.jsonl'}\n"
     )
     return 0
 
@@ -276,7 +273,7 @@ def _cmd_retention(args, config: RunConfig, sink: _Sink) -> int:
         sink.command = "retention decay"
         data = read_csv(args.decay, ("t", "s"), _finite)
         fit = retention.fit_decay(list(zip(data["t"], data["s"])))
-        rows = [(t, s, fit.s0 * math.exp(-fit.lam * t)) for t, s in zip(data["t"], data["s"])]
+        rows = [(t, s, fit.curve(t)) for t, s in zip(data["t"], data["s"])]
         sink.emit_columns("decay_curve", ("t", "s", "fitted"), rows)
         sink.emit_record(
             "decay_fit",
@@ -370,33 +367,20 @@ def _cmd_score(args, config: RunConfig, sink: _Sink) -> int:
         config = dataclasses.replace(config, gamma=0.0)
     sink.config = config  # the report records the weights the scores used
     weights = composite.UtilityWeights(config.w1, config.w2, config.w3, config.gamma)
-    records = []
-    for student in composite.read_student_records(args.records):
-        zone = composite.classify_zone(
-            student, config.m_csr_threshold, config.e_gap_threshold, config.m_ht_cutoff
-        )
-        records.append({
-            **dataclasses.asdict(student),
-            "utility": composite.utility(student, weights),
-            "zone": zone.zone,
-            "control_metric": zone.control_metric,
-            "flags": list(zone.flags),
-        })
-    summary_rows = composite.condition_summary(records)
-    break_even_hours = composite.break_even_between_conditions(records, summary_rows, weights)
-    # read_student_records refuses an empty file, so there is a summary row.
+    records, summary = composite.score_cohort(
+        composite.read_student_records(args.records), weights,
+        config.m_csr_threshold, config.e_gap_threshold, config.m_ht_cutoff,
+    )
+    rows = summary["by_condition"]  # read_student_records refuses an empty file
     text = human_table(
         records,
         ["student", "condition", "m_csr", "m_ht", "e_gap", "t_dev", "utility", "zone", "flags"],
     ) + "\n" + human_table(
-        summary_rows, ["condition", "n", "mean_m_csr", "sd_m_csr", "mean_utility", "sd_utility"]
+        rows, ["condition", "n", "mean_m_csr", "sd_m_csr", "mean_utility", "sd_utility"]
     )
     columns = composite.COHORT_SUMMARY_COLUMNS
     sink.emit_records("score", records)
-    sink.emit_columns(
-        "cohort_summary", columns, [tuple(row[c] for c in columns) for row in summary_rows]
-    )
-    summary = {"by_condition": summary_rows, "break_even_hours": break_even_hours}
+    sink.emit_columns("cohort_summary", columns, [tuple(row[c] for c in columns) for row in rows])
     sink.emit("score_report", {"records": records, "summary": summary}, text)
     return 0
 

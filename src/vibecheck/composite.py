@@ -22,9 +22,9 @@ foundational-review flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from vibecheck.config import RunConfig
 from vibecheck.errors import ComputationError, ValidationError
@@ -148,45 +148,49 @@ def sample_sd(values: list[float]) -> float:
     return math.sqrt(float(sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)))
 
 
-def condition_summary(records: list[dict]) -> list[dict]:
-    """One row per condition, sorted, of ``n`` and the mean and sample sd of
-    each of ``SUMMARY_FIELDS`` over scored records; records without a
-    condition are summarised under ``"all"``."""
+def score_cohort(
+    students: Sequence[StudentRecord],
+    weights: UtilityWeights,
+    m_csr_threshold: float = RunConfig.m_csr_threshold,
+    e_gap_threshold: float = RunConfig.e_gap_threshold,
+    m_ht_cutoff: float = RunConfig.m_ht_cutoff,
+) -> tuple[list[dict], dict]:
+    """Each student's record with its utility, zone, control metric and flags,
+    and the cohort summary ``{"by_condition", "break_even_hours"}``.
+
+    ``by_condition`` holds one row per condition, sorted, of ``n`` and the
+    mean and sample sd of each of ``SUMMARY_FIELDS``; students without a
+    condition are summarised under ``"all"``.  ``break_even_hours`` is
+    ``break_even`` of the mean vibe record against the mean trad record:
+    None when ``gamma`` is 0 or the students name conditions other than
+    exactly ``trad`` and ``vibe`` (students without a condition aside).
+    """
     import statistics
 
-    by_condition: dict[str, list[dict]] = {}
-    for rec in records:
-        by_condition.setdefault(rec["condition"] or "all", []).append(rec)
-    rows = []
-    for condition in sorted(by_condition):
-        group = by_condition[condition]
-        row: dict = {"condition": condition, "n": len(group)}
+    records: list[dict] = []
+    groups: dict[str, list[dict]] = {}
+    for student in students:
+        zone = classify_zone(student, m_csr_threshold, e_gap_threshold, m_ht_cutoff)
+        records.append({**asdict(student), "utility": utility(student, weights), "zone": zone.zone,
+                        "control_metric": zone.control_metric, "flags": list(zone.flags)})
+        groups.setdefault(student.condition or "all", []).append(records[-1])
+    rows = {}
+    for condition in sorted(groups):
+        row = rows[condition] = {"condition": condition, "n": len(groups[condition])}
         for field in SUMMARY_FIELDS:
-            values = [g[field] for g in group]
+            values = [record[field] for record in groups[condition]]
             row[f"mean_{field}"] = statistics.fmean(values)
             row[f"sd_{field}"] = sample_sd(values)
-        rows.append(row)
-    return rows
-
-
-def break_even_between_conditions(
-    records: list[dict], summary: list[dict], weights: UtilityWeights
-) -> Optional[float]:
-    """``break_even`` of the mean vibe record against the mean trad record,
-    the means taken from the ``condition_summary`` rows of ``records``.
-    None when ``gamma`` is 0 or the records name conditions other than
-    exactly ``trad`` and ``vibe`` (records without a condition aside)."""
-    if weights.gamma == 0.0:
-        return None
-    if {rec["condition"] for rec in records if rec["condition"]} != {"trad", "vibe"}:
-        return None
-    rows = {row["condition"]: row for row in summary}
-
-    def mean_record(condition: str) -> StudentRecord:
-        means = (rows[condition][f"mean_{f}"] for f in ("m_csr", "m_ht", "e_gap", "t_dev"))
-        return StudentRecord(f"mean[{condition}]", *means, condition=condition)
-
-    return break_even(mean_record("vibe"), mean_record("trad"), weights)
+    break_even_hours = None
+    if weights.gamma != 0.0 and {s.condition for s in students if s.condition} == {"trad", "vibe"}:
+        vibe, trad = (
+            StudentRecord(
+                f"mean[{c}]", *(rows[c][f"mean_{f}"] for f in SUMMARY_FIELDS[:4]), condition=c
+            )
+            for c in ("vibe", "trad")
+        )
+        break_even_hours = break_even(vibe, trad, weights)
+    return records, {"by_condition": list(rows.values()), "break_even_hours": break_even_hours}
 
 
 def classify_zone(

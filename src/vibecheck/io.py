@@ -1,9 +1,10 @@
 """The input boundary: every file the toolkit reads is opened here.
 
-Text is UTF-8; JSON refuses ``NaN``, ``Infinity`` and numbers that overflow
-to inf, and each JSON document or JSONL line must be an object.  Failing to
-read, decode, parse, convert or check an input raises a ``ValidationError``
-naming the path (and line), so bad input ends in exit code 1, never a traceback.
+Text is UTF-8; JSON refuses ``NaN``, ``Infinity``, numbers that overflow
+to inf and nesting too deep to decode, and each JSON document or JSONL line
+must be an object.  Failing to read, decode, parse, convert or check an input
+raises a ``ValidationError`` naming the path (and line), so bad input ends in
+exit code 1, never a traceback.
 The field readers ``as_*(obj, key)`` never coerce: a bad value is refused as ``bad
 value for 'k': expected ..., got ...``, an absent key as ``missing field 'k'``.
 The record reader ``fields(obj, spec)`` reads a whole record from a table of
@@ -69,7 +70,7 @@ def read_json(path: PathLike, fn: Callable[[dict], T], what: str) -> T:
     ``ValueError`` or ``ValidationError`` from ``fn`` names the path."""
     try:
         data = _loads(read_text(path, what))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationError(f"{path}: {what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: {what} must hold a JSON object")
@@ -90,15 +91,15 @@ def jsonl_lines(path: PathLike) -> list[tuple[int, str]]:
 
 
 def read_record(path: PathLike, n: int, line: str, row_fn: Callable[[dict], T], what: str) -> T:
-    """``row_fn`` of the JSON object on line ``n``.  A line that is not an object,
-    or a ``KeyError``, ``TypeError``, ``ValueError`` or ``ValidationError`` from
-    ``row_fn``, names ``path:n``."""
+    """``row_fn`` of the JSON object on line ``n``.  A line that is not an object
+    or nests too deep to decode, or a ``KeyError``, ``TypeError``, ``ValueError``
+    or ``ValidationError`` from ``row_fn``, names ``path:n``."""
     try:
         record = _loads(line)
         if not isinstance(record, dict):
             raise TypeError("expected a JSON object")
         return row_fn(record)
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
         raise ValidationError(f"{path}:{n}: bad {what}: {exc}") from exc
 
 

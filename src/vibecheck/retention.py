@@ -122,6 +122,10 @@ class DecayFit:
     n_used: int
     n_excluded: int
 
+    def curve(self, t: float) -> float:
+        """The fitted score at time ``t``: ``s0 * exp(-lam * t)``."""
+        return self.s0 * math.exp(-self.lam * t)
+
 
 # --- time accounting -------------------------------------------------------
 

@@ -36,6 +36,14 @@ class TrapResponse:
     ground_truth: str  # "trap" | "clean"
     flagged: bool
 
+    def validate(self) -> None:
+        if self.ground_truth not in GROUND_TRUTHS:
+            raise ValidationError(
+                f"ground_truth must be 'trap' or 'clean', got {self.ground_truth!r}"
+            )
+
+    __post_init__ = validate
+
 
 @dataclass(frozen=True)
 class Rates:
@@ -78,10 +86,6 @@ def rates(responses: Sequence[TrapResponse], correction: str = RunConfig.correct
     items, flags = Counter(), Counter()
     seen: set[str] = set()
     for resp in responses:
-        if resp.ground_truth not in GROUND_TRUTHS:
-            raise ValidationError(
-                f"ground_truth must be 'trap' or 'clean', got {resp.ground_truth!r}"
-            )
         if resp.item_id in seen:
             raise ValidationError(f"duplicate item_id {resp.item_id!r} for one reviewer")
         seen.add(resp.item_id)
@@ -182,9 +186,8 @@ def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
     coerced by truthiness).
     """
     by_reviewer: dict[str, list[TrapResponse]] = {}
-    rows = read_jsonl(path, lambda rec: fields(rec, _RESPONSE_FIELDS).values(), "response record")
-    for reviewer, *response in rows:
-        by_reviewer.setdefault(reviewer, []).append(TrapResponse(*response))
+    for reviewer, response in read_jsonl(path, _response, "response record"):
+        by_reviewer.setdefault(reviewer, []).append(response)
     if not by_reviewer:
         raise ValidationError(f"{path}: no response records")
     return by_reviewer
@@ -193,6 +196,11 @@ def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
 _RESPONSE_FIELDS = {
     "reviewer": as_str, "item_id": as_str, "ground_truth": as_str, "flagged": as_bool,
 }
+
+
+def _response(rec: dict) -> tuple[str, TrapResponse]:
+    reviewer, *response = fields(rec, _RESPONSE_FIELDS).values()
+    return reviewer, TrapResponse(*response)
 
 
 def simulate_reviewer(

@@ -16,11 +16,10 @@ counted through ``pool.ordered_map``: on forked workers, one per CPU, from
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
-from operator import eq, mul
+from itertools import groupby
+from operator import mul
 from typing import Optional, Sequence
 
 from vibecheck.errors import ConstantInputError, ValidationError
@@ -54,22 +53,18 @@ class SpearmanResult:
 def centred_ranks(values: Sequence[float]) -> list[int]:
     """Twice the centred average rank of each value, ``2*rank - (n + 1)``.
 
-    Ranks follow the sorted order, and then each run of equal neighbours
-    shares the average of the 1-based ranks it spans, so the result holds
-    integers: ranks ``i+1 .. j`` average to ``(i + j + 1) / 2``.
+    Tied values share the average of the 1-based ranks they span, so the
+    result holds integers: ranks ``i+1 .. j`` average to ``(i + j + 1) / 2``.
     """
     n = len(values)
-    order = sorted(range(n), key=values.__getitem__)
     ranks = [0] * n
-    for k, rank in zip(order, range(1 - n, n, 2)):
-        ranks[k] = rank
-    ordered = [values[k] for k in order]
-    j = 0  # the end of the last run of ties
-    for i in compress(range(n - 1), map(eq, ordered, ordered[1:])):  # ordered[i+1] ties it
-        if i >= j:
-            j = bisect_right(ordered, ordered[i], i)
-            for k in order[i:j]:
-                ranks[k] = i + j - n
+    i = 0
+    for _, tied in groupby(sorted(range(n), key=values.__getitem__), values.__getitem__):
+        tied = list(tied)
+        j = i + len(tied)
+        for k in tied:
+            ranks[k] = i + j - n
+        i = j
     return ranks
 
 

@@ -81,6 +81,12 @@ class TrapCorpus:
     requested_traps: int
     shortfall: int
 
+    def counts(self) -> dict[str, int]:
+        """Items, requested and actual traps, and the shortfall, as reports name them."""
+        actual = sum(1 for i in self.items if i.ground_truth == "trap")
+        return {"n_items": len(self.items), "requested_traps": self.requested_traps,
+                "actual_traps": actual, "shortfall": self.shortfall}
+
 
 @dataclass(frozen=True)
 class _Site:
@@ -315,14 +321,7 @@ def write_corpus(corpus: TrapCorpus, out_dir: Union[str, Path]) -> None:
     for item in corpus.items:
         (items / f"{item.item_id}.vcp").write_text(item.source, encoding="utf-8")
     write_jsonl(out / "answer_key.jsonl", (_key_record(item) for item in corpus.items))
-    manifest = {
-        "seed": corpus.seed,
-        "trap_fraction": corpus.trap_fraction,
-        "n_items": len(corpus.items),
-        "requested_traps": corpus.requested_traps,
-        "actual_traps": sum(1 for i in corpus.items if i.ground_truth == "trap"),
-        "shortfall": corpus.shortfall,
-    }
+    manifest = {"seed": corpus.seed, "trap_fraction": corpus.trap_fraction, **corpus.counts()}
     write_json(out / "manifest.json", manifest)
 
 

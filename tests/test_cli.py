@@ -1,13 +1,13 @@
 """Command-line behavior: reports, file sets, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from conftest import fresh_env
 from vibecheck.cli import run
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import ValidationError
@@ -239,10 +239,7 @@ def test_back_to_back_subcommands_write_what_fresh_runs_write(repo_root, fixture
         ["sdt", "--responses", responses, "--out", "sdt"],
         ["traps", "generate", "--origins", str(fixtures / "origins"), "--out", "traps_default"],
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = fresh_env()
     for step in steps:
         *argv, out = step
         assert run([*argv, str(tmp_path / "together" / out)]) == 0
@@ -296,6 +293,19 @@ def test_sdt_correction_none_on_extreme_rates_is_exit_2(fixtures, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+def test_a_bad_ground_truth_names_its_file_and_line(tmp_path, capsys):
+    path = tmp_path / "responses.jsonl"
+    path.write_text(
+        '{"reviewer": "a", "item_id": "i1", "ground_truth": "trap", "flagged": true}\n'
+        '{"reviewer": "a", "item_id": "i2", "ground_truth": "clen", "flagged": false}\n'
+    )
+    assert run(["sdt", "--responses", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"vcp: error: {path}:2: bad response record: "
+        "ground_truth must be 'trap' or 'clean', got 'clen'\n"
+    )
+
+
 def test_sdt_writes_jsonl(fixtures, tmp_path):
     out = tmp_path / "sdt"
     run(["sdt", "--responses", str(fixtures / "study" / "responses.jsonl"),
@@ -324,6 +334,17 @@ def test_traps_generate_writes_corpus(fixtures, tmp_path, capsys):
     items = sorted((out / "items").glob("*.vcp"))
     assert len(items) == 12
     assert "corpus: 12 items" in capsys.readouterr().out
+
+
+def test_traps_report_and_manifest_share_the_corpus_counts(fixtures, tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert run(["traps", "generate", "--origins", str(fixtures / "study" / "origins"),
+                "--out", str(out), "--seed", "5", "--fraction", "0.7"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    counts = {"n_items": 12, "requested_traps": 8, "actual_traps": 8, "shortfall": 0}
+    assert {k: report[k] for k in counts} == {k: manifest[k] for k in counts} == counts
+    assert capsys.readouterr().out.startswith("corpus: 12 items (8 traps, 4 clean), shortfall 0,")
 
 
 def test_traps_generate_deterministic(fixtures, tmp_path):
@@ -752,10 +773,7 @@ def test_fit_of_an_overflowing_outcome_is_one_error_line(repo_root, tmp_path):
     records = [json.loads(line) for line in (cohort / "cohort.jsonl").read_text().splitlines()]
     scaled = tmp_path / "scaled.jsonl"
     scaled.write_text("".join(json.dumps({**r, "y": r["y"] * 1e200}) + "\n" for r in records))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = fresh_env()
     proc = subprocess.run(
         [sys.executable, "-m", "vibecheck", "fit", "--data", str(scaled)],
         capture_output=True, text=True, env=env,
@@ -786,10 +804,7 @@ def test_simulate_too_large_to_draw_is_exit_1(repo_root, shape):
         print(exit_code, "numpy" in sys.modules, peak < 1_000_000)
         print(err.getvalue(), end="")
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = fresh_env()
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *shape],
         capture_output=True, text=True, env=env, check=True,
@@ -875,10 +890,7 @@ def test_kappa_does_not_depend_on_string_hashing(repo_root, tmp_path):
     # rounds it exactly, to 0.44, in any order.
     path = tmp_path / "ratings.csv"
     path.write_text("a,b\nnone,minor\nminor,none\nminor,minor\nmajor,minor\nminor,major\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = fresh_env()
     outputs = set()
     for hash_seed in ("0", "1", "2", "3", "5", "7"):
         env["PYTHONHASHSEED"] = hash_seed

@@ -1,6 +1,7 @@
 """Composite utility, break-even time saving, and zone classification."""
 
 import json
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from vibecheck.composite import (
     ZoneResult,
     break_even,
     classify_zone,
+    read_student_records,
+    score_cohort,
     utility,
 )
 from vibecheck.errors import ComputationError, ValidationError
@@ -225,3 +228,30 @@ def test_every_record_lands_in_exactly_one_zone(m_csr, m_ht, e_gap):
     if result.flags:
         assert result.zone == "architectural"
         assert e_gap > 0.3
+
+
+# --- the scored cohort ----------------------------------------------------------
+
+
+def test_score_cohort_writes_the_golden_score_report(fixtures):
+    golden = fixtures / "study" / "golden"
+    report = json.loads((golden / "score" / "score_report.json").read_text())
+    weights = UtilityWeights(*(report["config"][k] for k in ("w1", "w2", "w3", "gamma")))
+    records, summary = score_cohort(read_student_records(golden / "records.jsonl"), weights)
+    assert (records, summary) == (report["records"], report["summary"])
+
+
+def test_score_cohort_break_even_is_that_of_the_condition_means(fixtures):
+    students = read_student_records(fixtures / "zones" / "boundary_records.jsonl")
+    weights = UtilityWeights(0.5, 0.25, 0.25, gamma=0.5)
+    records, summary = score_cohort(students, weights)
+    assert [r["utility"] for r in records] == [utility(s, weights) for s in students]
+
+    def mean(condition):
+        group = [s for s in students if s.condition == condition]
+        means = (statistics.fmean(getattr(s, f) for s in group)
+                 for f in ("m_csr", "m_ht", "e_gap", "t_dev"))
+        return StudentRecord(condition, *means)
+
+    assert summary["break_even_hours"] == break_even(mean("vibe"), mean("trad"), weights)
+    assert [row["condition"] for row in summary["by_condition"]] == ["trad", "vibe"]

@@ -195,6 +195,9 @@ _SETTING_DEFAULTS = [
     (composite.classify_zone, "m_csr_threshold", "m_csr_threshold"),
     (composite.classify_zone, "e_gap_threshold", "e_gap_threshold"),
     (composite.classify_zone, "m_ht_cutoff", "m_ht_cutoff"),
+    (composite.score_cohort, "m_csr_threshold", "m_csr_threshold"),
+    (composite.score_cohort, "e_gap_threshold", "e_gap_threshold"),
+    (composite.score_cohort, "m_ht_cutoff", "m_ht_cutoff"),
 ]
 
 

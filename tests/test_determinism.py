@@ -32,6 +32,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_env
+
 # The study driver, in the child's working directory, after its commands.
 _STUDY = r'''
 spec = importlib.util.spec_from_file_location(
@@ -242,12 +244,8 @@ def _run_child(
 ) -> tuple[str, dict]:
     work.mkdir()
     (work / "fixtures").symlink_to(repo_root / "fixtures", target_is_directory=True)
-    env = {k: v for k, v in os.environ.items() if k not in ("VCP_CONFIG", "OPENBLAS_CORETYPE")}
+    env = fresh_env("VCP_CONFIG", "OPENBLAS_CORETYPE", extra_path=(repo_root / "perfbench",))
     env.update(extra_env, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), str(repo_root / "perfbench"),
-                    env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [python, "-c", child, str(repo_root), mode],
         cwd=work, env=env, capture_output=True, text=True, timeout=300,

@@ -803,3 +803,22 @@ def test_any_bytes_end_in_an_exit_code_never_a_traceback(fixtures, tmp_path, kin
         assert "Traceback" not in err
 
     check()
+
+
+# JSON nested past the C decoder's recursion used to end in a RecursionError
+# traceback, from about 1,000 levels on.  In a JSONL file the nested value is
+# line 1 of an otherwise valid sample, so a session log keeps its trailer.
+JSON_KINDS = {"cfg": False, "responses": True, "session": True, "calibration": False,
+              "pairs": True, "ontology": False, "records": True, "cohort": True, "config": False}
+
+
+@pytest.mark.parametrize("depth", [1_500, 100_000])
+@pytest.mark.parametrize("kind", list(JSON_KINDS))
+def test_deeply_nested_json_is_one_error_line(fixtures, tmp_path, kind, depth):
+    path, argv, sample = _case(kind, fixtures, tmp_path)
+    rest = sample.split(b"\n", 1)[1] if JSON_KINDS[kind] else b""
+    path.write_bytes(b"[" * depth + b"]" * depth + b"\n" + rest)
+    code, err = _vcp(argv)
+    assert code == 1
+    [line] = err.splitlines()
+    assert line.startswith(f"vcp: error: {path}{':1:' if JSON_KINDS[kind] else ':'} ")

@@ -13,7 +13,6 @@ every layer loaded already.
 """
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
@@ -21,15 +20,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_env
 from vibecheck.pool import FORK_MIN_BYTES
 from vibecheck.stats.spearman import FORK_MIN_PERMUTATIONS
 
 
 def _python(repo_root, code: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = fresh_env()
     return subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *args],
         capture_output=True, text=True, env=env, cwd=repo_root, check=True,

@@ -3,9 +3,10 @@ byte for byte.  The origins are ``random_program`` output and the study
 goldens are the study driver's output, so this also pins the renderer, the
 front end and every step of the study."""
 
-import os
 import subprocess
 import sys
+
+from conftest import fresh_env
 
 
 def _tree(root):
@@ -13,10 +14,7 @@ def _tree(root):
 
 
 def test_regenerated_fixtures_equal_the_committed_tree(repo_root, fixtures, tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "VCP_CONFIG"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = fresh_env("VCP_CONFIG")
     out = tmp_path / "fixtures"
     subprocess.run(
         [sys.executable, str(repo_root / "scripts" / "make_fixtures.py"), "--root", str(out)],

@@ -331,6 +331,13 @@ def test_noiseless_decay_is_recovered_exactly():
     assert (fit.n_used, fit.n_excluded) == (8, 0)
 
 
+def test_a_decay_fit_draws_its_own_curve():
+    fit = fit_decay([(0.0, 2.0), (1.0, 1.1), (3.0, 0.35)])
+    for t in (0.0, 0.5, 3.0, 40.0):
+        assert fit.curve(t) == fit.s0 * math.exp(-fit.lam * t)
+    assert fit.curve(0.0) == fit.s0
+
+
 def test_nonpositive_scores_are_excluded_and_counted():
     obs = [(0.0, 1.0), (1.0, 0.5), (2.0, 0.25), (3.0, 0.0), (4.0, -0.1)]
     fit = fit_decay(obs)

@@ -2,12 +2,13 @@
 
 import importlib.util
 import json
-import os
 import shutil
 import subprocess
 import sys
 
 import pytest
+
+from conftest import fresh_env
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +66,7 @@ def test_study_output_is_byte_identical_to_the_golden_tree(
 
 
 def _driver(repo_root, bundle, out) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "VCP_CONFIG"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = fresh_env("VCP_CONFIG")
     return subprocess.run(
         [sys.executable, str(repo_root / "scripts" / "run_study.py"),
          "--fixtures", str(bundle), "--out", str(out)],
@@ -81,8 +79,10 @@ def _driver(repo_root, bundle, out) -> subprocess.CompletedProcess:
     [
         '{"seed": 2026, "trap_fraction": 0.5, "students": [',
         json.dumps({"trap_fraction": 0.5, "students": []}),
+        "[" * 1_500 + "]" * 1_500,
+        "[" * 100_000 + "]" * 100_000,
     ],
-    ids=["not-json", "no-seed"],
+    ids=["not-json", "no-seed", "nested-1500", "nested-100000"],
 )
 def test_malformed_study_json_is_one_error_line(repo_root, tmp_path, study_json):
     bundle = tmp_path / "study"

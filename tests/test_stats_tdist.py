@@ -1,6 +1,5 @@
 """Student-t tail and quantile against scipy.stats.t, the test-only oracle."""
 
-import os
 import subprocess
 import sys
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import fresh_env
 from vibecheck.errors import DomainError
 from vibecheck.stats import tdist
 
@@ -58,10 +58,7 @@ def test_rejects_bad_degrees_of_freedom(df):
 
 
 def test_cli_import_leaves_scipy_unloaded(repo_root):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = fresh_env()
     code = "import sys, vibecheck.cli; print('scipy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
