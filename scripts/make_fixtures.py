@@ -18,8 +18,6 @@ import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from vibecheck import cli, retention, sdt, trapforge
 from vibecheck.codemetrics.metrics import metrics
 from vibecheck.codemetrics.parser import parse
@@ -339,6 +337,8 @@ def make_session_demo(root: Path) -> None:
 
 
 def make_decay(root: Path) -> None:
+    import numpy as np  # here, so that importing this script needs no numpy
+
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
     ts = np.linspace(0.0, 11.0, 12)
     s_obs = np.exp(-0.2 * ts) + rng.normal(0.0, 0.05, size=12)
@@ -479,6 +479,25 @@ STUDENTS = [
 ]
 
 
+def write_responses(origins_dir: Path, path: Path) -> None:
+    """Each student's simulated review of the corpus derived from the study's
+    origins, as JSONL records at ``path``."""
+    origins = [parse(p.read_text(), name=p.stem) for p in sorted(origins_dir.glob("*.vcp"))]
+    corpus = trapforge.generate_corpus(origins, STUDY_FRACTION, STUDY_SEED)
+    truths = [item.ground_truth for item in corpus.items]
+    responses = []
+    for index, rec in enumerate(STUDENTS):
+        flags = sdt.simulate_reviewer(truths, rec["sensitivity"], seed=9000 + index)
+        for item, flagged in zip(corpus.items, flags):
+            responses.append({
+                "reviewer": rec["student"],
+                "item_id": item.item_id,
+                "ground_truth": item.ground_truth,
+                "flagged": flagged,
+            })
+    write_jsonl(path, responses)
+
+
 def make_study(root: Path, calibration_path: Path) -> Path:
     study = root / "study"
     _write(study / "target.vcp", TARGET)
@@ -511,24 +530,7 @@ def make_study(root: Path, calibration_path: Path) -> Path:
             study / "logs",
         )
 
-    # reviewer responses against the deterministically derived corpus
-    origins = [
-        parse(p.read_text(), name=p.stem)
-        for p in sorted((study / "origins").glob("*.vcp"))
-    ]
-    corpus = trapforge.generate_corpus(origins, STUDY_FRACTION, STUDY_SEED)
-    truths = [item.ground_truth for item in corpus.items]
-    responses = []
-    for index, rec in enumerate(STUDENTS):
-        flags = sdt.simulate_reviewer(truths, rec["sensitivity"], seed=9000 + index)
-        for item, flagged in zip(corpus.items, flags):
-            responses.append({
-                "reviewer": rec["student"],
-                "item_id": item.item_id,
-                "ground_truth": item.ground_truth,
-                "flagged": flagged,
-            })
-    write_jsonl(study / "responses.jsonl", responses)
+    write_responses(study / "origins", study / "responses.jsonl")
 
     meta = {
         "seed": STUDY_SEED,

@@ -1,14 +1,14 @@
 """Drive a study bundle end to end through the vcp command line.
 
 Steps: derive the review corpus from the bundle's origin pool, score the
-shipped reviewer responses, compute each student's retention score and
-explanation gap, assemble the per-student record file, and produce the
-composite score report.  Each step runs in this process through
-``vibecheck.cli.run`` with its output captured; a step that exits non-zero
-stops the study with its argv and error output.  Every randomized step
-takes its seed from the bundle's study.json, so two runs into two
-directories write identical bytes.  A malformed bundle or a failed step
-ends the script with one ``run_study: error:`` line and exit code 1.
+shipped reviewer responses, checked against the corpus's answer key, compute
+each student's retention score and explanation gap, assemble the per-student
+record file, and produce the composite score report.  Each step runs in
+this process through ``vibecheck.cli.run`` with its output captured; a step
+that exits non-zero stops the study with its argv and error output.  Every
+randomized step takes its seed from the bundle's study.json, so two runs
+into two directories write identical bytes.  A malformed bundle or a failed
+step ends the script with one ``run_study: error:`` line and exit code 1.
 
 Usage: python3 scripts/run_study.py --fixtures fixtures/study --out OUT_DIR
 """
@@ -69,6 +69,7 @@ def run_study(fixtures: Path, out: Path) -> None:
     _vcp(
         "sdt",
         "--responses", str(fixtures / "responses.jsonl"),
+        "--answer-key", str(out / "corpus" / "answer_key.jsonl"),
         "--out", str(out / "sdt"),
     )
 

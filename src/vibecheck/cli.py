@@ -84,6 +84,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sdt", parents=[common], help="signal-detection scores per reviewer")
     p.add_argument("--responses", required=True, help="JSONL trap-response records")
+    p.add_argument("--answer-key", help="the corpus answer key to check the responses against")
     p.add_argument("--k", type=_finite_float, default=None, help="logistic slope")
     p.add_argument("--delta", type=_finite_float, default=None, help="logistic midpoint")
     p.add_argument("--correction", choices=CORRECTIONS, default=None)
@@ -225,7 +226,7 @@ def _cmd_metrics(args, config: RunConfig, sink: _Sink) -> int:
 
 
 def _cmd_sdt(args, config: RunConfig, sink: _Sink) -> int:
-    by_reviewer = sdt.load_responses(args.responses)
+    by_reviewer = sdt.load_responses(args.responses, args.answer_key)
     records = []
     for reviewer in sorted(by_reviewer):
         result = sdt.score_responses(

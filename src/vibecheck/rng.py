@@ -13,18 +13,22 @@ There are two front doors onto one keyed stream:
 
 - ``make_rng(*key)`` returns numpy's ``Generator`` over ``Philox``, for the
   vectorised normal, chi-square and permutation draws of the stats layer.
-  numpy is imported on the first call, not with this module.
+  numpy is imported on the first call, not with this module, and nothing
+  outside the stats layer calls it.
 - ``PhiloxStream(*key)`` is the same stream in plain Python, for the scalar
-  draws of the trap forge: ``integers(n)`` and ``sample(n, k)`` return what
-  ``make_rng(*key).integers(n)`` and ``make_rng(*key).choice(n, size=k,
-  replace=False)`` return, and leave the stream where numpy leaves it.  The
-  commands that only parse, score and forge traps therefore never load
-  numpy, and the corpus does not move if a numpy release changes
-  ``Generator.choice``.
+  draws of the trap forge and the simulated reviewers: ``integers(n)``,
+  ``sample(n, k)`` and ``standard_normal()`` return what
+  ``make_rng(*key).integers(n)``, ``make_rng(*key).choice(n, size=k,
+  replace=False)`` and ``make_rng(*key).standard_normal()`` return, in any
+  mix, and leave the stream where numpy leaves it.  The commands that only
+  parse, score and forge traps therefore never load numpy, and neither the
+  corpus nor the reviewer flags move if a numpy release changes
+  ``Generator.choice`` or ``Generator.normal``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -32,6 +36,7 @@ if TYPE_CHECKING:
 
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+_MASK52 = 0x000F_FFFF_FFFF_FFFF
 
 
 def _entropy(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -126,21 +131,68 @@ def _round_keys(k0: int, k1: int) -> tuple[tuple[int, int], ...]:
     return tuple(keys)
 
 
+# --- the ziggurat of numpy's standard normal ------------------------------------
+
+# Marsaglia and Tsang's ziggurat (J. Stat. Softw. 5(8), 2000) with 256 strips
+# over 52-bit magnitudes, from numpy's two constants: the x at which the tail
+# begins, and the width of the base strip (its area over the density at r).
+_ZIGGURAT_R = 3.654152885361009
+_ZIGGURAT_BASE = 3.910757959524912
+
+
+def _density(x: float) -> float:
+    return math.exp(-0.5 * x * x)
+
+
+def _ziggurat_tables() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """numpy's ``ki_double``, ``wi_double`` and ``fi_double``.
+
+    Strip i > 0 spans [0, x_i) at height f(x_i), f the unnormalised density;
+    x_255 = r, and each x_i comes from x_(i+1) by the float64 recursion that
+    gives every strip the base strip's area.  wi scales a 52-bit magnitude to
+    x; below the magnitude ki, x lies left of x_(i-1), under the density, and
+    needs no wedge test; fi is f(x_i).  numpy's ``fi[38]`` is one ulp above
+    the correctly rounded f(x_38), and x_37 is drawn from it.  With that ulp
+    every entry equals numpy's, as long as the C library's ``exp`` and
+    ``log`` round these arguments as glibc's do; ``tests/test_rng_oracle.py``
+    compares them.
+    """
+    scale = 2.0**52
+    area = _ZIGGURAT_BASE * _density(_ZIGGURAT_R)
+    x = [0.0] * 255 + [_ZIGGURAT_R]
+    fi = [1.0] * 255 + [_density(_ZIGGURAT_R)]
+    for i in range(254, 0, -1):
+        x[i] = math.sqrt(-2.0 * math.log(area / x[i + 1] + fi[i + 1]))
+        fi[i] = _density(x[i])
+        if i == 38:
+            fi[i] = math.nextafter(fi[i], 1.0)
+    wi = (_ZIGGURAT_BASE / scale,) + tuple(xi / scale for xi in x[1:])
+    ki = (round(_ZIGGURAT_R / _ZIGGURAT_BASE * scale), 0) + tuple(
+        round(x[i] / x[i + 1] * scale) for i in range(1, 255)
+    )
+    return ki, wi, tuple(fi)
+
+
+_KI, _WI, _FI = _ziggurat_tables()
+
+
 class PhiloxStream:
     """numpy's ``Generator(Philox(SeedSequence((len(key),) + key)))`` for
-    scalar draws below 2**32, in plain Python.
+    scalar draws, in plain Python.
 
-    numpy's Philox buffers one block of four 64-bit words and serves 32-bit
-    draws as the low then the high half of each word, so each block gives
-    eight 32-bit draws; the first block is counter 1.
+    numpy's Philox buffers one block of four 64-bit words; the first block is
+    counter 1.  A 64-bit draw takes the next whole word.  A 32-bit draw
+    returns the low half of the next word and keeps its high half for the
+    next 32-bit draw, which any 64-bit draws in between leave in place.
     """
 
-    __slots__ = ("_round_keys", "_counter", "_pending")
+    __slots__ = ("_round_keys", "_counter", "_words", "_high_half")
 
     def __init__(self, *key: int):
         self._round_keys = _round_keys(*_philox_key(_entropy(key)))
         self._counter = 0
-        self._pending: list[int] = []
+        self._words: list[int] = []
+        self._high_half: int | None = None
 
     def _refill(self) -> None:
         self._counter += 1
@@ -150,16 +202,25 @@ class PhiloxStream:
             p0 = _PHILOX_M0 * c0
             p1 = _PHILOX_M1 * c2
             c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
-        # Reversed, so that pop() serves the low half of word 0 first.
-        self._pending = [
-            c3 >> 32, c3 & _MASK32, c2 >> 32, c2 & _MASK32,
-            c1 >> 32, c1 & _MASK32, c0 >> 32, c0 & _MASK32,
-        ]
+        self._words = [c3, c2, c1, c0]  # reversed, so that pop() serves word 0 first
+
+    def _next64(self) -> int:
+        if not self._words:
+            self._refill()
+        return self._words.pop()
 
     def _next32(self) -> int:
-        if not self._pending:
-            self._refill()
-        return self._pending.pop()
+        half = self._high_half
+        if half is not None:
+            self._high_half = None
+            return half
+        word = self._next64()
+        self._high_half = word >> 32
+        return word & _MASK32
+
+    def _next_double(self) -> float:
+        """Uniform on [0, 1) in steps of 2**-53."""
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
 
     def _bounded(self, high: int) -> int:
         """Uniform on [0, high] for high < 2**32, by Lemire's rejection method.
@@ -210,3 +271,26 @@ class PhiloxStream:
             j = self._bounded(i)
             out[i], out[j] = out[j], out[i]
         return out
+
+    def standard_normal(self) -> float:
+        """One N(0, 1) draw, as ``Generator.standard_normal()``: numpy's
+        ``random_standard_normal`` with the same tables and the same draws."""
+        while True:
+            word = self._next64()
+            strip = word & 0xFF
+            word >>= 8
+            magnitude = (word >> 1) & _MASK52
+            x = magnitude * _WI[strip]
+            if word & 1:
+                x = -x
+            if magnitude < _KI[strip]:
+                return x
+            if strip == 0:  # the tail beyond r, by Marsaglia's exponential method
+                while True:
+                    xx = -(1.0 / _ZIGGURAT_R) * math.log1p(-self._next_double())
+                    yy = -math.log1p(-self._next_double())
+                    if yy + yy > xx * xx:
+                        tail = _ZIGGURAT_R + xx
+                        return -tail if (magnitude >> 8) & 1 else tail
+            elif (_FI[strip - 1] - _FI[strip]) * self._next_double() + _FI[strip] < _density(x):
+                return x

@@ -10,6 +10,11 @@ normal quantile, the standard library's ``statistics.NormalDist().inv_cdf``
 ``k`` and ``delta`` are reported defaults of this toolkit's configuration,
 chosen so that d' = 1 sits at score 0.5 with a moderate slope; they are not
 empirical constants, and every scoring record echoes the values used.
+
+Responses can be cross-checked against the answer key that the trap forge
+wrote for the corpus.  ``simulate_reviewer`` plays an equal-variance Gaussian
+observer for fixtures and benchmarks; it draws from ``rng.PhiloxStream``,
+numpy's normal draws in plain Python, so this module never loads numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Union
 from vibecheck.config import CORRECTIONS, RunConfig
 from vibecheck.errors import DomainError, ValidationError
 from vibecheck.io import as_bool, as_str, fields, read_jsonl
-from vibecheck.rng import make_rng
+from vibecheck.rng import PhiloxStream
 
 # --- trap responses --------------------------------------------------------
 
@@ -37,12 +42,14 @@ class TrapResponse:
     flagged: bool
 
     def validate(self) -> None:
-        if self.ground_truth not in GROUND_TRUTHS:
-            raise ValidationError(
-                f"ground_truth must be 'trap' or 'clean', got {self.ground_truth!r}"
-            )
+        _check_ground_truth(self.ground_truth)
 
     __post_init__ = validate
+
+
+def _check_ground_truth(value: str) -> None:
+    if value not in GROUND_TRUTHS:
+        raise ValidationError(f"ground_truth must be 'trap' or 'clean', got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,18 +185,51 @@ def score_responses(
     )
 
 
-def load_responses(path: Union[str, Path]) -> dict[str, list[TrapResponse]]:
+def load_responses(
+    path: Union[str, Path], answer_key: Union[str, Path, None] = None
+) -> dict[str, list[TrapResponse]]:
     """Read a JSONL response file into per-reviewer response lists.
 
     One record per line: ``{"reviewer", "item_id", "ground_truth", "flagged"}``,
     where ``flagged`` is a JSON boolean (``"false"`` or ``0`` is rejected, not
-    coerced by truthiness).
+    coerced by truthiness).  With an ``answer_key`` file, a response whose item
+    the key lacks or whose ``ground_truth`` the key contradicts is refused
+    naming its line, and a key item that no reviewer answered naming the key.
     """
+    key = None
+    if answer_key is not None:
+        from vibecheck.trapforge import read_answer_key  # the front end loads only for a key
+
+        key = read_answer_key(answer_key)
+
+    def row(rec: dict) -> tuple[str, TrapResponse]:
+        reviewer, response = _response(rec)
+        if key is not None:
+            truth = key.get(response.item_id)
+            if truth is None:
+                raise ValidationError(
+                    f"item_id {response.item_id!r} is not in the answer key {answer_key}"
+                )
+            if truth != response.ground_truth:
+                raise ValidationError(
+                    f"ground_truth {response.ground_truth!r} of {response.item_id!r} "
+                    f"disagrees with the answer key {answer_key}, which says {truth!r}"
+                )
+        return reviewer, response
+
     by_reviewer: dict[str, list[TrapResponse]] = {}
-    for reviewer, response in read_jsonl(path, _response, "response record"):
+    for reviewer, response in read_jsonl(path, row, "response record"):
         by_reviewer.setdefault(reviewer, []).append(response)
     if not by_reviewer:
         raise ValidationError(f"{path}: no response records")
+    if key is not None:
+        answered = {r.item_id for responses in by_reviewer.values() for r in responses}
+        unanswered = [item_id for item_id in key if item_id not in answered]
+        if unanswered:
+            raise ValidationError(
+                f"{answer_key}: no reviewer in {path} answered {len(unanswered)} of its "
+                f"items, the first {unanswered[0]!r}"
+            )
     return by_reviewer
 
 
@@ -213,13 +253,22 @@ def simulate_reviewer(
 
     Evidence is N(0, 1) on clean items and N(sensitivity, 1) on traps; an
     item is flagged when evidence exceeds the criterion (default: midway,
-    ``sensitivity / 2``).  Deterministic for a given seed.
+    ``sensitivity / 2``).  The evidence is the mean plus one
+    ``PhiloxStream(seed).standard_normal()`` draw per item, the float that
+    ``make_rng(seed).normal(mean, 1.0)`` returns, so the flags are pinned by
+    this code and not by the installed numpy.  A ground truth other than
+    ``"trap"`` or ``"clean"`` and a sensitivity or criterion that is not
+    finite are refused.
     """
+    for label, value in (("sensitivity", sensitivity), ("criterion", criterion)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{label} must be a finite number, got {value!r}")
     if criterion is None:
         criterion = sensitivity / 2.0
-    rng = make_rng(seed)
+    stream = PhiloxStream(seed)
     flags = []
     for truth in ground_truth:
+        _check_ground_truth(truth)
         mean = sensitivity if truth == "trap" else 0.0
-        flags.append(bool(rng.normal(mean, 1.0) > criterion))
+        flags.append(mean + stream.standard_normal() > criterion)
     return flags

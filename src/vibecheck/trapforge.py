@@ -342,8 +342,15 @@ _ANSWER_KEY_FIELDS = {"item_id": as_str, "ground_truth": as_str, **_KEY_DETAILS}
 
 
 def read_answer_key(path: Union[str, Path]) -> dict[str, str]:
-    """Map item_id -> ground_truth from an answer-key file."""
-    rows = read_jsonl(
-        path, lambda rec: fields(rec, _ANSWER_KEY_FIELDS, _KEY_DETAILS), "answer-key record"
-    )
-    return {row["item_id"]: row["ground_truth"] for row in rows}
+    """Map item_id -> ground_truth from an answer-key file, in file order; an
+    item_id given twice is refused at its second line."""
+    key: dict[str, str] = {}
+
+    def row(rec: dict) -> None:
+        item = fields(rec, _ANSWER_KEY_FIELDS, _KEY_DETAILS)
+        if item["item_id"] in key:
+            raise ValueError(f"duplicate item_id {item['item_id']!r}")
+        key[item["item_id"]] = item["ground_truth"]
+
+    read_jsonl(path, row, "answer-key record")
+    return key

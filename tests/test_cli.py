@@ -306,6 +306,72 @@ def test_a_bad_ground_truth_names_its_file_and_line(tmp_path, capsys):
     )
 
 
+def _record_lines(*records: dict) -> str:
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
+_KEY = ({"item_id": "i1", "ground_truth": "trap"}, {"item_id": "i2", "ground_truth": "clean"})
+_ANSWERS = tuple(
+    {"reviewer": reviewer, "flagged": reviewer == "a", **item}
+    for reviewer in ("a", "b") for item in _KEY
+)
+
+
+def _sdt_with_key(tmp_path, capsys, key, responses):
+    key_path, responses_path = tmp_path / "answer_key.jsonl", tmp_path / "responses.jsonl"
+    key_path.write_text(_record_lines(*key))
+    responses_path.write_text(_record_lines(*responses))
+    code = run(["sdt", "--responses", str(responses_path), "--answer-key", str(key_path)])
+    return code, capsys.readouterr(), key_path, responses_path
+
+
+def test_sdt_answer_key_that_agrees_leaves_the_report_unchanged(fixtures, capsys):
+    responses = str(fixtures / "study" / "responses.jsonl")
+    assert run(["sdt", "--responses", responses]) == 0
+    plain = capsys.readouterr()
+    key = str(fixtures / "study" / "golden" / "corpus" / "answer_key.jsonl")
+    assert run(["sdt", "--responses", responses, "--answer-key", key]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_sdt_refuses_a_response_that_disagrees_with_the_answer_key(tmp_path, capsys):
+    wrong = {**_ANSWERS[3], "ground_truth": "trap"}
+    code, captured, key, responses = _sdt_with_key(tmp_path, capsys, _KEY, _ANSWERS[:3] + (wrong,))
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"vcp: error: {responses}:4: bad response record: ground_truth 'trap' of 'i2' "
+        f"disagrees with the answer key {key}, which says 'clean'\n"
+    )
+
+
+def test_sdt_refuses_an_item_that_the_answer_key_lacks(tmp_path, capsys):
+    extra = {**_ANSWERS[0], "item_id": "i3"}
+    code, captured, key, responses = _sdt_with_key(tmp_path, capsys, _KEY, _ANSWERS + (extra,))
+    assert code == 1
+    assert captured.err == (
+        f"vcp: error: {responses}:5: bad response record: "
+        f"item_id 'i3' is not in the answer key {key}\n"
+    )
+
+
+def test_sdt_refuses_an_answer_key_item_that_no_reviewer_answered(tmp_path, capsys):
+    key_items = _KEY + ({"item_id": "i3", "ground_truth": "trap"},
+                        {"item_id": "i4", "ground_truth": "clean"})
+    code, captured, key, responses = _sdt_with_key(tmp_path, capsys, key_items, _ANSWERS)
+    assert code == 1
+    assert captured.err == (
+        f"vcp: error: {key}: no reviewer in {responses} answered 2 of its items, the first 'i3'\n"
+    )
+
+
+def test_sdt_refuses_an_answer_key_that_names_an_item_twice(tmp_path, capsys):
+    code, captured, key, _ = _sdt_with_key(tmp_path, capsys, _KEY + _KEY[:1], _ANSWERS)
+    assert code == 1
+    assert captured.err == (
+        f"vcp: error: {key}:3: bad answer-key record: duplicate item_id 'i1'\n"
+    )
+
+
 def test_sdt_writes_jsonl(fixtures, tmp_path):
     out = tmp_path / "sdt"
     run(["sdt", "--responses", str(fixtures / "study" / "responses.jsonl"),

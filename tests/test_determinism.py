@@ -21,8 +21,9 @@ and ``vcp retention --decay``, each on its fixture and on a shuffled copy, and
 three for Spearman's rho on 378,000 rows and on a shuffled copy of them.
 
 Last, every other CPython 3.10 or later found here (pyenv's versions and
-``python3.1x`` on ``PATH``) runs the commands that load no numpy, and then the
-study driver, and must write and print what this interpreter does.
+``python3.1x`` on ``PATH``) runs the commands that load no numpy, writes the
+study's reviewer responses as ``scripts/make_fixtures.py`` does, and then runs
+the study driver, and must write and print what this interpreter does.
 """
 
 import os
@@ -207,6 +208,11 @@ vcp("score", "--records", "fixtures/zones/boundary_records.jsonl", "--out", "out
 vcp("fit", "--data", "fixtures/draws/simulate/cohort.jsonl", "--out", "out/fit")
 vcp("kappa", "--data", "ratings.csv", "--out", "out/kappa")
 vcp("spearman", "--data", "fixtures/spearman/quiz_scores.csv", "--out", "out/spearman")
+sys.path.insert(0, str(Path(sys.argv[1]) / "scripts"))
+import make_fixtures
+
+make_fixtures.write_responses(Path("fixtures/study/origins"), Path("out/responses.jsonl"))
+print("== responses: numpy loaded", "numpy" in sys.modules)
 ''' + _STUDY
 
 
@@ -349,6 +355,10 @@ def test_numpy_free_commands_write_the_same_bytes_on_every_python(repo_root, tmp
                             PYTHONDONTWRITEBYTECODE="1")
     assert out.count(": exit 0\n") == 11 and out.endswith("== study complete\n")
     assert any(name.startswith("study/") for name in files)
+    # The reviewer flags are drawn without numpy, as the committed ones were.
+    assert "== responses: numpy loaded False\n" in out
+    responses = (repo_root / "fixtures" / "study" / "responses.jsonl").read_bytes()
+    assert files["out/responses.jsonl"] == responses
     for i, python in enumerate(pythons):
         out_p, files_p = _run_child(repo_root, tmp_path / f"python{i}", "0", NUMPY_FREE_CHILD,
                                     python=python, PYTHONDONTWRITEBYTECODE="1")

@@ -32,7 +32,6 @@ from vibecheck.io import (
 )
 from vibecheck.retention import read_session_log
 from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
-from vibecheck.trapforge import read_answer_key
 
 NOT_UTF8 = b"\xff\xfe"
 
@@ -519,6 +518,9 @@ def _field_argv(kind, path, fixtures):
     session = fixtures / "session"
     return {
         "responses": ["sdt", "--responses", path],
+        # The key is read before the responses.
+        "answer_key": ["sdt", "--responses", fixtures / "study" / "responses.jsonl",
+                       "--answer-key", path],
         "session": ["retention", "--build", path, "--refactor", session / "refactor.log",
                     "--allow-uncalibrated"],
         "calibration": ["retention", "--build", session / "build.log", "--refactor",
@@ -548,10 +550,6 @@ def _read_edited(fixtures, tmp_path, kind, place, edit):
         path.write_text(json.dumps(doc))
         where = f"{path}: "
     (tmp_path / "unit.vcp").write_text("x = 1\n")  # a session log's final unit
-    if kind == "answer_key":  # no command reads an answer key
-        with pytest.raises(ValidationError) as caught:
-            read_answer_key(path)
-        return 1, f"vcp: error: {caught.value}\n", where
     return *_vcp(_field_argv(kind, path, fixtures)), where
 
 
@@ -731,8 +729,8 @@ def _pairs_bytes(fixtures) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-KINDS = ["vcp", "cfg", "responses", "session", "calibration", "pairs", "transcript",
-         "ontology", "records", "cohort", "spearman", "kappa", "decay", "config"]
+KINDS = ["vcp", "cfg", "responses", "answer_key", "session", "calibration", "pairs",
+         "transcript", "ontology", "records", "cohort", "spearman", "kappa", "decay", "config"]
 
 
 def _case(kind, fixtures, tmp_path):
@@ -744,6 +742,8 @@ def _case(kind, fixtures, tmp_path):
         "vcp": (["metrics", f], (study / "target.vcp").read_bytes()),
         "cfg": (["metrics", f], None),
         "responses": (["sdt", "--responses", f], (study / "responses.jsonl").read_bytes()),
+        "answer_key": (["sdt", "--responses", study / "responses.jsonl", "--answer-key", f],
+                       (study / "golden" / "corpus" / "answer_key.jsonl").read_bytes()),
         "session": (["retention", "--build", f, "--refactor", refactor,
                      "--allow-uncalibrated"], build.read_bytes()),
         "calibration": (["retention", "--build", build, "--refactor", refactor,
@@ -808,8 +808,9 @@ def test_any_bytes_end_in_an_exit_code_never_a_traceback(fixtures, tmp_path, kin
 # JSON nested past the C decoder's recursion used to end in a RecursionError
 # traceback, from about 1,000 levels on.  In a JSONL file the nested value is
 # line 1 of an otherwise valid sample, so a session log keeps its trailer.
-JSON_KINDS = {"cfg": False, "responses": True, "session": True, "calibration": False,
-              "pairs": True, "ontology": False, "records": True, "cohort": True, "config": False}
+JSON_KINDS = {"cfg": False, "responses": True, "answer_key": True, "session": True,
+              "calibration": False, "pairs": True, "ontology": False, "records": True,
+              "cohort": True, "config": False}
 
 
 @pytest.mark.parametrize("depth", [1_500, 100_000])

@@ -8,6 +8,8 @@ run in process and never import ``multiprocessing`` or
 with the front end loaded in the parent, so that the workers inherit it.
 Spearman's permutation chunks fork likewise from ``FORK_MIN_PERMUTATIONS``
 on, with numpy loaded in the parent.
+The simulated reviewers draw without numpy too, and no command or front-end
+import loads the program generator, ``vibecheck.codemetrics.progen``.
 Each check runs in a fresh interpreter, since this test process has numpy and
 every layer loaded already.
 """
@@ -48,13 +50,32 @@ def test_cli_import_leaves_statistics_unloaded(repo_root):
     assert proc.stdout.strip() == "False"
 
 
+def test_simulated_reviewer_leaves_numpy_unloaded(repo_root):
+    code = f"""
+        import sys
+        from vibecheck.sdt import simulate_reviewer
+        flags = simulate_reviewer(["trap", "clean"] * 500, 1.5, seed=9)
+        print(sum(flags), {_LOADED})
+    """
+    assert _python(repo_root, code).stdout.split(maxsplit=1)[1].strip() == "[]"
+
+
+# The program generator (and its ``random``) loads only where programs are drawn.
+_GENERATOR = "vibecheck.codemetrics.progen"
+
+
+def test_front_end_import_leaves_the_program_generator_unloaded(repo_root):
+    code = f"import sys, vibecheck.codemetrics.parser; print({_GENERATOR!r} in sys.modules)"
+    assert _python(repo_root, code).stdout.strip() == "False"
+
+
 def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):
     code = """
         import runpy, sys
         sys.argv = ["run_study.py", "--fixtures", "fixtures/study", "--out", sys.argv[1]]
         runpy.run_path("scripts/run_study.py", run_name="__main__")
         print(LOADED)
-    """.replace("LOADED", _LOADED)
+    """.replace("LOADED", f"[m for m in {_UNLOADED + (_GENERATOR,)!r} if m in sys.modules]")
     proc = _python(repo_root, code, str(tmp_path / "study"))
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "study" / "score" / "score_report.json").is_file()
@@ -74,6 +95,8 @@ _BATCH = [_UNIT] * (FORK_MIN_BYTES // _UNIT_BYTES + 1)
 _TABLE = {
     "metrics": (["metrics", "fixtures/ifelse.vcp"], _UNLOADED, ()),
     "sdt": (["sdt", "--responses", "fixtures/study/responses.jsonl"], _UNLOADED, ()),
+    "sdt-answer-key": (["sdt", "--responses", "fixtures/study/responses.jsonl", "--answer-key",
+                        "fixtures/study/golden/corpus/answer_key.jsonl"], _UNLOADED, ()),
     "traps-generate": (["traps", "generate", "--origins", "fixtures/origins", "--out", "{tmp}"],
                        _UNLOADED, ()),
     "retention": (["retention", "--build", "fixtures/session/build.log",
@@ -121,5 +144,6 @@ def test_a_command_loads_only_what_it_uses(repo_root, tmp_path, case):
     """
     exit_code, modules = json.loads(_python(repo_root, code, json.dumps(argv)).stdout)
     assert exit_code == 0
+    unloaded = (*unloaded, _GENERATOR)  # no command draws a program
     assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unloaded)] == []
     assert [m for m in loaded if m not in modules] == []

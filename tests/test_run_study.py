@@ -37,6 +37,24 @@ def test_failing_step_raises_with_argv_and_error_line(
     assert "vcp: error:" in message
 
 
+def test_responses_are_checked_against_the_derived_answer_key(
+    run_study_module, fixtures, tmp_path, monkeypatch
+):
+    bundle = tmp_path / "study"
+    shutil.copytree(fixtures / "study", bundle, ignore=shutil.ignore_patterns("golden"))
+    lines = (bundle / "responses.jsonl").read_text().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    first["ground_truth"] = {"trap": "clean", "clean": "trap"}[first["ground_truth"]]
+    lines[0] = json.dumps(first) + "\n"
+    (bundle / "responses.jsonl").write_text("".join(lines))
+    monkeypatch.delenv("VCP_CONFIG", raising=False)
+    with pytest.raises(RuntimeError) as info:
+        run_study_module.run_study(bundle, tmp_path / "out")
+    key = tmp_path / "out" / "corpus" / "answer_key.jsonl"
+    assert f"--answer-key {key} " in str(info.value)
+    assert f"vcp: error: {bundle / 'responses.jsonl'}:1: bad response record: " in str(info.value)
+
+
 def test_driver_prints_only_its_completion_line(
     run_study_module, fixtures, tmp_path, monkeypatch, capsys
 ):

@@ -243,6 +243,23 @@ def test_simulate_reviewer_is_deterministic():
     assert simulate_reviewer(truths, 1.5, seed=3) != simulate_reviewer(truths, 1.5, seed=4)
 
 
+@pytest.mark.parametrize("truths", [["Trap", "clean", "trap"], ["trap", "clen"], ["trap", None]])
+def test_simulate_reviewer_refuses_an_unknown_ground_truth(truths):
+    # "Trap" used to be simulated as a clean item.
+    bad = next(t for t in truths if t not in ("trap", "clean"))
+    with pytest.raises(ValidationError, match=f"must be 'trap' or 'clean', got {bad!r}"):
+        simulate_reviewer(truths, 3.0, seed=1)
+
+
+@pytest.mark.parametrize("label", ["sensitivity", "criterion"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_simulate_reviewer_refuses_a_number_that_is_not_finite(label, value):
+    # A nan sensitivity or criterion used to flag nothing.
+    kwargs = {"sensitivity": 1.0, label: value}
+    with pytest.raises(ValidationError, match=f"{label} must be a finite number, got {value!r}"):
+        simulate_reviewer(["trap", "clean"], **kwargs)
+
+
 # --- response files -----------------------------------------------------------
 
 
