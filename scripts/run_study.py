@@ -138,6 +138,8 @@ def main() -> None:
         run_study(Path(args.fixtures), Path(args.out))
     except (VcpError, StepFailed, OSError) as exc:
         sys.exit(f"run_study: error: {' '.join(str(exc).split())}")
+    except MemoryError:
+        sys.exit("run_study: error: input too large for the memory available")
     print(f"study complete: {args.out}")
 
 

@@ -22,7 +22,6 @@ that draw random numbers load numpy: power, simulate and spearman with
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -232,7 +231,7 @@ def _cmd_sdt(args, config: RunConfig, sink: _Sink) -> int:
         result = sdt.score_responses(
             reviewer, by_reviewer[reviewer], config.k, config.delta, config.correction
         )
-        records.append(dataclasses.asdict(result))
+        records.append(result._asdict())
     sink.emit_table(
         "sdt",
         records,
@@ -278,7 +277,7 @@ def _cmd_retention(args, config: RunConfig, sink: _Sink) -> int:
         sink.emit_columns("decay_curve", ("t", "s", "fitted"), rows)
         sink.emit_record(
             "decay_fit",
-            dataclasses.asdict(fit),
+            fit._asdict(),
             ["s0", "lam", "rms_residual", "n_used", "n_excluded"],
         )
         return 0
@@ -300,7 +299,7 @@ def _cmd_retention(args, config: RunConfig, sink: _Sink) -> int:
     result = retention.m_csr(build, refactor, calibration, config.idle_gap, config.velocity_unit)
     sink.emit_record(
         "retention",
-        dataclasses.asdict(result),
+        result._asdict(),
         ["student", "v_build", "v_rec", "omega", "m_csr", "delta_t_hours"],
     )
     return 0
@@ -341,7 +340,7 @@ def _cmd_egap(args, config: RunConfig, sink: _Sink) -> int:
     ontology = load_ontology(args.ontology)
     unit = _load_unit_or_cfg(args.code)
     score = e_gap(transcript, ontology, metrics(unit), epsilon=config.epsilon)
-    record = {**dataclasses.asdict(score), "definition": E_GAP_DEFINITION}
+    record = {**score._asdict(), "definition": E_GAP_DEFINITION}
     sink.emit_record("egap", record, ["unit", "coverage", "h_e", "h_c", "e_gap", "degenerate"])
     return 0
 
@@ -363,9 +362,9 @@ def _parse_weights(text: str) -> dict:
 
 def _cmd_score(args, config: RunConfig, sink: _Sink) -> int:
     if args.weights is not None:
-        config = dataclasses.replace(config, **_parse_weights(args.weights))
+        config = config._replace(**_parse_weights(args.weights))
     if args.no_gamma:
-        config = dataclasses.replace(config, gamma=0.0)
+        config = config._replace(gamma=0.0)
     sink.config = config  # the report records the weights the scores used
     weights = composite.UtilityWeights(config.w1, config.w2, config.w3, config.gamma)
     records, summary = composite.score_cohort(
@@ -417,7 +416,7 @@ def _cmd_power(args, config: RunConfig, sink: _Sink) -> int:
         target = attrition_target(
             result.n_required, args.attrition, rounding=config.cohort_rounding
         )
-        record["attrition"] = dataclasses.asdict(target)
+        record["attrition"] = target._asdict()
         note = f"recruitment target at {args.attrition:.0%} attrition: {target.rounded_target}"
         if args.stated_target is not None:
             record["stated_target"] = args.stated_target
@@ -452,7 +451,7 @@ def _cmd_simulate(args, config: RunConfig, sink: _Sink) -> int:
     )
     dataset = simulate_cohort(params, args.n_per_condition, args.occasions, config.seed)
     fields = {
-        "params": dataclasses.asdict(params),
+        "params": params._asdict(),
         "n_per_condition": args.n_per_condition,
         "occasions": args.occasions,
         "n_obs": len(dataset),
@@ -476,7 +475,7 @@ def _cmd_fit(args, config: RunConfig, sink: _Sink) -> int:
     lo, hi = fit.ci95_beta1
     sink.emit_record(
         "mixed_fit",
-        dataclasses.asdict(fit),
+        fit._asdict(),
         ["beta0", "beta1", "beta2", "se_beta1", "sigma_u", "sigma_e", "theta"],
         f"95% CI for the condition effect: [{lo:.4f}, {hi:.4f}]\n",
     )
@@ -494,7 +493,7 @@ def _cmd_spearman(args, config: RunConfig, sink: _Sink) -> int:
         seed=config.seed if args.permutations else None,
     )
     sink.emit_record(
-        "spearman", dataclasses.asdict(result), ["n", "rho", "p_two_sided", "p_permutation"]
+        "spearman", result._asdict(), ["n", "rho", "p_two_sided", "p_permutation"]
     )
     return 0
 
@@ -529,11 +528,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv``, resolve the config (every option named after a config
     key overrides that key), open the output sink and run the command."""
     parser = _build_parser()
+    command = "vcp"
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = parser.parse_args(argv)
             command = f"traps {args.traps_command}" if args.command == "traps" else args.command
-            overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+            overrides = {name: getattr(args, name, None) for name in RunConfig._fields}
             config = resolve_config(args.config, overrides)
             code = _COMMANDS[command](args, config, _Sink(args.out, command, config))
         except ValidationError as exc:
@@ -547,6 +547,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             code = 2
         except OSError as exc:
             sys.stderr.write(f"vcp: error: {exc}\n")
+            code = 1
+        except MemoryError:
+            sys.stderr.write(f"vcp: error: {command}: input too large for the memory available\n")
             code = 1
     if code == 0:
         for message in dict.fromkeys(str(w.message) for w in caught):

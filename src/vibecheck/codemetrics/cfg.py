@@ -22,33 +22,47 @@ read back from that form is accepted wherever a freshly built one is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
 from vibecheck.codemetrics import nodes as N
 from vibecheck.errors import ValidationError
 from vibecheck.io import as_int, as_list, as_str, as_strings, fields, read_json
+from vibecheck.record import Record
 from vibecheck.reporting import write_json
 
 EDGE_LABELS = frozenset({"seq", "true", "false", "loop-back", "loop-exit"})
 
 
-@dataclass(frozen=True)
-class BasicBlock:
+_set = object.__setattr__
+
+
+# Built once per block and edge, so with slots and their own ``__init__``.
+class BasicBlock(Record):
+    __slots__ = ("id", "stmts")
+
     id: int
-    stmts: tuple[str, ...] = ()
+    stmts: tuple[str, ...]
+
+    def __init__(self, id: int, stmts: tuple[str, ...] = ()) -> None:
+        _set(self, "id", id)
+        _set(self, "stmts", stmts)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
+    __slots__ = ("src", "dst", "label")
+
     src: int
     dst: int
     label: str
 
+    def __init__(self, src: int, dst: int, label: str) -> None:
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "label", label)
 
-@dataclass(frozen=True)
-class ControlFlowGraph:
+
+class ControlFlowGraph(Record):
     blocks: tuple[BasicBlock, ...]
     edges: tuple[Edge, ...]
     entry: int
@@ -87,8 +101,6 @@ class ControlFlowGraph:
             raise ValidationError("every block must be reachable from entry")
         if _reachable(self.exit, preds) != known:
             raise ValidationError("exit must be reachable from every block")
-
-    __post_init__ = validate
 
     # --- interchange form --------------------------------------------------
 

@@ -25,15 +25,14 @@ counts and volume exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from vibecheck.codemetrics import nodes as N
+from vibecheck.record import Record
 
 CLASSIFIER_TABLE_VERSION = "vcp-1"
 
 
-@dataclass(frozen=True)
-class HalsteadCounts:
+class HalsteadCounts(Record):
     n1: int  # distinct operators
     n2: int  # distinct operands
     N1: int  # total operator occurrences

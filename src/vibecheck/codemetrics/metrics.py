@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from vibecheck.codemetrics import nodes as N
@@ -17,12 +16,12 @@ from vibecheck.codemetrics.halstead import (
     HalsteadCounts,
     halstead,
 )
+from vibecheck.record import Record
 
 ENTROPY_DEFINITION = "per-decision-site, uniform branching"
 
 
-@dataclass(frozen=True)
-class CodeMetrics:
+class CodeMetrics(Record):
     cc: int
     halstead: Optional[HalsteadCounts]
     h_c: float

@@ -8,130 +8,235 @@ canonical form; reparsing it yields a structurally equal tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
+
+from vibecheck.record import Record
 
 Span = tuple[int, int]
 
 _NO_SPAN: Span = (0, 0)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Node:
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False, kw_only=True)
+
+class Node(Record):
+    # One node is built per parsed construct, so each class has slots and
+    # its own ``__init__``; ``span`` and ``op_span`` are keyword-only.
+    __slots__ = ("span",)
+    _uncompared = _hidden = frozenset(("span", "op_span"))
+
+    span: Span
+
+    def __init__(self, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
 
 
 # --- expressions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Expr(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Name(Expr):
+    __slots__ = ("ident",)
+
     ident: str
 
+    def __init__(self, ident: str, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "ident", ident)
 
-@dataclass(frozen=True)
+
 class IntLit(Expr):
+    __slots__ = ("value",)
+
     value: int
 
+    def __init__(self, value: int, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "value", value)
 
-@dataclass(frozen=True)
+
 class StrLit(Expr):
+    __slots__ = ("value",)
+
     value: str
 
+    def __init__(self, value: str, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "value", value)
 
-@dataclass(frozen=True)
+
 class Unary(Expr):
+    __slots__ = ("op", "operand")
+
     op: str
     operand: Expr
 
+    def __init__(self, op: str, operand: Expr, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "op", op)
+        _set(self, "operand", operand)
 
-@dataclass(frozen=True)
+
 class Binary(Expr):
+    __slots__ = ("op", "left", "right", "op_span")
+
     op: str
     left: Expr
     right: Expr
-    op_span: Span = field(default=_NO_SPAN, compare=False, repr=False, kw_only=True)
+    op_span: Span
+
+    def __init__(
+        self, op: str, left: Expr, right: Expr, *, span: Span = _NO_SPAN,
+        op_span: Span = _NO_SPAN,
+    ) -> None:
+        _set(self, "span", span)
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "op_span", op_span)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
+    __slots__ = ("func", "args")
+
     func: str
     args: tuple[Expr, ...]
 
+    def __init__(self, func: str, args: tuple[Expr, ...], *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "func", func)
+        _set(self, "args", args)
 
-@dataclass(frozen=True)
+
 class Index(Expr):
+    __slots__ = ("base", "index")
+
     base: str
     index: Expr
+
+    def __init__(self, base: str, index: Expr, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "base", base)
+        _set(self, "index", index)
 
 
 # --- statements ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Stmt(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Assign(Stmt):
+    __slots__ = ("target", "value")
+
     target: str
     value: Expr
 
+    def __init__(self, target: str, value: Expr, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "target", target)
+        _set(self, "value", value)
 
-@dataclass(frozen=True)
+
 class Block(Stmt):
+    __slots__ = ("body",)
+
     body: tuple[Stmt, ...]
 
+    def __init__(self, body: tuple[Stmt, ...], *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
+
 class If(Stmt):
+    __slots__ = ("cond", "then", "orelse")
+
     cond: Expr
     then: Block
-    orelse: Optional[Union[Block, "If"]]
+    orelse: Optional[Union[Block, If]]
+
+    def __init__(
+        self, cond: Expr, then: Block, orelse: Optional[Union[Block, If]], *,
+        span: Span = _NO_SPAN,
+    ) -> None:
+        _set(self, "span", span)
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "orelse", orelse)
 
 
-@dataclass(frozen=True)
 class While(Stmt):
+    __slots__ = ("cond", "body")
+
     cond: Expr
     body: Block
 
+    def __init__(self, cond: Expr, body: Block, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "cond", cond)
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
+
 class For(Stmt):
+    __slots__ = ("init", "cond", "update", "body")
+
     init: Assign
     cond: Expr
     update: Assign
     body: Block
 
+    def __init__(
+        self, init: Assign, cond: Expr, update: Assign, body: Block, *, span: Span = _NO_SPAN,
+    ) -> None:
+        _set(self, "span", span)
+        _set(self, "init", init)
+        _set(self, "cond", cond)
+        _set(self, "update", update)
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
+
 class Return(Stmt):
+    __slots__ = ("value",)
+
     value: Optional[Expr]
 
+    def __init__(self, value: Optional[Expr], *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "value", value)
 
-@dataclass(frozen=True)
+
 class CallStmt(Stmt):
+    __slots__ = ("call",)
+
     call: Call
 
+    def __init__(self, call: Call, *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "call", call)
 
-@dataclass(frozen=True)
+
 class Program(Node):
+    __slots__ = ("body",)
+
     body: tuple[Stmt, ...]
 
+    def __init__(self, body: tuple[Stmt, ...], *, span: Span = _NO_SPAN) -> None:
+        _set(self, "span", span)
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
-class SourceUnit:
+
+class SourceUnit(Record):
     """A named piece of VCPLang source with its parsed program."""
+
+    _uncompared = frozenset(("ast",))
 
     name: str
     text: str
-    ast: Program = field(compare=False)
+    ast: Program
 
 
 # --- canonical rendering ---------------------------------------------------

@@ -22,13 +22,13 @@ foundational-review flag.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from vibecheck.config import RunConfig
 from vibecheck.errors import ComputationError, ValidationError
 from vibecheck.io import as_finite, as_str, fields, read_jsonl
+from vibecheck.record import Record
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -45,8 +45,7 @@ _CONTROL_METRICS = {
 FLAG_FOUNDATIONAL_REVIEW = "foundational-review"
 
 
-@dataclass(frozen=True)
-class StudentRecord:
+class StudentRecord(Record):
     student: str
     m_csr: float
     m_ht: float
@@ -64,11 +63,8 @@ class StudentRecord:
         if not (self.t_dev >= 0.0) or math.isnan(self.t_dev):
             raise ValidationError(f"t_dev must be >= 0, got {self.t_dev!r}")
 
-    __post_init__ = validate
 
-
-@dataclass(frozen=True)
-class UtilityWeights:
+class UtilityWeights(Record):
     w1: float = RunConfig.w1
     w2: float = RunConfig.w2
     w3: float = RunConfig.w3
@@ -86,11 +82,8 @@ class UtilityWeights:
                 f"metric weights must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}"
             )
 
-    __post_init__ = validate
 
-
-@dataclass(frozen=True)
-class ZoneResult:
+class ZoneResult(Record):
     zone: str
     control_metric: str
     flags: tuple[str, ...]
@@ -171,8 +164,9 @@ def score_cohort(
     groups: dict[str, list[dict]] = {}
     for student in students:
         zone = classify_zone(student, m_csr_threshold, e_gap_threshold, m_ht_cutoff)
-        records.append({**asdict(student), "utility": utility(student, weights), "zone": zone.zone,
-                        "control_metric": zone.control_metric, "flags": list(zone.flags)})
+        records.append({**student._asdict(), "utility": utility(student, weights),
+                        "zone": zone.zone, "control_metric": zone.control_metric,
+                        "flags": list(zone.flags)})
         groups.setdefault(student.condition or "all", []).append(records[-1])
     rows = {}
     for condition in sorted(groups):

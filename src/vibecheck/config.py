@@ -10,21 +10,19 @@ function taking a setting defaults to the ``RunConfig`` attribute of its name.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from vibecheck.errors import ValidationError
 from vibecheck.io import as_bool, as_finite, as_int, as_str, fields, read_json
+from vibecheck.record import Record
 
 ENV_CONFIG = "VCP_CONFIG"
 CORRECTIONS = ("half-count", "none")
 VELOCITY_UNITS = ("volume", "loc")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     # signal detection
     k: float = 1.5
     delta: float = 1.0
@@ -65,16 +63,14 @@ class RunConfig:
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
 
-    __post_init__ = validate
-
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 # Each field of a config file is read by the ``io`` field reader for its
 # annotation (a string under ``from __future__ import annotations``).
 _CAST_BY_TYPE = {"float": as_finite, "int": as_int, "bool": as_bool, "str": as_str}
-_FIELDS = {f.name: _CAST_BY_TYPE[f.type] for f in dataclasses.fields(RunConfig)}
+_FIELDS = {name: _CAST_BY_TYPE[kind] for name, kind in RunConfig.__annotations__.items()}
 
 
 def resolve_config(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -26,21 +25,20 @@ from vibecheck.codemetrics.metrics import CodeMetrics
 from vibecheck.config import RunConfig
 from vibecheck.errors import DegenerateEntropyWarning, ValidationError
 from vibecheck.io import as_finite, as_list, as_str, as_strings, fields, read_json
+from vibecheck.record import Record
 
 PROPORTION_TOLERANCE = 1e-9
 
 E_GAP_DEFINITION = "coverage-weighted decision entropy vs structural entropy"
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(Record):
     concept_id: str
     proportion: float
     phrases: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConceptOntology:
+class ConceptOntology(Record):
     unit: str
     version: str
     concepts: tuple[Concept, ...]
@@ -76,11 +74,8 @@ class ConceptOntology:
                 f"got {total!r}"
             )
 
-    __post_init__ = validate
 
-
-@dataclass(frozen=True)
-class ExplanationScore:
+class ExplanationScore(Record):
     unit: str
     matched: tuple[str, ...]
     coverage: float

@@ -36,16 +36,23 @@ def write_jsonl(path: Union[str, Path], records: Iterable[dict]) -> None:
     )
 
 
+# From this magnitude on, a float is written in exponent form, which keeps a
+# cell such as ``vcp power --d 1e300``'s effect size to a dozen characters.
+# No committed summary holds a float past 1,000.
+_EXPONENT_FROM = 1e9
+
+
 def _format_cell(value) -> str:
     if isinstance(value, bool) or value is None:
         return str(value)
     if isinstance(value, float):
-        return f"{value:.4f}"
+        return f"{value:.4e}" if abs(value) >= _EXPONENT_FROM else f"{value:.4f}"
     return str(value)
 
 
 def human_table(records: Sequence[dict], columns: Sequence[str]) -> str:
-    """Aligned table of the given record fields, floats at four decimals."""
+    """Aligned table of the given record fields, floats at four decimals (in
+    exponent form from 1e9 on)."""
     rows = [[_format_cell(rec.get(col)) for col in columns] for rec in records]
     widths = [
         max(len(col), *(len(row[i]) for row in rows)) if rows else len(col)

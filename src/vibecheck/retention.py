@@ -19,10 +19,8 @@ unassisted at their assisted pace score 1.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -38,6 +36,7 @@ from vibecheck.errors import (
     ValidationError,
 )
 from vibecheck.io import as_bool, as_finite, as_str, fields, jsonl_lines, read_jsonl, read_record
+from vibecheck.record import Record
 from vibecheck.reporting import write_jsonl
 
 EVENT_KINDS = frozenset({"edit", "prompt", "paste", "run", "test_pass", "test_fail"})
@@ -45,15 +44,13 @@ PHASES = ("ai_build", "cold_refactor")
 _ASSISTED_ONLY_KINDS = frozenset({"prompt", "paste"})
 
 
-@dataclass(frozen=True)
-class SessionEvent:
+class SessionEvent(Record):
     t: float  # seconds on the study clock
     kind: str
     payload: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SessionLog:
+class SessionLog(Record):
     student: str
     phase: str  # "ai_build" | "cold_refactor"
     events: tuple[SessionEvent, ...]
@@ -74,18 +71,15 @@ class SessionLog:
                     f"cold_refactor session contains assisted event {event.kind!r}"
                 )
 
-    __post_init__ = validate
 
-
-@dataclass(frozen=True)
-class OmegaCalibration:
+class OmegaCalibration(Record):
     alpha: float
     beta: float
     baseline_source: str
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "OmegaCalibration":
@@ -101,8 +95,7 @@ _CALIBRATION_FIELDS = {
 UNCALIBRATED = OmegaCalibration(alpha=1.0, beta=0.0, baseline_source="uncalibrated")
 
 
-@dataclass(frozen=True)
-class RetentionResult:
+class RetentionResult(Record):
     student: str
     v_build: float
     v_rec: float
@@ -114,8 +107,7 @@ class RetentionResult:
     calibration_source: str
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(Record):
     s0: float
     lam: float
     rms_residual: float

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from vibecheck.config import CORRECTIONS, RunConfig
 from vibecheck.errors import DomainError, ValidationError
 from vibecheck.io import as_bool, as_str, fields, read_jsonl
+from vibecheck.record import Record
 from vibecheck.rng import PhiloxStream
 
 # --- trap responses --------------------------------------------------------
@@ -35,8 +35,7 @@ from vibecheck.rng import PhiloxStream
 GROUND_TRUTHS = ("trap", "clean")
 
 
-@dataclass(frozen=True)
-class TrapResponse:
+class TrapResponse(Record):
     item_id: str
     ground_truth: str  # "trap" | "clean"
     flagged: bool
@@ -44,16 +43,13 @@ class TrapResponse:
     def validate(self) -> None:
         _check_ground_truth(self.ground_truth)
 
-    __post_init__ = validate
-
 
 def _check_ground_truth(value: str) -> None:
     if value not in GROUND_TRUTHS:
         raise ValidationError(f"ground_truth must be 'trap' or 'clean', got {value!r}")
 
 
-@dataclass(frozen=True)
-class Rates:
+class Rates(Record):
     hit_rate: float
     fa_rate: float
     hit_rate_corrected: float
@@ -64,8 +60,7 @@ class Rates:
     correction_applied: bool
 
 
-@dataclass(frozen=True)
-class SdtResult:
+class SdtResult(Record):
     reviewer: str
     hit_rate: float
     fa_rate: float

@@ -29,7 +29,6 @@ coincides with ordinary least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -38,6 +37,7 @@ from typing import Optional, Union
 
 from vibecheck.errors import FitError, ValidationError
 from vibecheck.io import as_finite, as_int, as_str, fields, read_jsonl
+from vibecheck.record import Record
 from vibecheck.reporting import write_jsonl
 from vibecheck.rng import make_rng
 
@@ -49,8 +49,7 @@ _MAX_OBS = 1_000_000
 _SINGULAR = "singular fixed-effect design: X' W^-1 X is not positive definite"
 
 
-@dataclass(frozen=True)
-class GeneratingParams:
+class GeneratingParams(Record):
     beta0: float
     beta1: float
     beta2: float
@@ -61,11 +60,8 @@ class GeneratingParams:
         if self.sigma_u < 0.0 or self.sigma_e < 0.0:
             raise ValidationError("standard deviations must be >= 0")
 
-    __post_init__ = validate
 
-
-@dataclass(frozen=True)
-class CohortDataset:
+class CohortDataset(Record):
     students: tuple[int, ...]  # student id per observation
     occasions: tuple[int, ...]  # occasion index per observation
     conditions: tuple[str, ...]  # "trad" | "vibe" per observation
@@ -96,8 +92,6 @@ class CohortDataset:
             first = next(student for student in arm if student in crossed)
             raise ValidationError(f"student {first} appears under multiple conditions")
 
-    __post_init__ = validate
-
     def rows(self):
         """(student, occasion, condition, time, y) per observation."""
         return zip(self.students, self.occasions, self.conditions, self.times, self.y)
@@ -107,8 +101,7 @@ class CohortDataset:
         return [dict(zip(names, row)) for row in self.rows()]
 
 
-@dataclass(frozen=True)
-class MixedModelFit:
+class MixedModelFit(Record):
     beta0: float
     beta1: float
     beta2: float
@@ -167,8 +160,7 @@ def simulate_cohort(
 # --- REML fit --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Sufficient:
+class _Sufficient(Record):
     """The fit's sufficient statistics, as Python floats.
 
     A statistic tuple holds the six distinct entries (00, 01, 02, 11, 12, 22)

@@ -25,13 +25,13 @@ difference SD).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from vibecheck.config import RunConfig
 from vibecheck.errors import DomainError, SearchError, ValidationError
+from vibecheck.record import Record
 from vibecheck.rng import make_rng
 from vibecheck.stats import tdist
 
@@ -41,8 +41,7 @@ _MAX_N = 1_000_000
 _MAX_REPLICATES = 10_000_000
 
 
-@dataclass(frozen=True)
-class PowerSpec:
+class PowerSpec(Record):
     effect_size_d: float
     alpha: float = 0.05
     target_power: float = 0.8
@@ -71,11 +70,8 @@ class PowerSpec:
                 f"got {self.replicates}"
             )
 
-    __post_init__ = validate
 
-
-@dataclass(frozen=True)
-class PowerResult:
+class PowerResult(Record):
     n_required: int
     n_analytic: int
     power_at_n: float
@@ -83,8 +79,7 @@ class PowerResult:
     spec: PowerSpec
 
 
-@dataclass(frozen=True)
-class AttritionTarget:
+class AttritionTarget(Record):
     n_required: int
     attrition_rate: float
     raw_target: int
@@ -92,14 +87,18 @@ class AttritionTarget:
     rounding: bool
 
 
-def analytic_n(spec: PowerSpec) -> int:
-    """Normal-approximation sample size (the closed-form cross-check)."""
+def _z_sum(spec: PowerSpec) -> float:
+    """The normal quantiles of ``1 - alpha/2`` and of the target power, added."""
     upper = 1.0 - spec.alpha / 2.0
     if upper == 1.0:
         raise DomainError(f"alpha {spec.alpha!r} is too small: 1 - alpha/2 rounds to 1")
     normal = NormalDist()
-    z = normal.inv_cdf(upper) + normal.inv_cdf(spec.target_power)
-    per_group = (z / spec.effect_size_d) ** 2
+    return normal.inv_cdf(upper) + normal.inv_cdf(spec.target_power)
+
+
+def analytic_n(spec: PowerSpec) -> int:
+    """Normal-approximation sample size (the closed-form cross-check)."""
+    per_group = (_z_sum(spec) / spec.effect_size_d) ** 2
     if spec.design == "two_sample":
         per_group *= 2.0
     return max(2, math.ceil(per_group - 1e-12))
@@ -134,10 +133,21 @@ def mc_power(n: int, spec: PowerSpec) -> float:
 
 def required_n(spec: PowerSpec) -> PowerResult:
     """Smallest n whose Monte-Carlo power reaches the target."""
-    start = analytic_n(spec)
+    # z / d is compared before it is squared, since a tiny d's square can pass
+    # the range of a float.  Up to _MAX_N, n is at most 2e12 and written in
+    # full; past it, n is far past the limit and written to three digits.
+    z = _z_sum(spec)
+    if z / spec.effect_size_d <= _MAX_N:
+        start = written = analytic_n(spec)
+    else:
+        from decimal import Decimal
+
+        start = math.inf
+        factor = 2 if spec.design == "two_sample" else 1
+        written = f"{factor * (Decimal(z) / Decimal(spec.effect_size_d)) ** 2:.3g}"
     if start > _MAX_N:
         raise SearchError(
-            f"the analytic n for d = {spec.effect_size_d} is {start}, past the "
+            f"the analytic n for d = {spec.effect_size_d} is {written}, past the "
             f"search limit of {_MAX_N}"
         )
     cache: dict[int, float] = {}

@@ -16,7 +16,6 @@ counted through ``pool.ordered_map``: on forked workers, one per CPU, from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from operator import mul
@@ -24,6 +23,7 @@ from typing import Optional, Sequence
 
 from vibecheck.errors import ConstantInputError, ValidationError
 from vibecheck.pool import ordered_map
+from vibecheck.record import Record
 from vibecheck.rng import make_rng
 from vibecheck.stats import tdist
 
@@ -40,8 +40,7 @@ FORK_MIN_PERMUTATIONS = 200_000
 _MAX_PERMUTATION_N = 200_000
 
 
-@dataclass(frozen=True)
-class SpearmanResult:
+class SpearmanResult(Record):
     rho: float
     p_two_sided: float
     n: int

@@ -22,11 +22,9 @@ Site coordinates in the answer key refer to the origin source.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -36,6 +34,7 @@ from vibecheck.codemetrics.parser import parse, parse_file
 from vibecheck.errors import NotApplicableError, ValidationError
 from vibecheck.io import as_str, fields, read_jsonl
 from vibecheck.pool import FORK_MIN_BYTES, ordered_map, path_bytes
+from vibecheck.record import Record
 from vibecheck.reporting import write_json, write_jsonl
 from vibecheck.rng import PhiloxStream
 
@@ -52,10 +51,10 @@ SANITIZER = "sanitize"
 
 _NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 _SHIFT_BOUND = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class MutationSite:
+class MutationSite(Record):
     start: int
     end: int
     line: int
@@ -63,8 +62,7 @@ class MutationSite:
     description: str
 
 
-@dataclass(frozen=True)
-class TrapItem:
+class TrapItem(Record):
     item_id: str
     source: str
     ground_truth: str  # "trap" | "clean"
@@ -73,8 +71,7 @@ class TrapItem:
     origin_name: str
 
 
-@dataclass(frozen=True)
-class TrapCorpus:
+class TrapCorpus(Record):
     items: tuple[TrapItem, ...]
     seed: int
     trap_fraction: float
@@ -88,11 +85,18 @@ class TrapCorpus:
                 "actual_traps": actual, "shortfall": self.shortfall}
 
 
-@dataclass(frozen=True)
-class _Site:
+class _Site(Record):
+    # Built once per candidate site, so with slots and its own ``__init__``.
+    __slots__ = ("span", "replacement", "description")
+
     span: tuple[int, int]
     replacement: str
     description: str
+
+    def __init__(self, span: tuple[int, int], replacement: str, description: str) -> None:
+        _set(self, "span", span)
+        _set(self, "replacement", replacement)
+        _set(self, "description", description)
 
 
 def applicable_sites(unit: N.SourceUnit) -> dict[str, list[_Site]]:
@@ -331,7 +335,7 @@ def _key_record(item: TrapItem) -> dict:
         "item_id": item.item_id,
         "ground_truth": item.ground_truth,
         "defect_kind": item.defect_kind,
-        "mutation_site": None if site is None else dataclasses.asdict(site),
+        "mutation_site": None if site is None else site._asdict(),
         "origin": item.origin_name,
     }
 

@@ -760,6 +760,25 @@ def test_power_past_the_search_limit_is_exit_2(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("d, n", [("1e-200", "1.57e+401"), ("5e-324", "6.43e+647"),
+                                  ("1e-150", "1.57e+301")])
+def test_power_with_a_tiny_d_gets_the_search_limit_message(capsys, d, n):
+    # Squaring z / d used to overflow (the first two) or print all 302 digits of n.
+    assert run(["power", "--d", d]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"vcp: computation error: the analytic n for d = {float(d)} is {n}, past the "
+        "search limit of 1000000"
+    ]
+
+
+def test_power_summary_writes_a_huge_effect_size_compactly(capsys):
+    # At four decimals, d = 1e300 filled a cell 306 characters wide.
+    assert run(["power", "--d", "1e300", "--replicates", "1000"]) == 0
+    header, _, row = capsys.readouterr().err.splitlines()
+    cell = row[header.index("effect_size_d"):header.index("n_required")].rstrip()
+    assert cell == "1.0000e+300"
+
+
 def test_power_too_many_replicates_is_exit_1(capsys):
     # 10^12 replicates used to ask numpy for 7.28 TiB and die with a traceback.
     assert run(["power", "--d", "0.5", "--replicates", "1000000000000"]) == 1

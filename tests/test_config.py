@@ -1,6 +1,5 @@
 """Config resolution: defaults, file layer, override layer."""
 
-import dataclasses
 import inspect
 import json
 
@@ -213,10 +212,9 @@ def test_library_default_is_the_run_config_default(fn, parameter, setting):
 def test_record_defaults_are_the_run_config_defaults():
     config = RunConfig()
     weights = composite.UtilityWeights()
-    for field in dataclasses.fields(weights):
-        assert getattr(weights, field.name) == getattr(config, field.name)
-    [replicates] = [f for f in dataclasses.fields(PowerSpec) if f.name == "replicates"]
-    assert replicates.default == config.replicates
+    for name in weights._fields:
+        assert getattr(weights, name) == getattr(config, name)
+    assert PowerSpec._defaults["replicates"] == config.replicates
 
 
 def test_option_choices_are_the_allowed_settings():

@@ -9,8 +9,6 @@ walk order.  Inputs that exhaust the reference's stack are skipped: the
 production parser uses fewer frames per nesting level, so it may accept them.
 """
 
-import dataclasses
-
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -49,10 +47,9 @@ def _sources(draw):
 
 
 def _dump(value):
-    """The tree as nested tuples, spans included (they are ``compare=False``)."""
+    """The tree as nested tuples, spans included (equality leaves them out)."""
     if isinstance(value, N.Node):
-        fields = dataclasses.fields(value)
-        return (type(value).__name__, *(_dump(getattr(value, f.name)) for f in fields))
+        return (type(value).__name__, *(_dump(getattr(value, name)) for name in value._fields))
     if isinstance(value, tuple):
         return tuple(_dump(v) for v in value)
     return value

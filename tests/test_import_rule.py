@@ -9,6 +9,9 @@ exception is ``random_program``, which the benchmark's workloads import from
 One way to run work in parallel: ``pool.ordered_map``'s forked workers.  No
 file under ``src/`` starts a thread of its own.
 
+One way to declare a record: a ``vibecheck.record.Record`` subclass.  No file
+under ``src/`` imports ``dataclasses``.
+
 One way to draw outside the stats layer: ``rng.PhiloxStream``.  Only
 ``vibecheck.stats`` names ``make_rng``, numpy's generator, in ``src/`` and
 ``scripts/``, so numpy loads only where the stats layer draws.
@@ -63,6 +66,17 @@ def test_a_package_binds_no_name_but_its_exception(repo_root, module):
                 assert getattr(package, name) is getattr(submodule, name)
             else:
                 assert not hasattr(package, name), f"{module}.{name}"
+
+
+def test_no_file_under_src_imports_dataclasses(repo_root):
+    offences = []
+    for path in sorted((repo_root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            offences += [f"{path.relative_to(repo_root)}:{node.lineno}"
+                         for module in modules if module == "dataclasses"]
+    assert offences == []
 
 
 _THREADS = {"Thread", "ThreadPool", "ThreadPoolExecutor"}

@@ -10,6 +10,9 @@ Spearman's permutation chunks fork likewise from ``FORK_MIN_PERMUTATIONS``
 on, with numpy loaded in the parent.
 The simulated reviewers draw without numpy too, and no command or front-end
 import loads the program generator, ``vibecheck.codemetrics.progen``.
+Records are ``vibecheck.record.Record`` subclasses, which generate no code,
+so neither the command line nor the stats layer loads ``dataclasses`` or
+the ``inspect`` it imports.
 Each check runs in a fresh interpreter, since this test process has numpy and
 every layer loaded already.
 """
@@ -48,6 +51,13 @@ def test_cli_import_leaves_statistics_unloaded(repo_root):
     # The normal quantile's module loads with the commands that take one.
     proc = _python(repo_root, "import sys, vibecheck.cli; print('statistics' in sys.modules)")
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["vibecheck.cli", "vibecheck.stats.mixed"])
+def test_records_load_no_code_generator(repo_root, module):
+    loaded = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
+    code = f"import sys, {module}; print({loaded})"
+    assert _python(repo_root, code).stdout.strip() == "[]"
 
 
 def test_simulated_reviewer_leaves_numpy_unloaded(repo_root):

@@ -44,7 +44,7 @@ def _to_reference(root: N.Node):
     """
     built = {}
     for node in reversed(list(N.walk(root))):
-        values = dict(vars(node))
+        values = {name: getattr(node, name) for name in node._fields}
         for name, value in values.items():
             if isinstance(value, N.Node):
                 values[name] = built[id(value)]

@@ -1,26 +1,45 @@
-"""Each record type checks its invariants once, when it is built.
+"""Each record type checks its invariants once, when it is built, and behaves
+as the frozen dataclass it replaced.
 
-``validate`` is bound as the dataclass ``__post_init__`` of the nine types the
-metrics and the study design read, so an instance that exists is valid: a
-writer cannot be handed a record that its reader would refuse, and no caller
-re-checks one.  Each message is the one ``validate`` gave when callers ran it
-by hand.
+``Record.__init__`` runs ``validate`` on the nine types the metrics and the
+study design read, each of which defines its own, so an instance that exists
+is valid: a writer cannot be handed a record that its reader would refuse,
+and no caller re-checks one.  Each message is the one ``validate`` gave when
+callers ran it by hand.
+
+Each record of a few samples is also rebuilt, field for field and nested
+records included, as a frozen dataclass whose fields carry the record's
+``compare`` and ``repr`` choices; both must give the same ``repr``, hash,
+equality verdicts and ``asdict``.  Constructors keep the dataclass
+signatures, fields refuse assignment, and records survive a pickle round
+trip.
 """
 
 import dataclasses
+import functools
+import pickle
 
 import pytest
 
-from vibecheck.codemetrics.cfg import BasicBlock, ControlFlowGraph, Edge, dump_cfg
+from vibecheck.codemetrics import nodes as N
+from vibecheck.codemetrics.cfg import BasicBlock, ControlFlowGraph, Edge, build_cfg, dump_cfg
 from vibecheck.codemetrics.metrics import metrics
 from vibecheck.codemetrics.parser import parse
 from vibecheck.composite import StudentRecord, UtilityWeights
 from vibecheck.config import RunConfig
 from vibecheck.errors import ValidationError
 from vibecheck.explainability import Concept, ConceptOntology
+from vibecheck.record import Record
 from vibecheck.retention import SessionEvent, SessionLog, write_session_log
-from vibecheck.stats.mixed import CohortDataset, GeneratingParams, write_cohort
+from vibecheck.stats.mixed import (
+    CohortDataset,
+    GeneratingParams,
+    fit_mixed,
+    read_cohort,
+    write_cohort,
+)
 from vibecheck.stats.power import PowerSpec
+from vibecheck.trapforge import MutationSite, generate_corpus
 
 UNIT = parse("x = 1\n", name="unit.vcp")
 
@@ -89,7 +108,8 @@ IDS = [t.__name__ for t in TYPES]
 
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)
 def test_validate_is_the_post_init_hook(cls):
-    assert cls.__post_init__ is cls.validate
+    # ``Record.__init__`` runs ``validate`` once the fields are bound.
+    assert cls.__init__ is Record.__init__ and cls.validate is not Record.validate
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)
@@ -103,9 +123,9 @@ def test_building_an_invalid_instance_raises_the_validate_message(cls):
 
 def test_replace_checks_the_new_instance():
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
-        dataclasses.replace(RunConfig(), seed=-1)
+        RunConfig()._replace(seed=-1)
     with pytest.raises(ValidationError, match="m_ht must lie in"):
-        dataclasses.replace(StudentRecord("s", 1.0, 0.5, 0.2, 3.0), m_ht=0.0)
+        StudentRecord("s", 1.0, 0.5, 0.2, 3.0)._replace(m_ht=0.0)
 
 
 # --- writers cannot be handed what their readers refuse ------------------------
@@ -138,3 +158,122 @@ def test_write_cohort_cannot_get_a_duplicate_observation(tmp_path):
 def test_metrics_cannot_get_an_edge_into_entry():
     with pytest.raises(ValidationError, match="entry block must have in-degree 0"):
         metrics(_graph(Edge(0, 1, "seq"), Edge(1, 0, "seq")))
+
+
+# --- Record behaves as the frozen dataclasses it replaced ---------------------
+
+_TEXT = (
+    'x = a[i] + f(1, "s")\n'
+    "for (i = 0; i < n; i = i + 1) { if (!x) { } else if (y) { return } }\n"
+)
+
+
+@functools.cache
+def _samples(root) -> list:
+    unit = parse(_TEXT, name="unit.vcp")
+    origins = sorted((root / "fixtures" / "origins").glob("*.vcp"))
+    return [
+        unit,
+        build_cfg(unit),
+        metrics(unit),
+        RunConfig(),
+        generate_corpus(origins, 0.5, seed=7),
+        fit_mixed(read_cohort(root / "fixtures" / "draws" / "simulate" / "cohort.jsonl")),
+    ]
+
+
+@functools.cache
+def _twin_class(cls: type) -> type:
+    return dataclasses.make_dataclass(cls.__name__, [
+        (name, object, dataclasses.field(compare=name not in cls._uncompared,
+                                          repr=name not in cls._hidden))
+        for name in cls._fields
+    ], frozen=True)
+
+
+def _twin(value):
+    """``value`` with every record in it rebuilt as its dataclass twin."""
+    if isinstance(value, Record):
+        return _twin_class(type(value))(
+            **{name: _twin(getattr(value, name)) for name in value._fields}
+        )
+    if isinstance(value, tuple):
+        return tuple(_twin(v) for v in value)
+    return value
+
+
+def _records(value):
+    """Every record in ``value``, outermost first."""
+    if isinstance(value, Record):
+        yield value
+        for name in value._fields:
+            yield from _records(getattr(value, name))
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _records(v)
+
+
+def test_records_print_hash_and_compare_as_their_dataclass_twins(repo_root):
+    records = [r for sample in _samples(repo_root) for r in _records(sample)]
+    assert {type(r).__name__ for r in records} >= {
+        "SourceUnit", "Program", "Binary", "Index", "Call", "StrLit", "Unary", "For", "If",
+        "Return", "ControlFlowGraph", "BasicBlock", "Edge", "CodeMetrics", "HalsteadCounts",
+        "RunConfig", "TrapCorpus", "TrapItem", "MutationSite", "MixedModelFit",
+    }
+    twins = [_twin(r) for r in records]
+    for record, twin in zip(records, twins):
+        assert repr(record) == repr(twin)
+        assert hash(record) == hash(twin)
+        assert record._asdict() == dataclasses.asdict(twin)
+    for (a, ta), (b, tb) in zip(zip(records, twins), zip(records[1:], twins[1:])):
+        assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
+
+
+def test_spans_and_the_parsed_program_stay_out_of_equality(repo_root):
+    unit = _samples(repo_root)[0]
+    binary = unit.ast.body[0].value
+    moved = binary._replace(span=(50, 60), op_span=(55, 56))
+    assert moved == binary and hash(moved) == hash(binary) and repr(moved) == repr(binary)
+    assert moved.span == (50, 60) and moved.op_span == (55, 56)
+    other = N.SourceUnit(unit.name, unit.text, parse("y = 2\n").ast)
+    assert other == unit and hash(other) == hash(unit)
+    assert repr(other) != repr(unit)  # the program is printed
+    assert N.Name("x") != N.StrLit("x") and N.IntLit(1) != (1,)
+
+
+def test_constructors_keep_the_dataclass_signatures():
+    name = N.Name("x", span=(0, 1))
+    assert N.Binary("+", name, name, span=(0, 5), op_span=(2, 3)).op_span == (2, 3)
+    with pytest.raises(TypeError):
+        N.Name("x", (0, 1))  # span is keyword-only
+    assert BasicBlock(3).stmts == () and BasicBlock(id=3, stmts=("x = 1",)).stmts == ("x = 1",)
+    assert RunConfig(2.0, seed=4) == RunConfig(k=2.0, seed=4)
+    for bad in (lambda: StudentRecord("s", 1.0, 0.5, 0.2),
+                lambda: StudentRecord("s", 1.0, 0.5, 0.2, 3.0, None, "extra"),
+                lambda: StudentRecord("s", 1.0, 0.5, 0.2, 3.0, student="t"),
+                lambda: StudentRecord("s", 1.0, 0.5, 0.2, 3.0, conditon="trad")):
+        with pytest.raises(TypeError):
+            bad()
+
+
+@pytest.mark.parametrize(
+    "record", [N.Name("x", span=(0, 1)), RunConfig(), MutationSite(0, 1, 1, 1, "d")],
+    ids=["node", "config", "mutation-site"],
+)
+def test_fields_refuse_assignment_and_deletion(record):
+    name = record._fields[-1]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+def test_records_survive_a_pickle_round_trip(repo_root):
+    for sample in _samples(repo_root):
+        copy = pickle.loads(pickle.dumps(sample))
+        assert copy == sample and repr(copy) == repr(sample)
+        assert [r.span for r in _records(copy) if isinstance(r, N.Node)] == [
+            r.span for r in _records(sample) if isinstance(r, N.Node)
+        ]

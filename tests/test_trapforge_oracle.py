@@ -11,7 +11,6 @@ guard is replaced by its braced body, where the reference left a bare
 ``else`` that does not parse.
 """
 
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -68,7 +67,7 @@ def _braced_links(unit: N.SourceUnit, sites: list) -> list:
         if type(node) is N.If and type(node.orelse) is N.If
     }
     return [
-        dataclasses.replace(site, replacement=unit.text[slice(*links[site.span])])
+        site._replace(replacement=unit.text[slice(*links[site.span])])
         if site.span in links else site
         for site in sites
     ]
