@@ -3,39 +3,45 @@
 ``ordered_map(fn, items, costs, min_cost)`` returns ``[fn(x) for x in
 items]``.  The caller gives each item's cost and the break-even in one unit:
 source bytes for the front end's files, permutations for Spearman's chunks.
-A batch of two or more items costing at least ``min_cost`` runs on a
-fork-context process pool, one worker per available CPU, when the platform
-can fork, more than one CPU is available and no other thread is alive (a fork
-copies only the calling thread, so a lock another thread holds would stay
-held in the child).  Anything else runs in process, and ``multiprocessing``
-is imported only when the pool is used.
+A batch of two or more items costing at least ``min_cost`` is split into
+contiguous runs of about equal cost, one per available CPU, and each run is
+mapped by a worker forked with ``os.fork``, when the platform can fork, more
+than one CPU is available and no other thread is alive (a fork copies only
+the calling thread, so a lock another thread holds would stay held in the
+child).  Anything else runs in process.
 
-Either way the results come back in input order and the first failing item
-in input order raises its own error, so a command's output and its error line
-do not depend on the CPU count.  ``fn`` must be a module-level function (or a
-``functools.partial`` of one), and items, results and errors must pickle.  No
-worker outlives the call.
+A worker writes one pickle to its own pipe, ``(results, None)`` or ``(None,
+error)`` for the first error of its run, and leaves through ``os._exit``, so
+it never returns into the caller's stack or flushes the parent's stdio
+buffers.  The parent only forks, reads and reaps: it reads the runs in input
+order and raises the first run's error, so a command's output and its error
+line do not depend on the CPU count.  A worker that ends without a result
+(killed, crashed, or with a result or error that does not pickle) raises
+``ComputationError`` with its wait status.  ``fn`` and ``items`` reach the
+workers by the fork itself; results and errors must pickle.  No worker
+outlives the call.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Sequence, TypeVar
+from typing import BinaryIO, Callable, NoReturn, Sequence, TypeVar
+
+from vibecheck.errors import ComputationError
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 # Source bytes below which a batch runs in process.  On a 2-vCPU x86-64 host
-# (Python 3.11) the front end measures about 0.4 MB/s on one CPU, starting two
-# workers and passing them their chunks costs about 15 ms, and a fresh
-# interpreter first spends 20-40 ms importing ``multiprocessing``.  A forked
-# batch broke even at about 32 KB in a warm process and, with both CPUs free,
-# at about 60 KB in a fresh ``vcp`` process, which is how the command line runs.
+# (Python 3.11) the front end measures about 0.4 MB/s on one CPU, and forking
+# two workers, one contiguous run each, and reading their results back from
+# their pipes takes about 2.5 ms in a small warm process.  A forked batch
+# broke even at about 32 KB in a warm process and, with both CPUs free, at
+# about 60 KB in a fresh ``vcp`` process, which is how the command line runs.
+# Both were measured on a pool that took longer to start, so they are upper
+# bounds.
 FORK_MIN_BYTES = 64_000
-# Chunks per worker.  A cost predicts an item's time only roughly, so more
-# chunks than workers let a worker that finishes early take the next one.
-_CHUNKS_PER_WORKER = 4
 
 
 def available_cpus() -> int:
@@ -58,38 +64,76 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], costs: Sequence[int],
                 min_cost: int) -> list[R]:
     """``[fn(x) for x in items]``; ``costs`` and ``min_cost`` are in one unit."""
     cpus = available_cpus() if sum(costs) >= min_cost and len(items) > 1 else 1
-    if cpus < 2 or threading.active_count() != 1:
+    if cpus < 2 or threading.active_count() != 1 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
-    import multiprocessing
+    import pickle  # only here: a run that never forks loads neither
+    import signal
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
+    pids: list[int] = []  # the workers not yet reaped, in input order
+    pipes: list[BinaryIO] = []  # the read end of each worker's pipe, in input order
+    try:
+        for run in _chunks(items, costs, cpus):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, run, write_end)
+                pids.append(pid)
+            finally:
+                # A later worker would otherwise inherit this write end, and
+                # the parent would never see the end of this pipe.
+                os.close(write_end)
+        results: list[R] = []
+        for pipe in pipes:
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            if status != 0:
+                raise ComputationError(
+                    f"a worker process ended without a result (wait status {status})"
+                )
+            run_results, error = pickle.loads(data)
+            if error is not None:
+                raise error
+            results += run_results
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
-    chunks = _chunks(items, costs, cpus * _CHUNKS_PER_WORKER)
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(cpus, len(chunks)), mp_context=context) as pool:
-        futures = [pool.submit(_map_chunk, fn, chunk) for chunk in chunks]
+
+def _work(fn: Callable[[T], R], run: Sequence[T], write_end: int) -> NoReturn:
+    """Map ``run`` in a forked worker, write the pickle to ``write_end`` and
+    exit without returning."""
+    status = 1
+    try:
+        import pickle
+
         try:
-            # Chunks are contiguous runs of items, so the first chunk to fail,
-            # in input order, holds the first failing item.
-            return [result for future in futures for result in future.result()]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # the ``with`` then joins every worker
-            raise
+            payload = ([fn(x) for x in run], None)
+        except Exception as error:  # the first error of the run goes to the parent
+            payload = (None, error)
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _map_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> list[R]:
-    return [fn(x) for x in chunk]
-
-
-def _chunks(items: Sequence[T], costs: Sequence[int], n: int) -> list[list[T]]:
-    """At most ``n`` contiguous runs of ``items`` of about equal cost: an item
-    goes to the run its middle unit of cost falls in."""
+def _chunks(items: Sequence[T], costs: Sequence[int], cpus: int) -> list[list[T]]:
+    """At most ``cpus`` contiguous runs of ``items`` of about equal cost: an
+    item goes to the run its middle unit of cost falls in."""
     total = max(sum(costs), 1)
     runs: dict[int, list[T]] = {}
     seen = 0
     for item, cost in zip(items, costs):
-        runs.setdefault(min(n - 1, (2 * seen + cost) * n // (2 * total)), []).append(item)
+        runs.setdefault(min(cpus - 1, (2 * seen + cost) * cpus // (2 * total)), []).append(item)
         seen += cost
     return list(runs.values())

@@ -7,7 +7,8 @@ exception is ``random_program``, which the benchmark's workloads import from
 ``__getattr__`` (PEP 562), so importing the package does not load it.
 
 One way to run work in parallel: ``pool.ordered_map``'s forked workers.  No
-file under ``src/`` starts a thread of its own.
+file under ``src/`` starts a thread of its own or imports ``multiprocessing``
+or ``concurrent.futures``; the pool forks with ``os.fork``.
 
 One way to declare a record: a ``vibecheck.record.Record`` subclass.  No file
 under ``src/`` imports ``dataclasses``.
@@ -68,15 +69,26 @@ def test_a_package_binds_no_name_but_its_exception(repo_root, module):
                 assert not hasattr(package, name), f"{module}.{name}"
 
 
-def test_no_file_under_src_imports_dataclasses(repo_root):
+def _src_imports_of(repo_root, banned: tuple[str, ...]) -> list[str]:
+    """Each import under ``src/`` of a module in ``banned`` or of its submodules."""
     offences = []
     for path in sorted((repo_root / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            offences += [f"{path.relative_to(repo_root)}:{node.lineno}"
-                         for module in modules if module == "dataclasses"]
-    assert offences == []
+                       else [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+                       if isinstance(node, ast.ImportFrom) and node.module else [])
+            offences += [f"{path.relative_to(repo_root)}:{node.lineno}: {module}"
+                         for module in modules
+                         if any(module == b or module.startswith(b + ".") for b in banned)]
+    return offences
+
+
+def test_no_file_under_src_imports_dataclasses(repo_root):
+    assert _src_imports_of(repo_root, ("dataclasses",)) == []
+
+
+def test_no_file_under_src_imports_a_process_pool(repo_root):
+    assert _src_imports_of(repo_root, ("multiprocessing", "concurrent.futures")) == []
 
 
 _THREADS = {"Thread", "ThreadPool", "ThreadPoolExecutor"}

@@ -2,12 +2,13 @@
 
 Only the commands that draw random numbers (power, simulate, spearman
 ``--permutations``) load numpy; the stats handlers import the stats layer when
-they run.  The study's batches are far below ``pool.FORK_MIN_BYTES``, so they
-run in process and never import ``multiprocessing`` or
-``concurrent.futures.process`` either; a larger ``vcp metrics`` batch forks,
-with the front end loaded in the parent, so that the workers inherit it.
-Spearman's permutation chunks fork likewise from ``FORK_MIN_PERMUTATIONS``
-on, with numpy loaded in the parent.
+they run.  No command imports ``multiprocessing`` or ``concurrent.futures``:
+the pool forks its workers with ``os.fork``, so each check tells that a
+command forked by counting its ``os.fork`` calls.  The study's batches are far
+below ``pool.FORK_MIN_BYTES``, so they run in process and do not fork; a
+larger ``vcp metrics`` batch forks, with the front end loaded in the parent,
+so that the workers inherit it.  Spearman's permutation chunks fork likewise
+from ``FORK_MIN_PERMUTATIONS`` on, with numpy loaded in the parent.
 The simulated reviewers draw without numpy too, and no command or front-end
 import loads the program generator, ``vibecheck.codemetrics.progen``.
 Records are ``vibecheck.record.Record`` subclasses, which generate no code,
@@ -38,7 +39,7 @@ def _python(repo_root, code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-_UNLOADED = ("numpy", "multiprocessing", "concurrent.futures.process")
+_UNLOADED = ("numpy", "multiprocessing", "concurrent.futures")
 _LOADED = f"[m for m in {_UNLOADED!r} if m in sys.modules]"
 
 
@@ -93,7 +94,7 @@ def test_study_driver_leaves_numpy_unloaded(repo_root, tmp_path):
 
 # --- one table: what each command may load ------------------------------------
 
-_DRAWS = ("multiprocessing", "concurrent.futures.process")
+_DRAWS = ("multiprocessing", "concurrent.futures")
 # More source bytes than FORK_MIN_BYTES, so the batch forks.
 _UNIT = "fixtures/origins/prog_04.vcp"
 _UNIT_BYTES = (Path(__file__).resolve().parent.parent / _UNIT).stat().st_size
@@ -101,14 +102,16 @@ _BATCH = [_UNIT] * (FORK_MIN_BYTES // _UNIT_BYTES + 1)
 
 
 # id: (vcp argv; modules, with their submodules, that must be unloaded
-# afterwards; modules that must be loaded).
+# afterwards; modules that must be loaded).  A case whose id ends in
+# "-forked" must fork; no other case may.
 _TABLE = {
-    "metrics": (["metrics", "fixtures/ifelse.vcp"], _UNLOADED, ()),
+    # A batch that does not fork leaves ``pickle`` unloaded as well.
+    "metrics": (["metrics", "fixtures/ifelse.vcp"], (*_UNLOADED, "pickle"), ()),
     "sdt": (["sdt", "--responses", "fixtures/study/responses.jsonl"], _UNLOADED, ()),
     "sdt-answer-key": (["sdt", "--responses", "fixtures/study/responses.jsonl", "--answer-key",
                         "fixtures/study/golden/corpus/answer_key.jsonl"], _UNLOADED, ()),
     "traps-generate": (["traps", "generate", "--origins", "fixtures/origins", "--out", "{tmp}"],
-                       _UNLOADED, ()),
+                       (*_UNLOADED, "pickle"), ()),
     "retention": (["retention", "--build", "fixtures/session/build.log",
                    "--refactor", "fixtures/session/refactor.log", "--allow-uncalibrated"],
                   _UNLOADED, ()),
@@ -129,11 +132,10 @@ _TABLE = {
                                "--permutations", "1000"], _DRAWS, ("numpy",)),
     "spearman-permutations-forked": (["spearman", "--data", "fixtures/spearman/quiz_scores.csv",
                                       "--permutations", str(FORK_MIN_PERMUTATIONS)],
-                                     (), ("numpy", "concurrent.futures.process")),
-    # The batch forks (the process pool is loaded), and the parent has the
-    # front end loaded, so the workers inherit it.
-    "metrics-forked": (["metrics", *_BATCH], ("numpy",),
-                       ("concurrent.futures.process", "vibecheck.codemetrics.metrics")),
+                                     _DRAWS, ("numpy",)),
+    # The batch forks, and the parent has the front end loaded, so the
+    # workers inherit it.
+    "metrics-forked": (["metrics", *_BATCH], _UNLOADED, ("vibecheck.codemetrics.metrics",)),
 }
 
 
@@ -145,15 +147,18 @@ def test_a_command_loads_only_what_it_uses(repo_root, tmp_path, case):
     code = """
         import contextlib, io, json, os, sys
         os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, so a large batch forks
+        forks, real_fork = [], os.fork
+        os.fork = lambda: forks.append(1) or real_fork()
         argv = json.loads(sys.argv[1])
         from vibecheck.cli import run
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             exit_code = run(argv)
-        print(json.dumps([exit_code, sorted(sys.modules)]))
+        print(json.dumps([exit_code, sorted(sys.modules), len(forks)]))
     """
-    exit_code, modules = json.loads(_python(repo_root, code, json.dumps(argv)).stdout)
+    exit_code, modules, forks = json.loads(_python(repo_root, code, json.dumps(argv)).stdout)
     assert exit_code == 0
+    assert (forks > 0) == case.endswith("-forked"), forks
     unloaded = (*unloaded, _GENERATOR)  # no command draws a program
     assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unloaded)] == []
     assert [m for m in loaded if m not in modules] == []

@@ -11,14 +11,14 @@ byte, exit code and error line.  The tests of when the pool forks call
 
 import contextlib
 import io
-import multiprocessing
 import os
 import pickle
+import signal
 import threading
 
 import pytest
 
-from vibecheck import errors, pool
+from vibecheck import cli, errors, pool
 from vibecheck.cli import run
 from vibecheck.codemetrics.parser import DEPTH_BUDGET
 from vibecheck.codemetrics.progen import random_program
@@ -45,7 +45,8 @@ def batch(tmp_path_factory):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the workers forked while the test runs."""
+    """The pids of the workers forked while the test runs; every one of them
+    must be reaped by the end of the test."""
     pids = []
     real_fork = os.fork
 
@@ -56,7 +57,22 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    return pids
+    yield pids
+    assert _all_reaped(pids)
+
+
+def _all_reaped(pids) -> bool:
+    """Whether no process in ``pids`` is still a child of this one, running or
+    waiting to be reaped."""
+    return all(map(_reaped, pids))
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def _vcp(monkeypatch, cpus, argv):
@@ -65,7 +81,6 @@ def _vcp(monkeypatch, cpus, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run([str(a) for a in argv])
-    assert multiprocessing.active_children() == []
     return code, out.getvalue(), err.getvalue()
 
 
@@ -220,7 +235,7 @@ def test_large_batch_runs_on_workers_that_are_gone_afterwards(monkeypatch, forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: TWO_CPUS)
     pids = pool.ordered_map(_pid, list(range(8)), [1] * 8, 8)
     assert os.getpid() not in pids and set(pids) <= set(forks)
-    assert multiprocessing.active_children() == []
+    assert _all_reaped(forks)
 
 
 def test_no_fork_while_another_thread_is_alive(monkeypatch, forks):
@@ -247,7 +262,81 @@ def test_first_failing_item_raises_and_no_worker_remains(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: TWO_CPUS)
     with pytest.raises(ValueError, match="^item 1$"):
         pool.ordered_map(_fail_on_odd, list(range(16)), [1] * 16, 16)
-    assert forks and multiprocessing.active_children() == []
+    assert forks and _all_reaped(forks)
+
+
+# --- the result pipes --------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Turn a hang into a failure: ``TimeoutError`` after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _large(item: int) -> str:
+    return f"{item:03d}" * 30_000  # 90 KB: more than one pipe buffer (64 KB)
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_whole_and_in_order(monkeypatch, forks):
+    # The second worker blocks on its full pipe until the parent reads it, so
+    # had it kept the first pipe's write end open, the parent would hang.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: TWO_CPUS)
+    items = list(range(8))
+    with _deadline(60):
+        results = pool.ordered_map(_large, items, [1] * 8, 8)
+    assert results == [_large(x) for x in items]
+    assert len(forks) == 2 and _all_reaped(forks)
+
+
+def _unpicklable(item: int):
+    return lambda: item
+
+
+def _kill_self_on_five(item: int) -> int:
+    if item == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+@pytest.mark.parametrize("fn, status", [(_unpicklable, 256), (_kill_self_on_five, 9)],
+                         ids=["unpicklable-result", "killed"])
+def test_a_worker_that_ends_without_a_result_is_a_computation_error(monkeypatch, forks, fn,
+                                                                     status):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: TWO_CPUS)
+    with _deadline(60), pytest.raises(
+        errors.ComputationError,
+        match=rf"^a worker process ended without a result \(wait status {status}\)$",
+    ):
+        pool.ordered_map(fn, list(range(8)), [1] * 8, 8)
+    assert len(forks) == 2 and _all_reaped(forks)
+
+
+def test_a_killed_worker_ends_vcp_metrics_in_one_error_line(monkeypatch, tmp_path, batch, forks):
+    files = sorted(batch.iterdir())
+    victim = files[len(files) // 2].name
+    real = cli._file_metrics
+
+    def file_metrics(path):
+        if os.path.basename(path) == victim:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_file_metrics", file_metrics)
+    code, out, err = _vcp(monkeypatch, TWO_CPUS, _metrics_argv(files, tmp_path / "out"))
+    assert forks
+    assert (code, out) == (2, "")
+    assert err == ("vcp: computation error: "
+                   "a worker process ended without a result (wait status 9)\n")
 
 
 # --- the depth budget does not depend on where the parse runs ---------------

@@ -178,10 +178,12 @@ _ENVS = {  # the variables each child sets; every other BLAS variable is unset
 _FORK_CHILD = """
 import json, os, sys
 os.sched_setaffinity(0, json.loads(sys.argv[1]))
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append(1) or real_fork()
 from vibecheck.stats.spearman import spearman
 xs, ys = json.loads(sys.argv[2])
 p = spearman(xs, ys, permutations=250_001, seed=9).p_permutation
-print(json.dumps([p, "concurrent.futures.process" in sys.modules]))
+print(json.dumps([p, len(forks) > 0]))
 """
 
 
