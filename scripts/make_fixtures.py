@@ -20,10 +20,10 @@ from pathlib import Path
 
 from vibecheck import cli, retention, sdt, trapforge
 from vibecheck.codemetrics.metrics import metrics
-from vibecheck.codemetrics.parser import parse
+from vibecheck.codemetrics.parser import parse, parse_file
 from vibecheck.codemetrics.progen import random_program
 from vibecheck.io import read_json
-from vibecheck.reporting import write_json, write_jsonl
+from vibecheck.reporting import write_json, write_jsonl, write_text
 from vibecheck.retention import SessionEvent, SessionLog, write_session_log
 
 ALPHA_STAR = 0.6     # intended ln(cc) weight for the calibration bundle
@@ -34,7 +34,7 @@ STUDY_FRACTION = 0.5
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    write_text(path, text)
 
 
 # --- small hand-written sources --------------------------------------------
@@ -482,7 +482,7 @@ STUDENTS = [
 def write_responses(origins_dir: Path, path: Path) -> None:
     """Each student's simulated review of the corpus derived from the study's
     origins, as JSONL records at ``path``."""
-    origins = [parse(p.read_text(), name=p.stem) for p in sorted(origins_dir.glob("*.vcp"))]
+    origins = [parse_file(p, p.stem) for p in sorted(origins_dir.glob("*.vcp"))]
     corpus = trapforge.generate_corpus(origins, STUDY_FRACTION, STUDY_SEED)
     truths = [item.ground_truth for item in corpus.items]
     responses = []

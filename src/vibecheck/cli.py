@@ -45,6 +45,7 @@ from vibecheck.reporting import (
     write_columns,
     write_json,
     write_jsonl,
+    write_text,
 )
 
 
@@ -70,7 +71,7 @@ def _finite_float(text: str) -> float:
 
 @functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="vcp", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="vcp", description=__doc__.partition("\n")[0])
     parser.add_argument("--version", action="version", version=f"vcp {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (default: $VCP_CONFIG)")
@@ -178,7 +179,7 @@ class _Sink:
         report = self.report(fields)
         if self.out_dir:
             write_json(self.out_dir / f"{name}.json", report)
-            (self.out_dir / f"{name}.txt").write_text(summary, encoding="utf-8")
+            write_text(self.out_dir / f"{name}.txt", summary)
             sys.stdout.write(summary)
         else:
             sys.stdout.write(dumps_record(report, indent=2) + "\n")

@@ -1,10 +1,13 @@
 """The input boundary: every file the toolkit reads is opened here.
 
-Text is UTF-8; JSON refuses ``NaN``, ``Infinity``, numbers that overflow
-to inf and nesting too deep to decode, and each JSON document or JSONL line
-must be an object.  Failing to read, decode, parse, convert or check an input
-raises a ``ValidationError`` naming the path (and line), so bad input ends in
-exit code 1, never a traceback.
+Text is UTF-8 and read as written: no newline is translated, so an offset
+into a file's text is an offset into the file.  A JSONL line ends at ``\n``
+only; the ``\r`` of a ``\r\n`` is whitespace to JSON, and a lone ``\r`` or
+a Unicode line separator ends no line.  JSON refuses ``NaN``, ``Infinity``,
+numbers that overflow to inf and nesting too deep to decode, and each JSON
+document or JSONL line must be an object.  Failing to read, decode, parse,
+convert or check an input raises a ``ValidationError`` naming the path (and
+line), so bad input ends in exit code 1, never a traceback.
 The field readers ``as_*(obj, key)`` never coerce: a bad value is refused as ``bad
 value for 'k': expected ..., got ...``, an absent key as ``missing field 'k'``.
 The record reader ``fields(obj, spec)`` reads a whole record from a table of
@@ -31,12 +34,11 @@ T = TypeVar("T")
 
 
 @contextlib.contextmanager
-def _opened(
-    path: PathLike, what: str = "file", newline: Optional[str] = None, encoding: str = "utf-8"
-):
-    """The file as UTF-8 text; open and decode failures name the path."""
+def _opened(path: PathLike, what: str = "file", encoding: str = "utf-8"):
+    """The file as UTF-8 text, its line endings as written; open and decode
+    failures name the path."""
     try:
-        with open(path, encoding=encoding, newline=newline) as fh:
+        with open(path, encoding=encoding, newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ValidationError(
@@ -86,8 +88,9 @@ def read_jsonl(path: PathLike, row_fn: Callable[[dict], T], what: str) -> list[T
 
 
 def jsonl_lines(path: PathLike) -> list[tuple[int, str]]:
-    """Each line of the file that is not blank, with its 1-based number."""
-    return [(n, line) for n, line in enumerate(read_text(path).splitlines(), 1) if line.strip()]
+    """Each line of the file that is not blank, with its 1-based number; a line
+    ends at ``\n``."""
+    return [(n, line) for n, line in enumerate(read_text(path).split("\n"), 1) if line.strip()]
 
 
 def read_record(path: PathLike, n: int, line: str, row_fn: Callable[[dict], T], what: str) -> T:
@@ -114,7 +117,7 @@ def csv_rows(
     missing column, a short row, a bad cell, a malformed file and a file
     without data rows raise ``ValidationError`` naming ``path`` (and line).
     """
-    with _opened(path, newline="", encoding="utf-8-sig") as fh:
+    with _opened(path, encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

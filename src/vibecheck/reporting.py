@@ -1,4 +1,9 @@
-"""Deterministic report writers.
+"""Deterministic report writers: every file the toolkit writes is written here.
+
+Text is written as UTF-8 and as given, through ``write_text``: no platform
+translates a newline, so each line ends at ``\n`` and a trap item keeps its
+origin's line endings.  A JSON string holding U+0085, U+2028 or U+2029 is
+written raw; the readers end a line at ``\n`` only, so they read it back whole.
 
 Machine reports are JSON (sorted keys, full float precision); human
 summaries are aligned text tables whose numbers are the machine values
@@ -26,14 +31,17 @@ def dumps_record(record: dict, indent: Optional[int] = None) -> str:
         raise ComputationError(f"report holds a non-finite number: {exc}") from exc
 
 
+def write_text(path: Union[str, Path], text: str) -> None:
+    """``text`` as UTF-8, its line endings as given."""
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
 def write_json(path: Union[str, Path], record: dict) -> None:
-    Path(path).write_text(dumps_record(record, indent=2) + "\n", encoding="utf-8")
+    write_text(path, dumps_record(record, indent=2) + "\n")
 
 
 def write_jsonl(path: Union[str, Path], records: Iterable[dict]) -> None:
-    Path(path).write_text(
-        "".join(dumps_record(record) + "\n" for record in records), encoding="utf-8"
-    )
+    write_text(path, "".join(dumps_record(record) + "\n" for record in records))
 
 
 # From this magnitude on, a float is written in exponent form, which keeps a
@@ -74,4 +82,4 @@ def write_columns(
     lines = ["\t".join(columns)]
     for row in rows:
         lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

@@ -24,6 +24,7 @@ import warnings
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from vibecheck.codemetrics.halstead import halstead
 from vibecheck.codemetrics.metrics import CodeMetrics, metrics
 from vibecheck.codemetrics.nodes import SourceUnit
 from vibecheck.codemetrics.parser import parse_file
@@ -37,7 +38,7 @@ from vibecheck.errors import (
 )
 from vibecheck.io import as_bool, as_finite, as_str, fields, jsonl_lines, read_jsonl, read_record
 from vibecheck.record import Record
-from vibecheck.reporting import write_jsonl
+from vibecheck.reporting import write_jsonl, write_text
 
 EVENT_KINDS = frozenset({"edit", "prompt", "paste", "run", "test_pass", "test_fail"})
 PHASES = ("ai_build", "cold_refactor")
@@ -143,9 +144,9 @@ def active_minutes(log: SessionLog, idle_gap: float = RunConfig.idle_gap) -> flo
 
 
 def lines_of_code(unit: SourceUnit) -> int:
-    """Non-blank, non-comment source lines."""
+    """Non-blank, non-comment source lines; a line ends at ``\n``, as for the lexer."""
     count = 0
-    for line in unit.text.splitlines():
+    for line in unit.text.split("\n"):
         stripped = line.strip()
         if stripped and not stripped.startswith("//"):
             count += 1
@@ -165,7 +166,7 @@ def velocity(
         )
     if unit == "loc":
         return lines_of_code(log.final_unit) / minutes
-    return metrics(log.final_unit).halstead.volume_v / minutes
+    return halstead(log.final_unit).volume_v / minutes
 
 
 # --- complexity weighting --------------------------------------------------
@@ -241,6 +242,7 @@ def calibration_mean_score(
 
 
 def _check_pair(build: SessionLog, refactor: SessionLog) -> None:
+    """The rules of a build/refactor pair, checked before any velocity."""
     if build.phase != "ai_build":
         raise ValidationError(f"build log has phase {build.phase!r}, expected 'ai_build'")
     if refactor.phase != "cold_refactor":
@@ -251,6 +253,10 @@ def _check_pair(build: SessionLog, refactor: SessionLog) -> None:
         raise ValidationError(
             f"phase logs belong to different students: {build.student!r} vs {refactor.student!r}"
         )
+    if not build.events or not refactor.events:
+        raise ValidationError("both sessions need at least one event")
+    if refactor.events[0].t < build.events[-1].t:
+        raise ValidationError("refactor session starts before the build session ends")
 
 
 # --- scoring ---------------------------------------------------------------
@@ -270,11 +276,7 @@ def m_csr(
     the two variants can be compared.
     """
     _check_pair(build, refactor)
-    if not build.events or not refactor.events:
-        raise ValidationError("both sessions need at least one event")
     delta_seconds = refactor.events[0].t - build.events[-1].t
-    if delta_seconds < 0:
-        raise ValidationError("refactor session starts before the build session ends")
     v_build = velocity(build, idle_gap=idle_gap, unit=velocity_unit)
     v_rec = velocity(refactor, idle_gap=idle_gap, unit=velocity_unit)
     omega_refactor = omega(metrics(refactor.final_unit), calibration)
@@ -422,4 +424,4 @@ def write_session_log(log: SessionLog, path: Union[str, Path], unit_rel: str) ->
         records.append(rec)
     records.append({"final_unit": unit_rel})
     write_jsonl(path, records)
-    (path.parent / unit_rel).write_text(log.final_unit.text, encoding="utf-8")
+    write_text(path.parent / unit_rel, log.final_unit.text)

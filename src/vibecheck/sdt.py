@@ -41,10 +41,11 @@ class TrapResponse(Record):
     flagged: bool
 
     def validate(self) -> None:
-        _check_ground_truth(self.ground_truth)
+        check_ground_truth(self.ground_truth)
 
 
-def _check_ground_truth(value: str) -> None:
+def check_ground_truth(value: str) -> None:
+    """Refuse a ground truth other than ``"trap"`` or ``"clean"``."""
     if value not in GROUND_TRUTHS:
         raise ValidationError(f"ground_truth must be 'trap' or 'clean', got {value!r}")
 
@@ -263,7 +264,7 @@ def simulate_reviewer(
     stream = PhiloxStream(seed)
     flags = []
     for truth in ground_truth:
-        _check_ground_truth(truth)
+        check_ground_truth(truth)
         mean = sensitivity if truth == "trap" else 0.0
         flags.append(mean + stream.standard_normal() > criterion)
     return flags

@@ -17,7 +17,10 @@ origin only at the mutation site and always reparses:
 - ``dropped-update``: one assignment to a loop-guard variable inside the
   loop body is deleted, so the loop no longer advances that variable.
 
-Site coordinates in the answer key refer to the origin source.
+Site coordinates in the answer key refer to the origin source as written:
+origins are read and items written without translating newlines, so an
+offset is an offset into the origin file, a clean item is byte-equal to its
+origin and a trap differs from it only at the site.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from vibecheck.errors import NotApplicableError, ValidationError
 from vibecheck.io import as_str, fields, read_jsonl
 from vibecheck.pool import FORK_MIN_BYTES, ordered_map, path_bytes
 from vibecheck.record import Record
-from vibecheck.reporting import write_json, write_jsonl
+from vibecheck.reporting import write_json, write_jsonl, write_text
 from vibecheck.rng import PhiloxStream
+from vibecheck.sdt import check_ground_truth
 
 DEFECT_KINDS = (
     "inverted-condition",
@@ -323,7 +327,7 @@ def write_corpus(corpus: TrapCorpus, out_dir: Union[str, Path]) -> None:
         )
     items.mkdir(parents=True, exist_ok=True)
     for item in corpus.items:
-        (items / f"{item.item_id}.vcp").write_text(item.source, encoding="utf-8")
+        write_text(items / f"{item.item_id}.vcp", item.source)
     write_jsonl(out / "answer_key.jsonl", (_key_record(item) for item in corpus.items))
     manifest = {"seed": corpus.seed, "trap_fraction": corpus.trap_fraction, **corpus.counts()}
     write_json(out / "manifest.json", manifest)
@@ -346,12 +350,14 @@ _ANSWER_KEY_FIELDS = {"item_id": as_str, "ground_truth": as_str, **_KEY_DETAILS}
 
 
 def read_answer_key(path: Union[str, Path]) -> dict[str, str]:
-    """Map item_id -> ground_truth from an answer-key file, in file order; an
-    item_id given twice is refused at its second line."""
+    """Map item_id -> ground_truth from an answer-key file, in file order; a
+    ground truth other than ``"trap"`` or ``"clean"`` is refused at its line,
+    and an item_id given twice at its second line."""
     key: dict[str, str] = {}
 
     def row(rec: dict) -> None:
         item = fields(rec, _ANSWER_KEY_FIELDS, _KEY_DETAILS)
+        check_ground_truth(item["ground_truth"])
         if item["item_id"] in key:
             raise ValueError(f"duplicate item_id {item['item_id']!r}")
         key[item["item_id"]] = item["ground_truth"]

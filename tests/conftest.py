@@ -1,5 +1,6 @@
-"""Shared test fixtures: paths into the checked-in fixture corpus, and the
-environment of a fresh interpreter that runs this checkout."""
+"""Shared test fixtures: paths into the checked-in fixture corpus, CRLF
+copies of its trap origins, and the environment of a fresh interpreter that
+runs this checkout."""
 
 import os
 from pathlib import Path
@@ -18,6 +19,16 @@ def fixtures() -> Path:
 @pytest.fixture(scope="session")
 def repo_root() -> Path:
     return REPO_ROOT
+
+
+@pytest.fixture
+def crlf_origins(tmp_path) -> Path:
+    """A directory of the fixture origins with each ``\n`` written as ``\r\n``."""
+    out = tmp_path / "crlf_origins"
+    out.mkdir()
+    for path in sorted((FIXTURES / "origins").glob("*.vcp")):
+        (out / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return out
 
 
 def fresh_env(*drop: str, extra_path: tuple[Path, ...] = ()) -> dict[str, str]:

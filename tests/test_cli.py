@@ -11,6 +11,9 @@ from conftest import fresh_env
 from vibecheck.cli import run
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import ValidationError
+from vibecheck.io import read_jsonl
+from vibecheck.reporting import write_jsonl
+from vibecheck.retention import SessionEvent, SessionLog, write_session_log
 
 VOL_ASSIGN = 11.60964047443681  # x = a + b: 5 tokens over a vocabulary of 5
 
@@ -58,6 +61,14 @@ def test_metrics_multiple_files_one_row_each(fixtures, capsys):
     assert code == 0
     report, _ = _json_out(capsys)
     assert [r["unit"] for r in report["records"]] == ["assign.vcp", "ifelse.vcp"]
+
+
+def test_metrics_of_crlf_origins_equal_those_of_the_lf_originals(fixtures, crlf_origins, capsys):
+    reports = []
+    for directory in (fixtures / "origins", crlf_origins):
+        assert run(["metrics", *map(str, sorted(directory.glob("*.vcp")))]) == 0
+        reports.append(_json_out(capsys)[0])
+    assert reports[0] == reports[1]
 
 
 def test_metrics_byte_identical_reports(fixtures, tmp_path):
@@ -372,6 +383,16 @@ def test_sdt_refuses_an_answer_key_that_names_an_item_twice(tmp_path, capsys):
     )
 
 
+def test_sdt_refuses_an_answer_key_ground_truth_at_its_own_line(tmp_path, capsys):
+    key = ({"item_id": "i1", "ground_truth": "bogus"},) + _KEY[1:]
+    code, captured, key_path, _ = _sdt_with_key(tmp_path, capsys, key, _ANSWERS)
+    assert code == 1
+    assert captured.err == (
+        f"vcp: error: {key_path}:1: bad answer-key record: "
+        "ground_truth must be 'trap' or 'clean', got 'bogus'\n"
+    )
+
+
 def test_sdt_writes_jsonl(fixtures, tmp_path):
     out = tmp_path / "sdt"
     run(["sdt", "--responses", str(fixtures / "study" / "responses.jsonl"),
@@ -586,6 +607,32 @@ def test_decay_fit_that_overflows_is_exit_2(tmp_path, capsys, rows, prefix):
     assert line.startswith(f"vcp: computation error: {prefix}")
 
 
+@pytest.mark.parametrize(
+    "build_times, refactor_times, message",
+    [((), (86400.0,), "both sessions need at least one event"),
+     ((0.0, 60.0), (30.0,), "refactor session starts before the build session ends")],
+)
+def test_retention_and_calibrate_refuse_a_bad_pair_alike(
+    tmp_path, capsys, build_times, refactor_times, message
+):
+    unit = parse("x = a + b\n", name="unit.vcp")
+    logs = {"build": ("ai_build", build_times), "refactor": ("cold_refactor", refactor_times),
+            "sound": ("cold_refactor", (86400.0, 86460.0))}
+    for name, (phase, times) in logs.items():
+        events = tuple(SessionEvent(t, "edit") for t in times)
+        write_session_log(SessionLog("e", phase, events, unit), tmp_path / f"{name}.log",
+                          "unit.vcp")
+    # Fitted with the first, the sound pair makes the design inconsistent (exit 2).
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, [{"build": "build.log", "refactor": "refactor.log"},
+                        {"build": "build.log", "refactor": "sound.log"}])
+    assert run(["retention", "--build", str(tmp_path / "build.log"),
+                "--refactor", str(tmp_path / "refactor.log"), "--allow-uncalibrated"]) == 1
+    assert capsys.readouterr().err == f"vcp: error: {message}\n"
+    assert run(["calibrate", "--pairs", str(pairs)]) == 1
+    assert capsys.readouterr().err == f"vcp: error: {message}\n"
+
+
 def test_calibrate_reproduces_stored_weights(fixtures, tmp_path):
     out = tmp_path / "cal"
     code = run([
@@ -707,6 +754,22 @@ def test_score_non_string_student_or_condition_is_exit_1(tmp_path, capsys, field
     assert line.startswith(
         f"vcp: error: {path}:2: bad student record: bad value for '{field}': expected a string"
     )
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+def test_score_reads_back_a_student_named_with_a_line_separator(tmp_path, capsys, separator):
+    # write_jsonl writes the separator raw, and a JSONL line ends at "\n" only.
+    students = [f"s{i}{separator}x" for i in range(4)]
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, [
+        {"student": student, "condition": ("vibe", "trad")[i % 2], "m_csr": 0.8,
+         "m_ht": 0.9, "e_gap": 0.1, "t_dev": 1.0}
+        for i, student in enumerate(students)
+    ])
+    out = tmp_path / "score"
+    assert run(["score", "--records", str(path), "--out", str(out)]) == 0
+    scored = read_jsonl(out / "score.jsonl", lambda rec: rec["student"], "score record")
+    assert sorted(scored) == students
 
 
 # --- power / simulate / fit ---------------------------------------------------

@@ -13,6 +13,15 @@ or ``concurrent.futures``; the pool forks with ``os.fork``.
 One way to declare a record: a ``vibecheck.record.Record`` subclass.  No file
 under ``src/`` imports ``dataclasses``.
 
+One way to read and write a file: ``vibecheck.io`` opens every input and
+``reporting.write_text`` writes every output, both untranslated.  Under
+``src/``, ``open`` is called only in ``io.py`` and at the pipe ends of
+``pool.py``; no ``.read_text`` or ``.read_bytes`` is called; ``.write_text``
+and ``.write_bytes`` only in ``reporting.py``; and no ``.splitlines``, which
+ends a line at every Unicode line boundary where the toolkit ends one at
+``\n`` only.  No script under ``scripts/`` calls ``.read_text`` or
+``.write_text``.
+
 One way to draw outside the stats layer: ``rng.PhiloxStream``.  Only
 ``vibecheck.stats`` names ``make_rng``, numpy's generator, in ``src/`` and
 ``scripts/``, so numpy loads only where the stats layer draws.
@@ -119,3 +128,36 @@ def test_only_the_stats_layer_names_numpys_generator(repo_root):
             if name == "make_rng":
                 offences.append(f"{rel}:{node.lineno}")
     assert offences == []
+
+
+def _calls(repo_root, top: str, allowed: dict[str, set[str]]) -> list[str]:
+    """Each call under ``top`` of a name in ``allowed`` (``open``) or of a method
+    (``.name``) outside the files that ``allowed`` lists for it."""
+    offences = []
+    for path in sorted((repo_root / top).rglob("*.py")):
+        rel = path.relative_to(repo_root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (f".{func.attr}" if isinstance(func, ast.Attribute)
+                    else func.id if isinstance(func, ast.Name) else None)
+            if name in allowed and rel not in allowed[name]:
+                offences.append(f"{rel}:{node.lineno}: {name}")
+    return offences
+
+
+_SRC_FILE_CALLS = {
+    "open": {"src/vibecheck/io.py", "src/vibecheck/pool.py"},
+    ".open": set(),
+    ".read_text": set(),
+    ".read_bytes": set(),
+    ".write_text": {"src/vibecheck/reporting.py"},
+    ".write_bytes": {"src/vibecheck/reporting.py"},
+    ".splitlines": set(),
+}
+
+
+def test_files_are_read_and_written_at_one_boundary(repo_root):
+    assert _calls(repo_root, "src", _SRC_FILE_CALLS) == []
+    assert _calls(repo_root, "scripts", {".read_text": set(), ".write_text": set()}) == []

@@ -30,6 +30,7 @@ from vibecheck.io import (
     read_jsonl,
     read_text,
 )
+from vibecheck.reporting import write_jsonl
 from vibecheck.retention import read_session_log
 from vibecheck.stats.mixed import GeneratingParams, simulate_cohort, write_cohort
 
@@ -72,6 +73,12 @@ def test_read_text_unreadable_path(tmp_path, name):
     path = tmp_path / name  # a missing file, a directory, an invalid name
     with pytest.raises(ValidationError, match="cannot read transcript"):
         read_text(path, "transcript")
+
+
+def test_read_text_reads_line_endings_as_written(tmp_path):
+    path = tmp_path / "unit.vcp"
+    path.write_bytes(b"x = 1\r\ny = 2\rz = 3\n")
+    assert read_text(path) == "x = 1\r\ny = 2\rz = 3\n"
 
 
 # --- read_json ---------------------------------------------------------------
@@ -148,6 +155,36 @@ def test_read_jsonl_bad_line_names_path_and_line(tmp_path, line, detail):
     with pytest.raises(ValidationError, match=f"{path}:3: bad row: ") as caught:
         read_jsonl(path, lambda rec: rec["v"] + 0, "row")
     assert detail in str(caught.value)
+
+
+# Unicode line boundaries that are not "\n": a JSONL line ends at "\n" only.
+_LINE_SEPARATORS = ["\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", _LINE_SEPARATORS)
+def test_a_string_holding_a_line_separator_round_trips_through_jsonl(tmp_path, separator):
+    path = tmp_path / "rows.jsonl"
+    records = [{"v": f"a{separator}b"}, {"v": separator}]
+    write_jsonl(path, records)
+    assert separator in path.read_bytes().decode("utf-8")  # written raw
+    assert read_jsonl(path, dict, "row") == records
+
+
+def test_a_crlf_jsonl_file_reads_as_its_lf_twin(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"v": 1}\r\n\r\n{"v": 2}\r\n')
+    assert read_jsonl(path, lambda rec: rec["v"], "row") == [1, 2]
+
+
+def test_a_lone_cr_ends_no_jsonl_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    record = {"student": "s1", "condition": "vibe", "m_csr": 0.8, "m_ht": 0.9, "e_gap": 0.1,
+              "t_dev": 1.0}
+    path.write_bytes(f"{json.dumps(record)}\r{json.dumps(record)}\r".encode("utf-8"))
+    code, err = _vcp(["score", "--records", path])
+    assert code == 1
+    [line] = _error_lines(err)
+    assert line.startswith(f"vcp: error: {path}:1: bad student record: Extra data")
 
 
 def test_read_jsonl_toolkit_error_passes_through(tmp_path):

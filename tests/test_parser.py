@@ -243,6 +243,20 @@ def test_crlf_source_parses_with_offsets_into_the_text():
     assert line_col(unit.text, guard.then.body[0].span[0]) == (3, 3)
 
 
+def _spans(unit):
+    return [(type(node).__name__, node.span) for node in N.walk(unit.ast)]
+
+
+def test_parse_file_spans_are_offsets_into_the_file_as_written(crlf_origins, tmp_path):
+    lone_cr = tmp_path / "lone_cr.vcp"
+    lone_cr.write_bytes(b"x = 1\rif (x < 2) {\r  y = x\r}\r")
+    for path in [*sorted(crlf_origins.glob("*.vcp")), lone_cr]:
+        text = path.read_bytes().decode("utf-8")
+        unit = parse_file(path, path.stem)
+        assert unit.text == text
+        assert _spans(unit) == _spans(parse(text))
+
+
 # --- the nesting budget -------------------------------------------------------
 
 # Each shape nested ``n`` levels deep, with the 1-based column of the token

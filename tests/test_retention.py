@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vibecheck.codemetrics import metrics as metrics_module
 from vibecheck.codemetrics.halstead import HalsteadCounts
+from vibecheck.codemetrics.lexer import line_col
 from vibecheck.codemetrics.metrics import CodeMetrics, metrics
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import (
@@ -120,6 +122,16 @@ def test_velocity_loc_unit():
     unit = parse("x = 1\n\n// comment only\ny = 2\n", name="two.vcp")
     log = _log("ai_build", [0.0, 60.0], unit=unit)
     assert lines_of_code(unit) == 2
+    assert velocity(log, unit="loc") == pytest.approx(2.0 / 3.0)
+
+
+def test_lines_of_code_ends_a_line_at_newline_only():
+    # U+2028 in a comment and U+0085 in a string end no line for the lexer.
+    text = 'x = 1 // a\u2028b\ny = "p\x85q"\n'
+    unit = parse(text, name="seps.vcp")
+    assert line_col(text, len(text) - 1) == (2, 10)
+    assert lines_of_code(unit) == 2
+    log = _log("ai_build", [0.0, 60.0], unit=unit)
     assert velocity(log, unit="loc") == pytest.approx(2.0 / 3.0)
 
 
@@ -264,6 +276,20 @@ def test_calibration_checks_phases():
         calibrate_omega([(refactor, build), (build, refactor)])
 
 
+@pytest.mark.parametrize(
+    "build_times, refactor_times, message",
+    [((), (86400.0,), "both sessions need at least one event"),
+     ((0.0, 60.0), (30.0,), "refactor session starts before the build session ends")],
+)
+def test_calibration_checks_each_pair_before_any_velocity(build_times, refactor_times, message):
+    build = _log("ai_build", build_times, unit=UNIT)
+    refactor = _log("cold_refactor", refactor_times, unit=TARGET)
+    with pytest.raises(ValidationError, match=message):
+        calibrate_omega([(build, refactor), (build, refactor)])
+    with pytest.raises(ValidationError, match=message):
+        m_csr(build, refactor, UNCALIBRATED)
+
+
 # --- retention score ----------------------------------------------------------
 
 
@@ -295,6 +321,20 @@ def test_m_csr_weighs_the_refactor_target():
     assert result.omega == result.omega_refactor
     ratio = result.v_rec / result.v_build
     assert result.m_csr == pytest.approx(ratio * math.log(2), abs=1e-12)
+
+
+def test_m_csr_builds_one_graph_per_unit(monkeypatch):
+    # Velocity reads only the Halstead volume; omega needs the build's and the
+    # refactor's cc, so a score builds two control-flow graphs.
+    built = []
+    build_cfg = metrics_module.build_cfg
+    monkeypatch.setattr(
+        metrics_module, "build_cfg", lambda unit: built.append(unit) or build_cfg(unit)
+    )
+    build = _log("ai_build", [0.0, 60.0], unit=TARGET)
+    refactor = _log("cold_refactor", [86400.0], unit=TARGET)
+    m_csr(build, refactor, UNCALIBRATED)
+    assert len(built) == 2
 
 
 def test_m_csr_rejects_refactor_before_build():
@@ -462,6 +502,16 @@ def test_session_log_round_trip(tmp_path):
     ]
     assert loaded.final_unit.text == UNIT.text
     assert (tmp_path / "unit.vcp").read_text() == UNIT.text
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+def test_a_payload_holding_a_line_separator_round_trips(tmp_path, separator):
+    payload = f"pasted{separator}text"
+    log = SessionLog("rt", "ai_build", (SessionEvent(0.0, "paste", payload),), UNIT)
+    path = tmp_path / "build.log"
+    write_session_log(log, path, "unit.vcp")
+    [event] = read_session_log(path).events
+    assert event.payload == payload
 
 
 def test_cold_refactor_rejects_assisted_events(tmp_path):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from vibecheck.cli import run
 from vibecheck.codemetrics.cfg import build_cfg, cyclomatic_complexity
+from vibecheck.codemetrics.lexer import line_col
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import NotApplicableError, ValidationError
+from vibecheck.io import read_jsonl
 from vibecheck.trapforge import (
     DEFECT_KINDS,
     applicable_sites,
@@ -352,3 +354,24 @@ def test_perfect_reviewer_on_written_corpus(fixtures, tmp_path):
     assert (result.hit_rate, result.fa_rate) == (1.0, 0.0)
     assert result.correction_applied
     assert result.d_prime > 0
+
+
+def test_a_crlf_corpus_is_spliced_from_its_origins_as_written(crlf_origins, tmp_path):
+    out = tmp_path / "corpus"
+    assert run(["traps", "generate", "--origins", str(crlf_origins), "--out", str(out),
+                "--fraction", "0.5", "--seed", "3"]) == 0
+    truths = []
+    for rec in read_jsonl(out / "answer_key.jsonl", dict, "answer-key record"):
+        origin = (crlf_origins / f"{rec['origin']}.vcp").read_bytes().decode("utf-8")
+        item = (out / "items" / f"{rec['item_id']}.vcp").read_bytes().decode("utf-8")
+        truths.append(rec["ground_truth"])
+        if rec["ground_truth"] == "clean":
+            assert item == origin
+            continue
+        site = rec["mutation_site"]
+        start, end = site["start"], site["end"]
+        sites = applicable_sites(parse(origin))[rec["defect_kind"]]
+        [replacement] = {s.replacement for s in sites if s.span == (start, end)}
+        assert item == origin[:start] + replacement + origin[end:]
+        assert (site["line"], site["col"]) == line_col(origin, start)
+    assert sorted(set(truths)) == ["clean", "trap"]
