@@ -289,15 +289,8 @@ def make_calibration(root: Path) -> Path:
 
     write_jsonl(cal_dir / "pairs.jsonl", ({"build": b, "refactor": r} for b, r in pair_files))
 
-    pairs = [
-        (
-            retention.read_session_log(cal_dir / b),
-            retention.read_session_log(cal_dir / r),
-        )
-        for b, r in pair_files
-    ]
-    calibration = retention.calibrate_omega(pairs, baseline_source="expert-baseline-v1")
-    mean = retention.calibration_mean_score(calibration, pairs)
+    pairs = retention.read_pairs(cal_dir / "pairs.jsonl")
+    calibration, mean = retention.calibrate_omega(pairs, baseline_source="expert-baseline-v1")
     if abs(mean - 1.0) > 1e-9:
         raise RuntimeError(f"calibration bundle is not exact: mean score {mean!r}")
     if abs(calibration.alpha - ALPHA_STAR) > 1e-6 or abs(calibration.beta - BETA_STAR) > 1e-6:

@@ -308,10 +308,9 @@ def _cmd_retention(args, config: RunConfig, sink: _Sink) -> int:
 
 def _cmd_calibrate(args, config: RunConfig, sink: _Sink) -> int:
     pairs = retention.read_pairs(args.pairs)
-    calibration = retention.calibrate_omega(
-        pairs, idle_gap=config.idle_gap, baseline_source=args.baseline_id
+    calibration, mean_score = retention.calibrate_omega(
+        pairs, config.idle_gap, args.baseline_id, config.velocity_unit
     )
-    mean_score = retention.calibration_mean_score(calibration, pairs, idle_gap=config.idle_gap)
     if abs(mean_score - 1.0) > 0.05:
         raise ComputationError(
             f"calibration failed its own baseline: mean retention score "

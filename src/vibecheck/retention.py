@@ -14,7 +14,10 @@ where ``omega = alpha * ln(cc) + beta * volume`` weights the refactor target
 by its structural complexity (natural log; ``cc >= 1`` always, and cc = 1
 with beta = 0 makes omega exactly 0, which is reported as degenerate).  The
 weights come from an expert calibration chosen so that experts who rebuild
-unassisted at their assisted pace score 1.
+unassisted at their assisted pace score 1.  Scoring and calibration measure a
+pair alike, once each: the same pair rules, the same refusal of a build
+velocity of 0 and the same velocity unit, and the calibration's mean baseline
+score comes from the numbers it fitted.
 """
 
 from __future__ import annotations
@@ -200,24 +203,25 @@ def calibrate_omega(
     pairs: Sequence[tuple[SessionLog, SessionLog]],
     idle_gap: float = RunConfig.idle_gap,
     baseline_source: str = "expert-baseline",
-) -> OmegaCalibration:
-    """Least-squares (alpha, beta) making expert retention scores hit 1.
+    velocity_unit: str = RunConfig.velocity_unit,
+) -> tuple[OmegaCalibration, float]:
+    """Least-squares (alpha, beta) making expert retention scores hit 1, and their mean score.
 
     Minimizes ``sum((r_i * omega_i - 1)^2)`` with ``r_i`` the expert's
     velocity ratio and ``omega_i`` evaluated on the i-th refactor target.
     A rank-deficient but consistent system (e.g. a single complexity class)
     returns the minimum-norm solution flagged ``degenerate``; an
     inconsistent rank-deficient system is a calibration error naming the
-    collinear rows.
+    collinear rows.  The mean is the baseline pairs' ``m_csr`` under the
+    fitted weights, from the numbers measured for the fit.
     """
     if len(pairs) < 2:
         raise ValidationError("calibration needs at least two expert pairs")
-    rows = []
-    for build, refactor in pairs:
-        _check_pair(build, refactor)
-        ratio = velocity(refactor, idle_gap=idle_gap) / velocity(build, idle_gap=idle_gap)
-        m = metrics(refactor.final_unit)
-        rows.append((ratio * math.log(m.cc), ratio * m.halstead.volume_v))
+    measured = [_measure(build, refactor, idle_gap, velocity_unit) for build, refactor in pairs]
+    rows = [
+        (v_rec / v_build * math.log(m.cc), v_rec / v_build * m.halstead.volume_v)
+        for v_build, v_rec, m in measured
+    ]
     alpha, beta, rank, residual = _lstsq2(*zip(*rows), [1.0] * len(rows))
     if rank < 2 and residual > 1e-9 * math.sqrt(len(rows)):
         detail = ", ".join(f"({a:.6g}, {b:.6g})" for a, b in rows)
@@ -225,24 +229,15 @@ def calibrate_omega(
             "calibration design is rank-deficient and inconsistent; "
             f"collinear (ln cc, volume) rows: {detail}"
         )
-    return OmegaCalibration(alpha, beta, baseline_source, degenerate=rank < 2)
+    calibration = OmegaCalibration(alpha, beta, baseline_source, degenerate=rank < 2)
+    scores = [csr_ratio(v_rec, v_build, omega(m, calibration)) for v_build, v_rec, m in measured]
+    return calibration, math.fsum(scores) / len(scores)  # exact sum: the same in any pair order
 
 
-def calibration_mean_score(
-    calibration: OmegaCalibration,
-    pairs: Sequence[tuple[SessionLog, SessionLog]],
-    idle_gap: float = RunConfig.idle_gap,
-) -> float:
-    """Mean retention score of the calibration's own baseline pairs."""
-    scores = [
-        m_csr(build, refactor, calibration, idle_gap=idle_gap).m_csr
-        for build, refactor in pairs
-    ]
-    return math.fsum(scores) / len(scores)  # exact sum: the same in any pair order
-
-
-def _check_pair(build: SessionLog, refactor: SessionLog) -> None:
-    """The rules of a build/refactor pair, checked before any velocity."""
+def _measure(
+    build: SessionLog, refactor: SessionLog, idle_gap: float, unit: str
+) -> tuple[float, float, CodeMetrics]:
+    """``(v_build, v_rec, metrics(refactor.final_unit))`` of a pair that keeps every pair rule."""
     if build.phase != "ai_build":
         raise ValidationError(f"build log has phase {build.phase!r}, expected 'ai_build'")
     if refactor.phase != "cold_refactor":
@@ -257,6 +252,10 @@ def _check_pair(build: SessionLog, refactor: SessionLog) -> None:
         raise ValidationError("both sessions need at least one event")
     if refactor.events[0].t < build.events[-1].t:
         raise ValidationError("refactor session starts before the build session ends")
+    v_build = velocity(build, idle_gap=idle_gap, unit=unit)
+    if v_build <= 0.0:
+        raise ValidationError(f"build velocity must be positive, got {v_build!r}")
+    return v_build, velocity(refactor, idle_gap=idle_gap, unit=unit), metrics(refactor.final_unit)
 
 
 # --- scoring ---------------------------------------------------------------
@@ -275,20 +274,16 @@ def m_csr(
     student had to reconstruct); the build-side weight is also reported so
     the two variants can be compared.
     """
-    _check_pair(build, refactor)
-    delta_seconds = refactor.events[0].t - build.events[-1].t
-    v_build = velocity(build, idle_gap=idle_gap, unit=velocity_unit)
-    v_rec = velocity(refactor, idle_gap=idle_gap, unit=velocity_unit)
-    omega_refactor = omega(metrics(refactor.final_unit), calibration)
-    omega_build = omega(metrics(build.final_unit), calibration)
+    v_build, v_rec, m = _measure(build, refactor, idle_gap, velocity_unit)
+    omega_refactor = omega(m, calibration)
     return RetentionResult(
         student=build.student,
         v_build=v_build,
         v_rec=v_rec,
         omega=omega_refactor,
         m_csr=csr_ratio(v_rec, v_build, omega_refactor),
-        delta_t_hours=delta_seconds / 3600.0,
-        omega_build=omega_build,
+        delta_t_hours=(refactor.events[0].t - build.events[-1].t) / 3600.0,
+        omega_build=omega(metrics(build.final_unit), calibration),
         omega_refactor=omega_refactor,
         calibration_source=calibration.baseline_source,
     )

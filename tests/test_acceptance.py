@@ -191,19 +191,9 @@ def test_acceptance_6_retention_identities(fixtures):
     assert abs(fit.s0 - s0) < 1e-12
 
     # The expert calibration set scores itself at 1 on average.
-    pairs = []
-    manifest = fixtures / "calibration" / "pairs.jsonl"
-    for line in manifest.read_text().splitlines():
-        rec = json.loads(line)
-        pairs.append(
-            (
-                retention.read_session_log(manifest.parent / rec["build"]),
-                retention.read_session_log(manifest.parent / rec["refactor"]),
-            )
-        )
-    calibration = retention.calibrate_omega(pairs)
+    pairs = retention.read_pairs(fixtures / "calibration" / "pairs.jsonl")
+    calibration, mean_score = retention.calibrate_omega(pairs)
     assert not calibration.degenerate
-    mean_score = retention.calibration_mean_score(calibration, pairs)
     assert abs(mean_score - 1.0) <= 1e-9
 
     # Homogeneity: joint velocity rescaling cancels; the weight is linear.

@@ -8,7 +8,9 @@ import textwrap
 import pytest
 
 from conftest import fresh_env
+from vibecheck import retention
 from vibecheck.cli import run
+from vibecheck.codemetrics import metrics as metrics_module
 from vibecheck.codemetrics.parser import parse
 from vibecheck.errors import ValidationError
 from vibecheck.io import read_jsonl
@@ -608,20 +610,24 @@ def test_decay_fit_that_overflows_is_exit_2(tmp_path, capsys, rows, prefix):
 
 
 @pytest.mark.parametrize(
-    "build_times, refactor_times, message",
-    [((), (86400.0,), "both sessions need at least one event"),
-     ((0.0, 60.0), (30.0,), "refactor session starts before the build session ends")],
+    "build_times, refactor_times, message, build_text",
+    [((), (86400.0,), "both sessions need at least one event", "x = a + b\n"),
+     ((0.0, 60.0), (30.0,), "refactor session starts before the build session ends",
+      "x = a + b\n"),
+     # A build that produced no code has velocity 0: no ratio can be taken to it.
+     ((0.0, 60.0), (86400.0,), "build velocity must be positive, got 0.0", "// nothing yet\n")],
 )
 def test_retention_and_calibrate_refuse_a_bad_pair_alike(
-    tmp_path, capsys, build_times, refactor_times, message
+    tmp_path, capsys, build_times, refactor_times, message, build_text
 ):
-    unit = parse("x = a + b\n", name="unit.vcp")
-    logs = {"build": ("ai_build", build_times), "refactor": ("cold_refactor", refactor_times),
-            "sound": ("cold_refactor", (86400.0, 86460.0))}
-    for name, (phase, times) in logs.items():
+    logs = {"build": ("ai_build", build_times, build_text),
+            "refactor": ("cold_refactor", refactor_times, "x = a + b\n"),
+            "sound": ("cold_refactor", (86400.0, 86460.0), "x = a + b\n")}
+    for name, (phase, times, text) in logs.items():
         events = tuple(SessionEvent(t, "edit") for t in times)
+        unit = parse(text, name=f"{name}.vcp")
         write_session_log(SessionLog("e", phase, events, unit), tmp_path / f"{name}.log",
-                          "unit.vcp")
+                          f"{name}.vcp")
     # Fitted with the first, the sound pair makes the design inconsistent (exit 2).
     pairs = tmp_path / "pairs.jsonl"
     write_jsonl(pairs, [{"build": "build.log", "refactor": "refactor.log"},
@@ -646,6 +652,56 @@ def test_calibrate_reproduces_stored_weights(fixtures, tmp_path):
     assert fresh["beta"] == pytest.approx(stored["beta"], abs=1e-9)
     report = json.loads((out / "calibrate.json").read_text())
     assert abs(report["baseline_mean_m_csr"] - 1.0) <= 0.05
+
+
+def test_calibrate_honours_the_configured_velocity_unit(tmp_path):
+    # Build and refactor units differ, so lines and volume give different ratios;
+    # two complexity classes make each fit exact, so both pass the baseline.
+    units = {"assign": "x = a + b\n", "ifelse": "if (a < b) {\n  x = 1\n} else {\n  x = 2\n}\n"}
+    experts = {"e1": ("assign", "ifelse"), "e2": ("ifelse", "assign")}
+    manifest = []
+    for student, (built, rebuilt) in experts.items():
+        for phase, name, times in (("ai_build", built, (0.0, 100.0)),
+                                   ("cold_refactor", rebuilt, (86400.0, 86700.0))):
+            unit = parse(units[name], name=f"{name}.vcp")
+            events = tuple(SessionEvent(t, "edit") for t in times)
+            write_session_log(SessionLog(student, phase, events, unit),
+                              tmp_path / f"{student}_{phase}.log", f"{name}.vcp")
+        manifest.append({"build": f"{student}_ai_build.log",
+                         "refactor": f"{student}_cold_refactor.log"})
+    write_jsonl(tmp_path / "pairs.jsonl", manifest)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"velocity_unit": "loc"}))
+    out = tmp_path / "out"
+    assert run(["calibrate", "--pairs", str(tmp_path / "pairs.jsonl"),
+                "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "calibrate.json").read_text())
+    pairs = retention.read_pairs(tmp_path / "pairs.jsonl")
+    loc, loc_mean = retention.calibrate_omega(pairs, velocity_unit="loc")
+    assert (report["alpha"], report["beta"]) == (loc.alpha, loc.beta)
+    assert report["baseline_mean_m_csr"] == loc_mean
+    volume, _ = retention.calibrate_omega(pairs)
+    assert (report["alpha"], report["beta"]) != (volume.alpha, volume.beta)
+
+
+def test_calibrate_and_retention_measure_each_unit_once(fixtures, monkeypatch):
+    # Calibrate measures each pair once: two velocities (a Halstead count each)
+    # and the refactor target's metrics (a graph and a count).  Retention adds
+    # the build target's metrics for its build-side weight.
+    graphs, counts = [], []
+    build_cfg, halstead = metrics_module.build_cfg, metrics_module.halstead
+    monkeypatch.setattr(metrics_module, "build_cfg", lambda u: graphs.append(u) or build_cfg(u))
+    monkeypatch.setattr(metrics_module, "halstead", lambda u: counts.append(u) or halstead(u))
+    monkeypatch.setattr(retention, "halstead", lambda u: counts.append(u) or halstead(u))
+    assert run(["calibrate", "--pairs", str(fixtures / "calibration" / "pairs.jsonl")]) == 0
+    assert (len(graphs), len(counts)) == (6, 18)
+    graphs.clear()
+    counts.clear()
+    logs = fixtures / "study" / "logs"
+    assert run(["retention", "--build", str(logs / "s01_build.log"),
+                "--refactor", str(logs / "s01_refactor.log"),
+                "--calibration", str(fixtures / "study" / "calibration.json")]) == 0
+    assert (len(graphs), len(counts)) == (2, 4)
 
 
 # --- egap ---------------------------------------------------------------------

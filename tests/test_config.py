@@ -187,7 +187,7 @@ _SETTING_DEFAULTS = [
     (retention.velocity, "idle_gap", "idle_gap"),
     (retention.velocity, "unit", "velocity_unit"),
     (retention.calibrate_omega, "idle_gap", "idle_gap"),
-    (retention.calibration_mean_score, "idle_gap", "idle_gap"),
+    (retention.calibrate_omega, "velocity_unit", "velocity_unit"),
     (retention.m_csr, "idle_gap", "idle_gap"),
     (retention.m_csr, "velocity_unit", "velocity_unit"),
     (explainability.e_gap, "epsilon", "epsilon"),

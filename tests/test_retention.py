@@ -28,12 +28,12 @@ from vibecheck.retention import (
     _lstsq2,
     active_minutes,
     calibrate_omega,
-    calibration_mean_score,
     csr_ratio,
     fit_decay,
     lines_of_code,
     m_csr,
     omega,
+    read_pairs,
     read_session_log,
     velocity,
     write_session_log,
@@ -208,27 +208,41 @@ def test_csr_ratio_is_scale_invariant(v_rec, v_build, om, scale):
 
 
 def _fixture_pairs(fixtures):
-    pairs = []
-    cal_dir = fixtures / "calibration"
-    for line in (cal_dir / "pairs.jsonl").read_text().splitlines():
-        rec = json.loads(line)
-        pairs.append(
-            (read_session_log(cal_dir / rec["build"]), read_session_log(cal_dir / rec["refactor"]))
-        )
-    return pairs
+    return read_pairs(fixtures / "calibration" / "pairs.jsonl")
 
 
 def test_expert_calibration_recovers_weights(fixtures):
     pairs = _fixture_pairs(fixtures)
-    cal = calibrate_omega(pairs)
+    cal, mean = calibrate_omega(pairs)
     assert cal.alpha == pytest.approx(0.6, abs=1e-6)
     assert cal.beta == pytest.approx(0.002, abs=1e-6)
     assert not cal.degenerate
-    assert calibration_mean_score(cal, pairs) == pytest.approx(1.0, abs=1e-9)
+    assert mean == pytest.approx(1.0, abs=1e-9)
+
+
+# Three experts whose build and refactor units differ, so the loc and volume
+# ratios differ; three pairs over two parameters leave the fit a residual.
+_MIXED_PAIRS = [
+    (_log("ai_build", [0.0, 60.0], student="e1", unit=UNIT),
+     _log("cold_refactor", [86400.0, 86520.0], student="e1", unit=TARGET)),
+    (_log("ai_build", [0.0, 200.0], student="e2", unit=TARGET),
+     _log("cold_refactor", [86400.0], student="e2", unit=UNIT)),
+    (_log("ai_build", [0.0], student="e3", unit=TARGET),
+     _log("cold_refactor", [86400.0, 86600.0], student="e3",
+          unit=parse("while (a < b) {\n  a = a + 1\n}\n", name="w.vcp"))),
+]
+
+
+@pytest.mark.parametrize("unit", ["volume", "loc"])
+def test_calibration_mean_is_the_mean_retention_score(fixtures, unit):
+    for pairs in (_fixture_pairs(fixtures), _MIXED_PAIRS):
+        cal, mean = calibrate_omega(pairs, velocity_unit=unit)
+        scores = [m_csr(b, r, cal, velocity_unit=unit).m_csr for b, r in pairs]
+        assert mean == math.fsum(scores) / len(scores)
 
 
 def test_calibration_round_trips_through_dict(fixtures):
-    cal = calibrate_omega(_fixture_pairs(fixtures), baseline_source="expert-v2")
+    cal, _ = calibrate_omega(_fixture_pairs(fixtures), baseline_source="expert-v2")
     assert OmegaCalibration.from_dict(cal.to_dict()) == cal
     assert cal.baseline_source == "expert-v2"
 
@@ -237,7 +251,7 @@ def test_stored_calibration_matches_refit(fixtures):
     stored = OmegaCalibration.from_dict(
         json.loads((fixtures / "calibration" / "calibration.json").read_text())
     )
-    refit = calibrate_omega(_fixture_pairs(fixtures), baseline_source=stored.baseline_source)
+    refit, _ = calibrate_omega(_fixture_pairs(fixtures), baseline_source=stored.baseline_source)
     assert refit.alpha == pytest.approx(stored.alpha, abs=1e-9)
     assert refit.beta == pytest.approx(stored.beta, abs=1e-9)
 
@@ -246,7 +260,7 @@ def test_single_complexity_class_gives_degenerate_min_norm():
     build = _log("ai_build", [0.0, 60.0], unit=UNIT)
     refactor = _log("cold_refactor", [86400.0], unit=TARGET)
     pairs = [(build, refactor), (build, refactor)]
-    cal = calibrate_omega(pairs)
+    cal, _ = calibrate_omega(pairs)
     assert cal.degenerate
     # The minimum-norm solution still satisfies the (consistent) system.
     ratio = velocity(refactor) / velocity(build)
